@@ -9,6 +9,12 @@ broadenings) are optimized in log space; the peak separation, Gaussian
 width and temperature stay linear.  The fluctuation-dissipation tie
 between the Gaussian width and its shift holds at every iterate because
 the shift is recomputed from (W, T) inside the model.
+
+The line shapes do not depend on the tunneling amplitudes, which only
+scale the two peaks.  The objective keeps the two line-shape vectors of
+its last build at the data biases and reuses them whenever only
+delta01 and delta03 moved (the amplitude columns of every
+finite-difference Jacobian), so such an evaluation rebuilds nothing.
 """
 
 from __future__ import annotations
@@ -19,17 +25,19 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import least_squares
-from scipy.signal import medfilt
 
 from . import units
 from .errors import ConvergenceError, ValidationError
-from .rate_model import LineShapes, MrtParams
+from .rate_model import LineShapes, MrtParams, _rate_coef
 from .units import NoiseSummary, flux_to_energy, ghz_to_kelvin, kelvin_to_ghz
 
 PARAM_NAMES = ("delta01", "delta03", "phi31", "w_phi", "gamma_phi",
                "zeta_phi", "temperature")
 _LOG_PARAMS = frozenset({"delta01", "delta03", "gamma_phi", "zeta_phi"})
+# parameters the line shapes depend on: all but the two tunneling amplitudes
+_SHAPE_PARAMS = tuple(n for n in PARAM_NAMES if n not in ("delta01", "delta03"))
 
 _FIELD_OF = {
     "delta01": "delta01_ghz",
@@ -194,6 +202,11 @@ def _delta_from_peak(rate_peak: float, w_ghz: float) -> float:
     return math.sqrt(4.0 * rate_peak / (1e3 * g_peak)) / (2.0 * math.pi)
 
 
+def _median5(x: np.ndarray) -> np.ndarray:
+    """Five-point running median, zero-padded at the ends."""
+    return np.median(sliding_window_view(np.pad(x, 2), 5), axis=1)
+
+
 def initial_guess(dataset: RateDataset,
                   provisional_t_k: float = 0.010) -> InitialGuess:
     """Heuristic starting point from peak locations, heights, valley level
@@ -212,7 +225,7 @@ def initial_guess(dataset: RateDataset,
     t_ghz = kelvin_to_ghz(provisional_t_k)
 
     log_rate = np.log(rate)
-    smooth = medfilt(log_rate, 5) if len(rate) >= 5 else log_rate
+    smooth = _median5(log_rate) if len(rate) >= 5 else log_rate
 
     def width_guess_at(phi_peak: float) -> float:
         # FDT: the zeroth-peak shift and width are tied through temperature
@@ -372,7 +385,12 @@ def _x_scale(free: Sequence[str], x0: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """Weighted log-rate residuals for one dataset."""
+    """Weighted log-rate residuals for one dataset.
+
+    Keeps the line shapes at the data biases from its last build, keyed by
+    the shape parameters, so that an evaluation moving only delta01 and
+    delta03 rebuilds nothing.
+    """
 
     def __init__(self, dataset: RateDataset, free, fixed, gr_form):
         order = np.argsort(dataset.folded_phi())
@@ -387,14 +405,23 @@ class _Objective:
         self.fixed = dict(fixed)
         self.gr_form = gr_form
         self.n_eval = 0
+        self.eps = flux_to_energy(self.phi, self.ip)
+        self._shape_key = None
+        self._g01 = self._g03 = None
 
     def model_log_rate(self, values: dict) -> np.ndarray:
         params = _params_from_dict(values, self.ip)
-        shapes = LineShapes(params, float(self.phi.min()), float(self.phi.max()),
-                            gr_form=self.gr_form)
-        rate = shapes.rate01(self.phi)
-        if params.delta03_ghz > 0:
-            rate = rate + shapes.rate03(self.phi)
+        two_peaks = params.delta03_ghz > 0
+        key = (tuple(values[n] for n in _SHAPE_PARAMS), two_peaks)
+        if key != self._shape_key:
+            shapes = LineShapes(params, float(self.phi.min()), float(self.phi.max()),
+                                gr_form=self.gr_form)
+            self._g01 = shapes.shape01(self.eps)
+            self._g03 = shapes.shape03(self.eps) if two_peaks else None
+            self._shape_key = key
+        rate = _rate_coef(params.delta01_ghz) * self._g01
+        if two_peaks:
+            rate = rate + _rate_coef(params.delta03_ghz) * self._g03
         return np.log(rate)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

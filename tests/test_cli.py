@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrtfit
 from mrtfit import dataio
 from mrtfit.cli import main
 
@@ -173,3 +178,15 @@ def test_batch_threads_smoke(tmp_path, capsys):
                 "--threads", "2"]) == 0
     summary = (out_dir / "batch_summary.csv").read_text().splitlines()
     assert len(summary) == 3
+
+
+def test_cli_import_skips_unused_scipy_subpackages():
+    code = ("import sys, mrtfit.cli; print(' '.join(m for m in "
+            "('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    src = str(Path(mrtfit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == ""

@@ -14,7 +14,8 @@ from mrtfit import (
     simulate_curve,
 )
 from mrtfit.errors import ValidationError
-from mrtfit.fitter import PARAM_NAMES, _FIELD_OF
+import mrtfit.fitter as fitter
+from mrtfit.fitter import PARAM_NAMES, _FIELD_OF, _Objective, _params_to_dict, _to_x
 from mrtfit.units import noise_summary
 
 from conftest import REF
@@ -125,6 +126,41 @@ def test_fit_from_automatic_guess_with_noise(ref_params):
     assert abs(errs["zeta_phi"]) < 0.10
     assert abs(errs["gamma_phi"]) < 0.25
     assert abs(errs["temperature"]) < 0.15
+
+
+def test_objective_amplitude_only_step_matches_fresh_build(ref_params):
+    ds = synth_dataset(ref_params, seed=9)
+    x = _to_x(_params_to_dict(ref_params), PARAM_NAMES)
+    moved = x.copy()
+    moved[[PARAM_NAMES.index("delta01"), PARAM_NAMES.index("delta03")]] += (1e-4, -3e-4)
+    objective = _Objective(ds, PARAM_NAMES, {}, "standard")
+    objective(x)
+    fresh = _Objective(ds, PARAM_NAMES, {}, "standard")
+    np.testing.assert_array_equal(objective(moved), fresh(moved))
+    assert objective.n_eval == 2
+
+
+def test_fit_rebuilds_line_shapes_only_when_shapes_move(ref_params, monkeypatch):
+    builds = []
+
+    class CountingLineShapes(fitter.LineShapes):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fitter, "LineShapes", CountingLineShapes)
+    ds = synth_dataset(ref_params, seed=5)
+    result = fit(ds, guess=initial_guess(ds))
+    assert len(builds) <= 0.8 * result.n_eval
+
+
+def test_median5_equals_scipy_medfilt():
+    from scipy.signal import medfilt
+
+    rng = np.random.default_rng(11)
+    for n in (5, 6, 7, 8, 9, 200):
+        x = rng.standard_normal(n)
+        np.testing.assert_array_equal(fitter._median5(x), medfilt(x, 5))
 
 
 def test_fit_cost_never_increases_from_start(ref_params):

@@ -80,6 +80,18 @@ def test_convolve_requires_matching_grids():
         convolve(np.zeros(len(grid) - 1), np.zeros(len(grid)), grid)
 
 
+@pytest.mark.parametrize("n_min", [33, 4097])
+def test_convolve_equals_scipy_fftconvolve(n_min):
+    from scipy.signal import fftconvolve
+
+    grid = FrequencyGrid.build(-1.0, 2.0, 1.0, n_min=n_min)
+    rng = np.random.default_rng(n_min)
+    f, g = rng.random(len(grid)), rng.random(len(grid))
+    iz = grid.index_of_zero
+    expect = fftconvolve(f, g)[iz: iz + len(grid)] * grid.step
+    np.testing.assert_array_equal(convolve(f, g, grid), expect)
+
+
 # ---------------------------------------------------------------------------
 # zeroth peak
 
@@ -262,6 +274,45 @@ def test_eval_outside_tabulated_span_raises(ref_params):
     shapes = LineShapes(ref_params, -100.0, 100.0)
     with pytest.raises(DomainError):
         shapes.rate01(np.array([50000.0]))
+
+
+def test_local_cubic_reproduces_nodes_and_tracks_spline(ref_params):
+    from scipy.interpolate import CubicSpline
+
+    shapes = LineShapes(ref_params, -500.0, 3000.0)
+    nodes = shapes.grid.values
+    eps = flux_to_energy(np.linspace(-500.0, 3000.0, 2001), ref_params.ip_a)
+    for log_table, at in ((shapes._log01, eps),
+                          (shapes._log03, eps - ref_params.nu31_ghz())):
+        np.testing.assert_array_equal(shapes._local_cubic(log_table, nodes),
+                                      log_table)
+        got = np.exp(shapes._local_cubic(log_table, at))
+        spline = np.exp(CubicSpline(nodes, log_table)(at))
+        mask = spline > spline.max() * 1e-6
+        np.testing.assert_allclose(got[mask], spline[mask], rtol=1e-7)
+
+
+# REF with a narrow relaxation core on which the renormalization quadrature
+# once stepped over the core and returned a negative mass
+NARROW_CORE = dict(delta01_ghz=1.6895e-3, delta03_ghz=4.3576e-2,
+                   phi31_uphi0=2400.29, w_phi_uphi0=55.347,
+                   gamma_phi_uphi0=0.083785, zeta_phi_uphi0=0.020241,
+                   temperature_k=11.205e-3)
+
+
+def test_narrow_relaxation_core_gives_finite_positive_rates():
+    p = make_params(**NARROW_CORE)
+    curve = simulate_curve(np.linspace(-720.09, 3480.42, 200), p)
+    assert np.all(np.isfinite(curve.rate))
+    assert np.all(curve.rate > 0)
+
+
+def test_nonpositive_relaxation_core_mass_raises(monkeypatch):
+    import mrtfit.rate_model as rate_model
+
+    monkeypatch.setattr(rate_model, "quad", lambda *args, **kwargs: (-1e-6, 0.0))
+    with pytest.raises(DomainError, match="zeta"):
+        LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42)
 
 
 def test_incoherent_validity_warning():
