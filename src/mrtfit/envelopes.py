@@ -32,6 +32,7 @@ from .units import FreqGHz
 
 _OHMIC_COUPLING_WARN = 0.3
 _SERIES_CUTOFF = 1e-6
+_SLOPE_SERIES_CUTOFF = 1e-2
 _EXP_CUTOFF = 30.0
 
 
@@ -72,6 +73,36 @@ def balance_factor(x):
     xm = x[mid]
     out[mid] = np.tanh(xm) / (-np.expm1(-xm))
     return out
+
+
+def thermal_enhancement_slope(x):
+    """Derivative of :func:`thermal_enhancement`, with the same branches:
+    series below |x| < 1e-2, the asymptotic forms beyond |x| > 30."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < _SLOPE_SERIES_CUTOFF
+    neg = x < -_EXP_CUTOFF
+    pos = x > _EXP_CUTOFF
+    mid = ~(small | neg | pos)
+    xs = x[small]
+    out[small] = 0.5 + xs / 6.0 - xs**3 / 180.0
+    out[pos] = 1.0
+    out[neg] = -(1.0 + x[neg]) * np.exp(x[neg])
+    xm = x[mid]
+    em = -np.expm1(-xm)
+    out[mid] = (em - xm * (1.0 - em)) / (em * em)
+    return out
+
+
+def balance_factor_slope(x):
+    """Derivative of :func:`balance_factor`.
+
+    The factor equals (1 + e^-x) / (1 + e^-2x); with u = e^-|x| the
+    derivative is written without overflow on either side of zero."""
+    x = np.asarray(x, dtype=float)
+    u = np.exp(-np.abs(x))
+    u2 = u * u
+    return u * (2.0 * u + np.copysign(1.0 - u2, -x)) / ((1.0 + u2) * (1.0 + u2))
 
 
 @dataclass(frozen=True)

@@ -3,23 +3,28 @@
 Residuals are taken in log-rate space because measured curves span
 several decades; weights are inverse squared relative errors when the
 dataset carries them.  The minimizer is a damped (trust-region) least
-squares with a central finite-difference Jacobian.  Positive
-scale-spanning parameters (tunneling amplitudes, ohmic and charge
-broadenings) are optimized in log space; the peak separation, Gaussian
-width and temperature stay linear.  The fluctuation-dissipation tie
-between the Gaussian width and its shift holds at every iterate because
-the shift is recomputed from (W, T) inside the model.
+squares with an exact Jacobian.  Positive scale-spanning parameters
+(tunneling amplitudes, ohmic and charge broadenings) are optimized in log
+space; the peak separation, Gaussian width and temperature stay linear.
+The fluctuation-dissipation tie between the Gaussian width and its shift
+holds at every iterate because the shift is recomputed from (W, T)
+inside the model.
 
 The line shapes do not depend on the tunneling amplitudes, which only
-scale the two peaks.  The objective keeps the two line-shape vectors of
-its last build at the data biases and reuses them whenever only
-delta01 and delta03 moved (the amplitude columns of every
-finite-difference Jacobian), so such an evaluation rebuilds nothing.
+scale the two peaks.  The objective keeps the line shapes of its last
+build and reuses them whenever only delta01 and delta03 moved, so such an
+evaluation rebuilds nothing.  The Jacobian at an evaluated point takes
+the shape columns from that build's sensitivity tables
+(``LineShapes.log_shape_grads``: the exact derivatives of the tabulated
+model on its grid) and the amplitude columns in closed form,
+d log r / d log delta01 = 2 r01 / (r01 + r03); no finite differences are
+taken.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -30,7 +35,7 @@ from scipy.optimize import least_squares
 
 from . import units
 from .errors import ConvergenceError, ValidationError
-from .rate_model import LineShapes, MrtParams, _rate_coef
+from .rate_model import SHAPE_FIELDS, LineShapes, MrtParams, _rate_coef
 from .units import NoiseSummary, flux_to_energy, ghz_to_kelvin, kelvin_to_ghz
 
 PARAM_NAMES = ("delta01", "delta03", "phi31", "w_phi", "gamma_phi",
@@ -84,15 +89,18 @@ class RateDataset:
         if phi.ndim != 1 or phi.shape != rate.shape or len(phi) == 0:
             raise ValidationError("phi_x and rate must be non-empty 1-d arrays "
                                   "of equal length")
-        if not np.all(rate > 0):
-            raise ValidationError("all rates must be positive")
+        if not np.all(np.isfinite(phi)):
+            raise ValidationError("phi_x must be finite")
+        if not np.all(np.isfinite(rate) & (rate > 0)):
+            raise ValidationError("all rates must be positive and finite")
         if self.ip_a <= 0:
             raise ValidationError(f"ip_a must be positive, got {self.ip_a}")
         if self.sigma_rel is not None:
             sig = np.asarray(self.sigma_rel, dtype=float)
             object.__setattr__(self, "sigma_rel", sig)
-            if sig.shape != phi.shape or not np.all(sig > 0):
-                raise ValidationError("sigma_rel must be positive and match phi_x")
+            if sig.shape != phi.shape or not np.all(np.isfinite(sig) & (sig > 0)):
+                raise ValidationError("sigma_rel must be positive, finite and "
+                                      "match phi_x")
         wells = self.well_labels()
         if not np.all(np.isin(wells, ("L", "R"))):
             raise ValidationError("well labels must be 'L' or 'R'")
@@ -136,7 +144,6 @@ class FitConfig:
     seed: int = 0
     gr_form: str = "standard"
     inductance_h: float = 250e-12    # used only for derived noise metrics
-    diff_step: float = 1e-4
 
     def __post_init__(self):
         unknown = set(self.free) - set(PARAM_NAMES)
@@ -317,8 +324,7 @@ def initial_guess(dataset: RateDataset,
         if not mid[j]:
             j = np.nonzero(mid)[0][np.argmin(smooth[mid])]
         om_v = (phi[j] - pos1) * conv
-        coef3 = 1e3 * (2.0 * math.pi * delta03) ** 2 / 4.0
-        zeta_ghz = rate[j] * math.pi * om_v**2 / coef3
+        zeta_ghz = rate[j] * math.pi * om_v**2 / _rate_coef(delta03)
         zeta_phi = zeta_ghz / conv
     else:
         zeta_phi = 0.0
@@ -329,13 +335,11 @@ def initial_guess(dataset: RateDataset,
     eps_t = (phi[j] - pos0) * conv
     gamma_phi = 1e-2 * w_phi
     if eps_t > 3.0 * t_ghz:
-        coef1 = 1e3 * (2.0 * math.pi * delta01) ** 2 / 4.0
-        coef3 = 1e3 * (2.0 * math.pi * delta03) ** 2 / 4.0
         om_t = (phi[j] - pos1) * conv
-        relax_tail = coef3 * (zeta_phi * conv) / (math.pi * om_t**2)
+        relax_tail = _rate_coef(delta03) * (zeta_phi * conv) / (math.pi * om_t**2)
         excess = rate[j] - relax_tail
         if excess > 0:
-            gamma_phi = excess * math.pi * eps_t * t_ghz / coef1 / conv
+            gamma_phi = excess * math.pi * eps_t * t_ghz / _rate_coef(delta01) / conv
     params = _params_from_dict({
         "delta01": delta01, "delta03": delta03, "phi31": phi31,
         "w_phi": w_phi, "gamma_phi": max(gamma_phi, 1e-4),
@@ -385,11 +389,12 @@ def _x_scale(free: Sequence[str], x0: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """Weighted log-rate residuals for one dataset.
+    """Weighted log-rate residuals for one dataset, and their exact Jacobian.
 
-    Keeps the line shapes at the data biases from its last build, keyed by
-    the shape parameters, so that an evaluation moving only delta01 and
-    delta03 rebuilds nothing.
+    Keeps the line shapes of its last build, keyed by the shape
+    parameters, so that an evaluation moving only delta01 and delta03
+    rebuilds nothing, and ``jac`` at the point just evaluated takes its
+    sensitivities from that build.
     """
 
     def __init__(self, dataset: RateDataset, free, fixed, gr_form):
@@ -407,9 +412,10 @@ class _Objective:
         self.n_eval = 0
         self.eps = flux_to_energy(self.phi, self.ip)
         self._shape_key = None
-        self._g01 = self._g03 = None
+        self._shapes = self._g01 = self._g03 = None
 
-    def model_log_rate(self, values: dict) -> np.ndarray:
+    def _peak_rates(self, values: dict) -> tuple:
+        """(r01, r03) at the data biases; r03 is None without a first peak."""
         params = _params_from_dict(values, self.ip)
         two_peaks = params.delta03_ghz > 0
         key = (tuple(values[n] for n in _SHAPE_PARAMS), two_peaks)
@@ -418,16 +424,45 @@ class _Objective:
                                 gr_form=self.gr_form)
             self._g01 = shapes.shape01(self.eps)
             self._g03 = shapes.shape03(self.eps) if two_peaks else None
+            self._shapes = shapes
             self._shape_key = key
-        rate = _rate_coef(params.delta01_ghz) * self._g01
-        if two_peaks:
-            rate = rate + _rate_coef(params.delta03_ghz) * self._g03
-        return np.log(rate)
+        r01 = _rate_coef(params.delta01_ghz) * self._g01
+        r03 = _rate_coef(params.delta03_ghz) * self._g03 if two_peaks else None
+        return r01, r03
+
+    def model_log_rate(self, values: dict) -> np.ndarray:
+        r01, r03 = self._peak_rates(values)
+        return np.log(r01 if r03 is None else r01 + r03)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.n_eval += 1
         values = _from_x(x, self.free, self.fixed)
         return (self.model_log_rate(values) - self.log_rate) * self.inv_sigma
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        """d residual / dx, from the line-shape sensitivities of the build
+        at x (the amplitude columns are closed-form: d log r / d log
+        delta01 = 2 r01 / (r01 + r03))."""
+        values = _from_x(x, self.free, self.fixed)
+        r01, r03 = self._peak_rates(values)
+        d01, d03 = self._shapes.log_shape_grads(self.eps)
+        if r03 is None:
+            r03 = np.zeros_like(r01)
+        w01 = r01 / (r01 + r03)
+        w03 = r03 / (r01 + r03)
+        cols = []
+        for name in self.free:
+            if name == "delta01":
+                col = 2.0 * w01
+            elif name == "delta03":
+                col = 2.0 * w03
+            else:
+                k = SHAPE_FIELDS.index(_FIELD_OF[name])
+                col = w01 * d01[:, k] + w03 * d03[:, k]
+                if name in _LOG_PARAMS:
+                    col = col * values[name]
+            cols.append(col)
+        return np.column_stack(cols) * self.inv_sigma[:, None]
 
 
 def _linearized_uncertainties(jac: np.ndarray, chi2: float, n_pts: int,
@@ -505,8 +540,7 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
             x_start = np.clip(x_start, lo, hi)
         n_starts += 1
         res = least_squares(
-            objective, x_start, method="trf", jac="3-point",
-            diff_step=config.diff_step, bounds=(lo, hi),
+            objective, x_start, method="trf", jac=objective.jac, bounds=(lo, hi),
             x_scale=_x_scale(free, x0), ftol=config.ftol, xtol=config.xtol,
             gtol=config.gtol, max_nfev=config.max_nfev)
         if best is None or res.cost < best.cost:
@@ -579,18 +613,28 @@ def _fit_one(args):
         return exc
 
 
+def _worker_count(threads: int, n_jobs: int) -> int:
+    """Processes a batch of ``n_jobs`` fits runs on: ``threads``, bounded by
+    the job count and the CPU count."""
+    if not threads >= 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
+    return max(1, min(threads, n_jobs, os.cpu_count() or 1))
+
+
 def batch_fit(datasets: Sequence[RateDataset], config: FitConfig | None = None,
               threads: int = 1) -> BatchResult:
     """Fit every dataset independently and summarize the derived metrics.
 
     Per-dataset failures are isolated into their entries and never abort
-    the batch.  With ``threads`` > 1 the fits fan out over processes;
+    the batch.  With ``threads`` > 1 the fits fan out over at most
+    ``threads`` processes, no more than there are datasets or CPUs;
     results are collected in input order either way.
     """
     config = config or FitConfig()
     jobs = [(d, config) for d in datasets]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = _worker_count(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fit_one, jobs))
     else:
         outcomes = [_fit_one(j) for j in jobs]

@@ -19,6 +19,10 @@ zeroth).  The narrow Lorentzian core of the ohmic envelope is handled
 analytically as a Voigt profile at any grid resolution; only the smooth
 thermal correction is convolved numerically, which keeps the default
 grid small and the far tails accurate.
+
+A build also keeps what the parameter derivatives need, so the fitter
+gets exact sensitivities of the tabulated line shapes from a few more
+FFTs instead of finite differences over further builds.
 """
 
 from __future__ import annotations
@@ -31,16 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
-from scipy.special import erf, voigt_profile
+from scipy.special import erf, wofz
 
 from .envelopes import (
     HighFreqBroadening,
     IntrawellBroadening,
     LowFreqBroadening,
+    balance_factor,
+    balance_factor_slope,
     g_low,
     g_relax,
     relax_width,
     thermal_enhancement,
+    thermal_enhancement_slope,
 )
 from .errors import DomainError, ModelValidityWarning, ValidationError
 from .units import FluxUPhi0, FreqGHz, TempK, flux_to_energy, kelvin_to_ghz
@@ -49,6 +56,19 @@ GRID_MIN_POINTS = 2**14 + 1
 GRID_MAX_POINTS = 2**18 + 1
 TABLE_FLOOR = 1e-14
 _INCOHERENT_WARN_RATIO = 0.3
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+# reach of the Gaussian below its centre, in widths, that the ohmic
+# remainder is tabulated for beneath the grid's lower edge
+_GAUSS_REACH = 10.0
+# largest exp(a |nu|) the first-peak tilt may reach over the grid, as a log
+_TILT_REACH = 14.0
+
+# the parameters the line shapes depend on, as MrtParams fields, in the
+# column order of LineShapes.log_shape_grads; _NU31.._T index them
+SHAPE_FIELDS = ("phi31_uphi0", "w_phi_uphi0", "gamma_phi_uphi0",
+                "zeta_phi_uphi0", "temperature_k")
+_NU31, _W, _GAM, _ZET, _T = range(len(SHAPE_FIELDS))
 
 InitWell = str  # "L" or "R"
 
@@ -93,7 +113,7 @@ class MrtParams:
         for name, value in (("delta03_ghz", self.delta03_ghz),
                             ("gamma_phi_uphi0", self.gamma_phi_uphi0),
                             ("zeta_phi_uphi0", self.zeta_phi_uphi0)):
-            if value < 0:
+            if not value >= 0:
                 raise ValidationError(f"{name} must be non-negative, got {value}")
         w_ghz = flux_to_energy(self.w_phi_uphi0, self.ip_a)
         if self.delta01_ghz > _INCOHERENT_WARN_RATIO * w_ghz:
@@ -178,6 +198,50 @@ class FrequencyGrid:
         return len(self.values)
 
 
+class _Convolution:
+    """Linear FFT convolution onto a grid of n nodes.
+
+    The left operand may be tabulated on the grid extended by ``ext``
+    nodes below its lower edge; the right operand lives on the grid.  Only
+    the n output nodes are kept, so the cyclic length need only keep
+    wrap-around off them: max(2n - 1 - iz, n + ext + iz) for a zero index
+    iz, about 3n/2 rather than the 2n - 1 of :func:`convolve`.  Operand
+    spectra can be kept and recombined: ``back`` of a sum of spectrum
+    products is the sum of the convolutions.
+
+    A ``tilt`` a > 0 multiplies both operands by exp(-a nu) and the result
+    by exp(a nu).  The exact convolution is unchanged, but the FFT's
+    rounding, which is about eps * max in absolute terms, then falls off
+    as exp(a nu) on the negative side, where it would otherwise swamp a
+    steeply falling tail.
+    """
+
+    def __init__(self, grid: FrequencyGrid, ext: int = 0, tilt: float = 0.0):
+        n = len(grid)
+        iz = grid.index_of_zero
+        self.n_fft = next_fast_len(max(2 * n - 1 - iz, n + ext + iz), real=True)
+        self.start = iz + ext
+        self.n = n
+        self.step = grid.step
+        self._weights = self._unweights = None
+        if tilt > 0:
+            self._weights = np.exp(-tilt * (np.arange(-ext, n) - iz) * grid.step)
+            self._unweights = 1.0 / self._weights[ext:]
+
+    def spectrum(self, f: np.ndarray) -> np.ndarray:
+        if self._weights is not None:
+            # a right operand sits on the last n of the left operand's nodes
+            f = f * self._weights[len(self._weights) - len(f):]
+        return rfft(f, self.n_fft)
+
+    def back(self, spectrum: np.ndarray) -> np.ndarray:
+        full = irfft(spectrum, self.n_fft)
+        out = full[self.start: self.start + self.n] * self.step
+        if self._unweights is not None:
+            out = out * self._unweights
+        return out
+
+
 def convolve(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """Convolution h(nu) = integral f(nu - nu') g(nu') d nu' on ``grid``.
 
@@ -197,9 +261,61 @@ def convolve(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return full[iz: iz + n] * grid.step
 
 
+def _ohmic_remainder(x: np.ndarray, g: float, t: float) -> np.ndarray:
+    """The ohmic envelope beyond its bare Lorentzian core."""
+    return (g / math.pi) / (x * x + g * g) * (thermal_enhancement(x / t) - 1.0)
+
+
+def _ohmic_remainder_slopes(x: np.ndarray, g: float, t: float) -> tuple:
+    """Derivatives of :func:`_ohmic_remainder` in x, gamma and T."""
+    x2g2 = x * x + g * g
+    lor = (g / math.pi) / x2g2
+    th1 = thermal_enhancement(x / t) - 1.0
+    th_slope = thermal_enhancement_slope(x / t)
+    d_x = -2.0 * x * lor / x2g2 * th1 + lor * th_slope / t
+    d_g = lor * (x * x - g * g) / (g * x2g2) * th1
+    d_t = -lor * th_slope * x / (t * t)
+    return d_x, d_g, d_t
+
+
 def _rate_coef(delta_ghz: float) -> float:
     """(Delta / 2 hbar)^2 expressed so that coef * g[1/GHz] is in 1/us."""
     return 1e3 * (2.0 * math.pi * delta_ghz) ** 2 / 4.0
+
+
+def _gauss_slopes(tab: np.ndarray, u: np.ndarray, w: float) -> tuple:
+    """Derivatives of a Gaussian table ``tab`` of width ``w``, at offsets
+    ``u`` from its centre, in the centre and in the width."""
+    return tab * u / (w * w), tab * (u * u / (w * w) - 1.0) / w
+
+
+def _renormalized_slope(tab, d, mass, d_mass, discrete, step) -> np.ndarray:
+    """Derivative of tab * mass / discrete, where discrete = sum(tab) * step,
+    given the derivatives ``d`` of the table and ``d_mass`` of the mass."""
+    d_discrete = float(np.sum(d)) * step
+    return d * (mass / discrete) + tab * (d_mass - mass * d_discrete / discrete) / discrete
+
+
+def _lagrange(s: np.ndarray) -> tuple:
+    """Weights of the four-point Lagrange cubic on nodes -1, 0, 1, 2 at s."""
+    a, b, c, d = s + 1.0, s, s - 1.0, s - 2.0
+    return (-(b * c * d) / 6.0, (a * c * d) / 2.0,
+            -(a * b * d) / 2.0, (a * b * c) / 6.0)
+
+
+def _lagrange_slope(s: np.ndarray) -> tuple:
+    """Derivatives in s of the :func:`_lagrange` weights."""
+    s2 = 3.0 * s * s
+    return (-(s2 - 6.0 * s + 2.0) / 6.0, (s2 - 4.0 * s - 1.0) / 2.0,
+            -(s2 - 2.0 * s - 2.0) / 2.0, (s2 - 1.0) / 6.0)
+
+
+def _combine(values: np.ndarray, weights: tuple) -> np.ndarray:
+    """Weighted sum over the stencil axis (second to last, length 4) of
+    ``values``."""
+    w0, w1, w2, w3 = weights
+    return (w0 * values[..., 0, :] + w1 * values[..., 1, :]
+            + w2 * values[..., 2, :] + w3 * values[..., 3, :])
 
 
 class LineShapes:
@@ -209,6 +325,11 @@ class LineShapes:
     biases is then cheap.  The tabulated span covers the requested bias
     window for both peaks plus padding wide enough that truncated
     envelope tails are negligible.
+
+    A build keeps the parts its tables are made of (the Faddeeva values
+    behind the Voigt core and the spectra of the convolution operands), so
+    :meth:`log_shape_grads` gets the parameter sensitivities from a few
+    more FFTs rather than from further builds.
     """
 
     def __init__(self, params: MrtParams, phi_lo: float, phi_hi: float,
@@ -242,47 +363,63 @@ class LineShapes:
             step_want = min(step_want, width0 / 2.0)
         self.grid = FrequencyGrid.build(lo, hi, step_want, n_min, n_max)
 
+        self._conv01 = self._relax_norm = None
         self._table01 = self._build_zeroth()
         self._table03 = self._build_first()
         self._log01 = self._log_table(self._table01)
         self._log03 = self._log_table(self._table03)
+        self._slope_tables = None
 
     # ---- table assembly -------------------------------------------------
+
+    def _gaussian_parts(self) -> tuple:
+        """Bare Gaussian table, its analytic mass over the grid window and
+        its discrete mass."""
+        lf = self._lf
+        tab = g_low(self.grid.values, lf)
+        rt2w = math.sqrt(2.0) * lf.width_ghz
+        mass = 0.5 * (erf((self.grid.hi - lf.shift_ghz) / rt2w)
+                      - erf((self.grid.lo - lf.shift_ghz) / rt2w))
+        return tab, mass, float(np.sum(tab)) * self.grid.step
 
     def _gaussian_table(self) -> np.ndarray:
         """Low-frequency Gaussian, renormalized so its discrete mass equals
         the analytic mass over the grid window (matters only when the
         width is near the grid step)."""
-        nu = self.grid.values
-        lf = self._lf
-        tab = g_low(nu, lf)
-        rt2w = math.sqrt(2.0) * lf.width_ghz
-        mass = 0.5 * (erf((self.grid.hi - lf.shift_ghz) / rt2w)
-                      - erf((self.grid.lo - lf.shift_ghz) / rt2w))
-        discrete = float(np.sum(tab)) * self.grid.step
+        tab, mass, discrete = self._gaussian_parts()
         if discrete > 0:
             tab = tab * (mass / discrete)
         return tab
 
     def _build_zeroth(self) -> np.ndarray:
         """G_01 on the grid: Voigt core plus convolved thermal correction."""
-        nu = self.grid.values
+        grid = self.grid
+        nu = grid.values
         lf, hf = self._lf, self._hf
         if hf is None:
             return g_low(nu, lf)
         g = hf.gamma_ghz
         t = hf.temperature_ghz
-        core = voigt_profile(nu - lf.shift_ghz, lf.width_ghz, g)
-        # remainder of the ohmic envelope beyond its bare Lorentzian core
-        rem = (g / math.pi) / (nu * nu + g * g) * (thermal_enhancement(nu / t) - 1.0)
-        if lf.width_ghz >= 1.5 * self.grid.step:
-            corr = convolve(rem, self._gaussian_table(), self.grid)
+        w = lf.width_ghz
+        # Voigt core Re w(z) / (W sqrt(2 pi)) from the Faddeeva function
+        self._faddeeva = wofz((nu - lf.shift_ghz + 1j * g) / (math.sqrt(2.0) * w))
+        core = self._faddeeva.real / (_SQRT_2PI * w)
+        if w >= 1.5 * grid.step:
+            # every node draws on the remainder over the Gaussian's whole
+            # reach, so the remainder is tabulated that far below the grid
+            ext = int(math.ceil((lf.shift_ghz + _GAUSS_REACH * w) / grid.step))
+            self._conv01 = _Convolution(grid, ext)
+            self._nu_ext = (np.arange(-ext, len(grid)) - grid.index_of_zero) * grid.step
+            self._rem_spec = self._conv01.spectrum(_ohmic_remainder(self._nu_ext, g, t))
+            self._gauss_spec = self._conv01.spectrum(self._gaussian_table())
+            corr = self._conv01.back(self._rem_spec * self._gauss_spec)
         else:
             # Gaussian narrower than the grid: treat it as a delta at the
             # reorganization shift (its width already lives in the Voigt term)
-            sh = nu - lf.shift_ghz
-            corr = (g / math.pi) / (sh * sh + g * g) * (thermal_enhancement(sh / t) - 1.0)
-        return np.maximum(core + corr, 0.0)
+            corr = _ohmic_remainder(nu - lf.shift_ghz, g, t)
+        raw = core + corr
+        self._clipped01 = raw < 0.0
+        return np.maximum(raw, 0.0)
 
     def _relax_table(self) -> np.ndarray:
         nu = self.grid.values
@@ -304,13 +441,34 @@ class LineShapes:
                     f"over the frequency window {lo:.6g}..{hi:.6g} GHz")
             discrete = float(np.sum(tab)) * self.grid.step
             if discrete > 0:
+                self._relax_norm = (mass, discrete, points)
                 tab = tab * (mass / discrete)
         return tab
 
     def _build_first(self) -> np.ndarray | None:
         if self._rx is None:
             return None
-        return convolve(self._table01, self._relax_table(), self.grid)
+        conv = self._conv03 = _Convolution(self.grid, tilt=self._first_tilt())
+        self._spec01 = conv.spectrum(self._table01)
+        self._relax_spec = conv.spectrum(self._relax_table())
+        return conv.back(self._spec01 * self._relax_spec)
+
+    def _first_tilt(self) -> float:
+        """Tilt a of the first-peak convolution (see ``_Convolution``).
+
+        The operands' negative tails fall at least as exp(nu / T), so a
+        stays below 1 / 2T.  The relaxation envelope's algebraic wing,
+        zeta / pi nu^2 down to nu = -nu31, may grow under the tilt only up
+        to its core height.  exp(a |nu|) stays below e^14 over the grid:
+        on the positive side it amplifies the rounding, on the negative
+        side the rounding residue of G_01's far tail.
+        """
+        rx = self._rx
+        width0 = float(relax_width(rx.omega31_ghz, rx))
+        reach = max(-self.grid.lo, self.grid.hi)
+        return min(0.5 / rx.temperature_ghz,
+                   2.0 * math.log(max(rx.omega31_ghz / width0, 1.0)) / rx.omega31_ghz,
+                   _TILT_REACH / reach)
 
     @staticmethod
     def _log_table(table):
@@ -319,10 +477,129 @@ class LineShapes:
         floor = table.max() * TABLE_FLOOR
         return np.log(np.maximum(table, floor))
 
+    # ---- sensitivity tables ---------------------------------------------
+    # Derivatives in the internal parameters (nu31, W, gamma, zeta, T), all
+    # in GHz, one row per parameter, on the fixed grid of this build.  The
+    # FDT shift eps_p = W^2 / 2T enters through W and T.
+
+    def _gaussian_table_slopes(self) -> tuple:
+        """Derivatives of :meth:`_gaussian_table` in the shift and in the
+        width at fixed shift, renormalization included."""
+        lf = self._lf
+        w, sh = lf.width_ghz, lf.shift_ghz
+        step = self.grid.step
+        tab, mass, discrete = self._gaussian_parts()
+        d_sh, d_w = _gauss_slopes(tab, self.grid.values - sh, w)
+        if not discrete > 0:
+            return d_sh, d_w
+        edges = np.array([self.grid.lo, self.grid.hi])
+        pdf = g_low(edges, lf)
+        m_sh = pdf[0] - pdf[1]
+        m_w = ((edges[0] - sh) * pdf[0] - (edges[1] - sh) * pdf[1]) / w
+        return (_renormalized_slope(tab, d_sh, mass, m_sh, discrete, step),
+                _renormalized_slope(tab, d_w, mass, m_w, discrete, step))
+
+    def _zeroth_slopes(self) -> np.ndarray:
+        """d G_01 / d(nu31, W, gamma, zeta, T) on the grid."""
+        nu = self.grid.values
+        lf, hf = self._lf, self._hf
+        w, t, sh = lf.width_ghz, lf.temperature_ghz, lf.shift_ghz
+        sh_w, sh_t = w / t, -sh / t
+        out = np.zeros((len(SHAPE_FIELDS), len(nu)))
+        if hf is None:
+            d_sh, d_w = _gauss_slopes(self._table01, nu - sh, w)
+            out[_W] = d_w + sh_w * d_sh
+            out[_T] = sh_t * d_sh
+            return out
+        g = hf.gamma_ghz
+        # Voigt core through w'(z) = -2 z w(z) + 2i / sqrt(pi): slopes in the
+        # bias, in gamma and in W at fixed bias
+        z = (nu - sh + 1j * g) / (math.sqrt(2.0) * w)
+        fw = self._faddeeva
+        fp = -2.0 * z * fw + 2j / _SQRT_PI
+        v_x = fp.real / (2.0 * _SQRT_PI * w * w)
+        out[_GAM] = -fp.imag / (2.0 * _SQRT_PI * w * w)
+        out[_W] = -(fw.real + (z * fp).real) / (_SQRT_2PI * w * w) - sh_w * v_x
+        out[_T] = -sh_t * v_x
+        if self._conv01 is not None:
+            conv = self._conv01
+            _, rem_g, rem_t = _ohmic_remainder_slopes(self._nu_ext, g, t)
+            gauss_sh, gauss_w = (conv.spectrum(d) for d in self._gaussian_table_slopes())
+            out[_W] += conv.back(self._rem_spec * (gauss_w + sh_w * gauss_sh))
+            out[_GAM] += conv.back(conv.spectrum(rem_g) * self._gauss_spec)
+            out[_T] += conv.back(conv.spectrum(rem_t) * self._gauss_spec
+                                 + sh_t * self._rem_spec * gauss_sh)
+        else:
+            rem_x, rem_g, rem_t = _ohmic_remainder_slopes(nu - sh, g, t)
+            out[_W] -= sh_w * rem_x
+            out[_GAM] += rem_g
+            out[_T] += rem_t - sh_t * rem_x
+        out[:, self._clipped01] = 0.0
+        return out
+
+    def _relax_slopes(self, nu) -> tuple:
+        """Derivatives of the bare relaxation envelope in (nu31, zeta, T).
+
+        g_relax is the Lorentzian h / pi (nu^2 + h^2) of half-width h = c gw,
+        with gw = zeta b((nu + nu31) / T) and c = 1 ("standard") or 1/2
+        ("half_width")."""
+        rx = self._rx
+        z, t = rx.zeta_ghz, rx.temperature_ghz
+        y = (nu + rx.omega31_ghz) / t
+        gw = z * balance_factor(y)
+        c = 1.0 if self.gr_form == "standard" else 0.5
+        h2 = (c * gw) ** 2
+        d_gw = c * (nu * nu - h2) / (math.pi * (nu * nu + h2) ** 2)
+        gw_nu31 = z * balance_factor_slope(y) / t
+        return d_gw * gw_nu31, d_gw * gw / z, -d_gw * gw_nu31 * y
+
+    def _relax_table_slopes(self) -> tuple:
+        """Derivatives of :meth:`_relax_table` in (nu31, zeta, T)."""
+        slopes = self._relax_slopes(self.grid.values)
+        if self._relax_norm is None:
+            return slopes
+        mass, discrete, points = self._relax_norm
+        tab = g_relax(self.grid.values, self._rx, form=self.gr_form)
+        out = []
+        for k, d in enumerate(slopes):
+            # the quadrature mass moves with the parameters too
+            d_mass = quad(lambda x: float(self._relax_slopes(x)[k]),
+                          self.grid.lo, self.grid.hi, points=points, limit=400)[0]
+            out.append(_renormalized_slope(tab, d, mass, d_mass, discrete,
+                                           self.grid.step))
+        return tuple(out)
+
+    def _first_slopes(self, d01: np.ndarray) -> np.ndarray:
+        """d G_03 / d(nu31, W, gamma, zeta, T) on the grid, from the slopes
+        of G_01 and of the relaxation table."""
+        conv = self._conv03
+        rx_nu31, rx_zeta, rx_t = (conv.spectrum(d) for d in self._relax_table_slopes())
+        out = np.empty_like(d01)
+        out[_NU31] = conv.back(self._spec01 * rx_nu31)
+        out[_ZET] = conv.back(self._spec01 * rx_zeta)
+        out[_W] = conv.back(conv.spectrum(d01[_W]) * self._relax_spec)
+        out[_GAM] = conv.back(conv.spectrum(d01[_GAM]) * self._relax_spec)
+        out[_T] = conv.back(conv.spectrum(d01[_T]) * self._relax_spec
+                            + self._spec01 * rx_t)
+        return out
+
+    def _table_slopes(self) -> tuple:
+        """Derivative rows of the G_01 and G_03 tables (None where a table
+        is not built), computed on first use."""
+        if self._slope_tables is None:
+            d01 = d03 = None
+            if self._hf is not None or self._rx is not None:
+                d01 = self._zeroth_slopes()
+            if self._rx is not None:
+                d03 = self._first_slopes(d01)
+            self._slope_tables = (d01, d03)
+        return self._slope_tables
+
     # ---- evaluation ------------------------------------------------------
 
-    def _local_cubic(self, log_table: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        """Four-point Lagrange cubic through ``log_table`` at ``eps`` (GHz).
+    def _stencil(self, eps: np.ndarray) -> tuple:
+        """Stencil nodes (4, len(eps)) of the local cubic at ``eps`` and
+        the offset s, in steps, from the second of them.
 
         The stencil is the nodes i-1..i+2 around each bias, clamped at the
         grid ends.  The offset s from node i is taken from the nearest
@@ -332,12 +609,12 @@ class LineShapes:
         near = np.rint(eps / grid.step + grid.index_of_zero).astype(np.intp)
         s = (eps - grid.values[near]) / grid.step
         i = np.clip(near - (s < 0), 1, len(grid) - 3)
-        s = s + (near - i)
-        a, b, c, d = s + 1.0, s, s - 1.0, s - 2.0
-        return (-(b * c * d) / 6.0 * log_table[i - 1]
-                + (a * c * d) / 2.0 * log_table[i]
-                - (a * b * d) / 2.0 * log_table[i + 1]
-                + (a * b * c) / 6.0 * log_table[i + 2])
+        return i + np.arange(-1, 3)[:, None], s + (near - i)
+
+    def _local_cubic(self, log_table: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """Four-point Lagrange cubic through ``log_table`` at ``eps`` (GHz)."""
+        nodes, s = self._stencil(eps)
+        return _combine(log_table[nodes], _lagrange(s))
 
     def _check_span(self, eps: np.ndarray):
         # written so that a NaN bias fails the check too
@@ -363,6 +640,62 @@ class LineShapes:
             return self.shape01(om)
         self._check_span(om)
         return np.exp(self._local_cubic(self._log03, om))
+
+    def _log_grads(self, table: np.ndarray, log_table: np.ndarray,
+                   slopes: np.ndarray, x: np.ndarray) -> tuple:
+        """Rows d log_table / d(nu31, W, gamma, zeta, T) through the local
+        cubic at x, and the cubic's slope in x.
+
+        Only the stencil nodes are converted to log derivatives; a floored
+        node follows the floor, max(table) * TABLE_FLOOR.
+        """
+        self._check_span(x)
+        nodes, s = self._stencil(x)
+        top = int(np.argmax(table))
+        at = table[nodes]
+        live = at >= table[top] * TABLE_FLOOR
+        node_slopes = np.where(live, slopes[:, nodes] / np.where(live, at, 1.0),
+                               (slopes[:, top] / table[top])[:, None, None])
+        return (_combine(node_slopes, _lagrange(s)),
+                _combine(log_table[nodes], _lagrange_slope(s)) / self.grid.step)
+
+    def _zeroth_log_grads(self, x: np.ndarray) -> tuple:
+        """Rows d log G_01(x) / d(nu31, W, gamma, zeta, T) and the slope
+        d log G_01 / dx."""
+        lf = self._lf
+        if self._hf is None:
+            # log g_low = -u^2 / 2W^2 - log W + const with u = x - W^2 / 2T
+            w, t = lf.width_ghz, lf.temperature_ghz
+            u = x - lf.shift_ghz
+            grads = np.zeros((len(SHAPE_FIELDS), len(x)))
+            grads[_W] = (u * u / (w * w) - 1.0) / w + u / (w * t)
+            grads[_T] = -u / (2.0 * t * t)
+            return grads, -u / (w * w)
+        return self._log_grads(self._table01, self._log01, self._table_slopes()[0], x)
+
+    def log_shape_grads(self, eps_ghz) -> tuple:
+        """Sensitivities of log G_01(eps) and log G_03(eps) to the shape
+        parameters ``SHAPE_FIELDS``.
+
+        Returns two (len(eps), 5) arrays, per uPhi0 for the flux fields and
+        per kelvin for the temperature.  They are the exact derivatives of
+        the tabulated model with this build's grid held fixed: the local
+        cubic is linear in its node values, so it carries the derivative
+        tables, and the resonance shift om = eps - nu31 adds the cubic's
+        own slope to the phi31 column of G_03.
+        """
+        eps = np.atleast_1d(np.asarray(eps_ghz, dtype=float))
+        om = eps - self._nu31
+        d01, _ = self._zeroth_log_grads(eps)
+        if self._rx is None:
+            d03, slope = self._zeroth_log_grads(om)
+        else:
+            d03, slope = self._log_grads(self._table03, self._log03,
+                                         self._table_slopes()[1], om)
+        d03[_NU31] -= slope
+        per_uphi0 = flux_to_energy(1.0, self.params.ip_a)
+        scale = np.array([per_uphi0] * 4 + [kelvin_to_ghz(1.0)])[:, None]
+        return (d01 * scale).T, (d03 * scale).T
 
     def rate01(self, phi_x) -> np.ndarray:
         eps = flux_to_energy(np.atleast_1d(np.asarray(phi_x, dtype=float)),

@@ -35,7 +35,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, SingleWellError, ValidationError
-from .rate_model import LineShapes, MrtParams, RateCurve, simulate_curve
+from .rate_model import LineShapes, MrtParams, RateCurve, _rate_coef, simulate_curve
 from .units import (
     CONSTANTS,
     FluxUPhi0,
@@ -438,10 +438,9 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
         eps_exact[i] = basis_b.energies_ghz[0] - basis_b.energies_ghz[1]
         om31_exact[i] = basis_b.omega31_ghz
     shapes = LineShapes(mrt, float(phi.min()), float(phi.max()), gr_form=gr_form)
-    coef1 = 1e3 * (2.0 * math.pi * mrt.delta01_ghz) ** 2 / 4.0
-    coef3 = 1e3 * (2.0 * math.pi * mrt.delta03_ghz) ** 2 / 4.0
-    rate = (coef1 * shapes.shape01(eps_exact)
-            + coef3 * shapes.shape03(eps_exact - om31_exact + mrt.nu31_ghz()))
+    rate = (_rate_coef(mrt.delta01_ghz) * shapes.shape01(eps_exact)
+            + _rate_coef(mrt.delta03_ghz)
+            * shapes.shape03(eps_exact - om31_exact + mrt.nu31_ghz()))
     curve = RateCurve(phi_x=phi, rate=rate, init_well="L")
     solver_info["bias_mode"] = "per_bias"
     return FullModelResult(curve=curve, params=mrt, solver=solver_info)

@@ -49,6 +49,19 @@ def test_thermal_helpers_at_zero():
     assert env.balance_factor(0.0) == 1.0
 
 
+@pytest.mark.parametrize("fn, slope", [
+    (env.thermal_enhancement, env.thermal_enhancement_slope),
+    (env.balance_factor, env.balance_factor_slope),
+])
+def test_thermal_helper_slopes_match_central_differences(fn, slope):
+    # away from the +-30 branch seams; across the series cut-offs included
+    x = np.concatenate([np.linspace(-29.0, 29.0, 5801),
+                        [-1e-2, -5e-3, 0.0, 5e-3, 1e-2, 35.0, -35.0]])
+    h = 1e-5
+    fd = (fn(x + h) - fn(x - h)) / (2.0 * h)
+    np.testing.assert_allclose(slope(x), fd, rtol=1e-6, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # construction invariants
 

@@ -16,6 +16,7 @@ from mrtfit import (
 from mrtfit.errors import ValidationError
 import mrtfit.fitter as fitter
 from mrtfit.fitter import PARAM_NAMES, _FIELD_OF, _Objective, _params_to_dict, _to_x
+from mrtfit.rate_model import SHAPE_FIELDS
 from mrtfit.units import noise_summary
 
 from conftest import REF
@@ -58,6 +59,17 @@ def test_dataset_validation():
     with pytest.raises(ValidationError):
         RateDataset(phi_x=np.array([1.0, 2.0]), rate=np.array([1.0, 1.0]),
                     ip_a=IP, sigma_rel=np.array([0.05, -0.01]))
+
+
+@pytest.mark.parametrize("field", ["phi_x", "rate", "sigma_rel"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dataset_rejects_non_finite_values(field, bad):
+    columns = {"phi_x": np.array([1.0, 2.0, 3.0]),
+               "rate": np.array([1.0, 2.0, 3.0]),
+               "sigma_rel": np.array([0.05, 0.05, 0.05])}
+    columns[field][1] = bad
+    with pytest.raises(ValidationError, match=field.split("_")[0]):
+        RateDataset(ip_a=IP, **columns)
 
 
 def test_dataset_folding_and_mirroring(ref_params):
@@ -140,18 +152,102 @@ def test_objective_amplitude_only_step_matches_fresh_build(ref_params):
     assert objective.n_eval == 2
 
 
-def test_fit_rebuilds_line_shapes_only_when_shapes_move(ref_params, monkeypatch):
-    builds = []
+def test_fit_builds_line_shapes_once_per_distinct_shape_key(ref_params, monkeypatch):
+    built = []
+    evaluated = set()
 
     class CountingLineShapes(fitter.LineShapes):
-        def __init__(self, *args, **kwargs):
-            builds.append(1)
-            super().__init__(*args, **kwargs)
+        def __init__(self, params, *args, **kwargs):
+            built.append(tuple(getattr(params, f) for f in SHAPE_FIELDS))
+            super().__init__(params, *args, **kwargs)
+
+    def shape_key(x):
+        values = fitter._from_x(x, PARAM_NAMES, {})
+        return tuple(values[n] for n in fitter._SHAPE_PARAMS)
+
+    call = _Objective.__call__
+
+    def recording_call(self, x):
+        evaluated.add(shape_key(x))
+        return call(self, x)
 
     monkeypatch.setattr(fitter, "LineShapes", CountingLineShapes)
+    monkeypatch.setattr(_Objective, "__call__", recording_call)
     ds = synth_dataset(ref_params, seed=5)
-    result = fit(ds, guess=initial_guess(ds))
-    assert len(builds) <= 0.8 * result.n_eval
+    fit(ds, guess=initial_guess(ds))
+    # every shape key the fit evaluated is built exactly once: neither the
+    # amplitude-only steps nor the Jacobians rebuild anything
+    assert len(built) == len(set(built))
+    assert set(built) == evaluated
+
+
+def _criterion4_draw() -> MrtParams:
+    # the third parameter set of the criterion-4 draws
+    rng = np.random.default_rng(777)
+    for k in range(3):
+        w_phi = rng.uniform(15.0, 60.0)
+        gamma_phi = w_phi * 10 ** rng.uniform(-2.0, 0.0)
+        zeta_phi = 0.0 if k == 0 else w_phi * rng.uniform(0.02, 0.5)
+        t_k = rng.uniform(5e-3, 15e-3)
+        phi31 = rng.uniform(1500.0, 2500.0)
+    return MrtParams(**{**REF, "w_phi_uphi0": w_phi, "gamma_phi_uphi0": gamma_phi,
+                        "zeta_phi_uphi0": zeta_phi, "temperature_k": t_k,
+                        "phi31_uphi0": phi31})
+
+
+@pytest.mark.parametrize("case", ["ref", "criterion 4 draw", "mirrored"])
+def test_jacobian_matches_central_differences(ref_params, case):
+    if case == "criterion 4 draw":
+        params = _criterion4_draw()
+        phi31 = params.phi31_uphi0
+        ds = synth_dataset(params, seed=4, lo=-0.3 * phi31, hi=1.45 * phi31)
+    else:
+        params = ref_params
+        ds = synth_dataset(params, seed=3)
+        if case == "mirrored":
+            ds = ds.mirrored()
+    objective = _Objective(ds, PARAM_NAMES, {}, "standard")
+    x = _to_x(_params_to_dict(params), PARAM_NAMES)
+    objective(x)
+    jac = objective.jac(x)
+    model = np.exp(objective.model_log_rate(_params_to_dict(params)))
+    live = model > 1e-10 * model.max()
+    for k, name in enumerate(PARAM_NAMES):
+        h = 1e-3 if name in fitter._LOG_PARAMS else 1e-3 * abs(x[k])
+        up, down = x.copy(), x.copy()
+        up[k] += h
+        down[k] -= h
+        fd = (objective(up) - objective(down)) / (2.0 * h)
+        err = np.linalg.norm((jac[:, k] - fd)[live])
+        assert err < 2e-3 * np.linalg.norm(fd[live]), name
+
+
+def test_jacobian_at_the_evaluated_point_builds_nothing(ref_params, monkeypatch):
+    ds = synth_dataset(ref_params, seed=9)
+    objective = _Objective(ds, PARAM_NAMES, {}, "standard")
+    x = _to_x(_params_to_dict(ref_params), PARAM_NAMES)
+    objective(x)
+    builds = []
+    monkeypatch.setattr(fitter, "LineShapes",
+                        lambda *args, **kwargs: builds.append(1))
+    jac = objective.jac(x)
+    assert builds == []
+    assert jac.shape == (len(ds), len(PARAM_NAMES))
+    assert objective.n_eval == 1
+
+
+def test_fit_passes_the_exact_jacobian(ref_params, monkeypatch):
+    seen = []
+    least_squares = fitter.least_squares
+
+    def spy(fun, x0, **kwargs):
+        seen.append(kwargs["jac"])
+        return least_squares(fun, x0, **kwargs)
+
+    monkeypatch.setattr(fitter, "least_squares", spy)
+    fit(synth_dataset(ref_params, seed=5))
+    assert seen and all(callable(jac) for jac in seen)
+    assert not hasattr(FitConfig(), "diff_step")
 
 
 def test_median5_equals_scipy_medfilt():
@@ -310,3 +406,19 @@ def test_batch_ensemble_summary_tracks_generator(ref_params, rng):
     assert batch.summary["eta"]["n"] == 27
     assert len(batch.histograms["eta"]) >= 1
     assert sum(c for _, _, c in batch.histograms["eta"]) == 27
+
+
+def test_batch_worker_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(fitter.os, "cpu_count", lambda: 2)
+    assert fitter._worker_count(5000, 2) == 2
+    assert fitter._worker_count(5000, 40) == 2
+    assert fitter._worker_count(2, 1) == 1
+    assert fitter._worker_count(1, 40) == 1
+    monkeypatch.setattr(fitter.os, "cpu_count", lambda: None)
+    assert fitter._worker_count(8, 40) == 1
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_batch_rejects_worker_count_below_one(ref_params, threads):
+    with pytest.raises(ValidationError, match="threads"):
+        batch_fit([synth_dataset(ref_params, n=40)], threads=threads)

@@ -14,6 +14,7 @@ from mrtfit import (
     simulate_curve,
     total_rate,
 )
+import mrtfit.rate_model as rate_model
 from mrtfit.errors import DomainError, ValidationError
 from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
 
@@ -94,6 +95,25 @@ def test_convolve_equals_scipy_fftconvolve(n_min):
 
 # ---------------------------------------------------------------------------
 # zeroth peak
+
+def test_short_tilted_extended_convolution_matches_full_padding():
+    # an off-centre zero index makes the short cyclic length asymmetric
+    grid = FrequencyGrid.build(-3.0, 9.0, 2e-3)
+    ext = 300
+    ext_grid = FrequencyGrid(
+        values=(np.arange(-ext, len(grid)) - grid.index_of_zero) * grid.step,
+        step=grid.step, index_of_zero=grid.index_of_zero + ext)
+    f = 1.0 / (1.0 + (ext_grid.values - 0.5) ** 2)
+    g = np.exp(-((grid.values - 1.0) ** 2) / 0.08)
+    expect = convolve(f, np.concatenate([np.zeros(ext), g]), ext_grid)[ext:]
+    for tilt in (0.0, 0.8):
+        conv = rate_model._Convolution(grid, ext, tilt=tilt)
+        assert conv.n_fft < 2 * len(grid) - 1
+        got = conv.back(conv.spectrum(f) * conv.spectrum(g))
+        # the tilt amplifies the rounding by up to exp(tilt * hi)
+        atol = 1e-13 * expect.max() * math.exp(tilt * grid.hi)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=atol)
+
 
 def test_rate01_gaussian_closed_form_at_peak():
     # no ohmic noise: the peak value has a closed form
@@ -337,3 +357,104 @@ def test_relaxation_variant_switch_changes_first_peak_only(ref_params):
     assert alt[i_val] < std[i_val]
     np.testing.assert_allclose(rate_01(phis, ref_params, gr_form="half_width"),
                                rate_01(phis, ref_params), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["delta03_ghz", "gamma_phi_uphi0",
+                                  "zeta_phi_uphi0"])
+def test_nan_non_negative_parameter_rejected(name):
+    with pytest.raises(ValidationError, match=name):
+        make_params(**{name: math.nan})
+
+
+# ---------------------------------------------------------------------------
+# lower grid edge
+
+def test_lower_tail_matches_quadrature_oracle(ref_params):
+    # the ohmic remainder is tabulated below the grid's lower edge, so the
+    # Voigt core's Lorentzian tail is cancelled there as well
+    p = ref_params
+    shapes = LineShapes(p, -500.0, 3000.0)
+    for phi in (-300.0, -250.0, -200.0):
+        expect = oracles.quad_total_rate(
+            phi, delta01=p.delta01_ghz, delta03=p.delta03_ghz,
+            phi31=p.phi31_uphi0, w_phi=p.w_phi_uphi0,
+            gamma_phi=p.gamma_phi_uphi0, zeta_phi=p.zeta_phi_uphi0,
+            t_k=p.temperature_k, ip_a=p.ip_a)
+        assert shapes.total(phi)[0] == pytest.approx(expect, rel=1e-5), phi
+
+
+def test_rates_independent_of_window_lower_edge(ref_params):
+    phis = np.linspace(-500.0, 3000.0, 3501)
+    near = LineShapes(ref_params, -500.0, 3000.0).total(phis)
+    wide = LineShapes(ref_params, -1000.0, 3000.0).total(phis)
+    live = near > 1e-10 * near.max()
+    np.testing.assert_allclose(near[live], wide[live], rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# sensitivities
+
+SLOPE_CASES = {
+    "ref": {},
+    "half_width": {"gr_form": "half_width"},
+    "gamma=0": {"gamma_phi_uphi0": 0.0},
+    "zeta=0": {"zeta_phi_uphi0": 0.0},
+    "narrow relaxation core": NARROW_CORE,
+    "gaussian near the grid step": {"w_phi_uphi0": 0.4, "delta01_ghz": 1e-5},
+}
+
+
+@pytest.mark.parametrize("case", SLOPE_CASES)
+def test_table_slopes_match_central_differences_on_a_fixed_grid(case, monkeypatch):
+    overrides = dict(SLOPE_CASES[case])
+    form = overrides.pop("gr_form", "standard")
+    p = make_params(**overrides)
+    base = LineShapes(p, -500.0, 3000.0, gr_form=form)
+    d01, d03 = base._table_slopes()
+    monkeypatch.setattr(FrequencyGrid, "build",
+                        classmethod(lambda cls, *args, **kwargs: base.grid))
+    per_unit = [flux_to_energy(1.0, p.ip_a)] * 4 + [kelvin_to_ghz(1.0)]
+    # G_03 is evaluated up to om = eps_hi - nu31; above that, in the padding,
+    # the tilted convolution's rounding swamps these tiny differences
+    in_window = base.grid.values <= flux_to_energy(3000.0, p.ip_a) - p.nu31_ghz()
+    for k, name in enumerate(rate_model.SHAPE_FIELDS):
+        value = getattr(p, name)
+        if value == 0.0:
+            continue
+        h = 1e-5 * value
+        up = LineShapes(replace(p, **{name: value + h}), -500.0, 3000.0, gr_form=form)
+        down = LineShapes(replace(p, **{name: value - h}), -500.0, 3000.0, gr_form=form)
+        for slopes, attr, rows in ((d01, "_table01", slice(None)),
+                                   (d03, "_table03", in_window)):
+            if slopes is None:
+                continue
+            fd = (getattr(up, attr) - getattr(down, attr))[rows] / (2.0 * h * per_unit[k])
+            scale = max(np.abs(fd).max(), 1e-300)
+            assert np.abs(slopes[k][rows] - fd).max() < 1e-4 * scale, (name, attr)
+
+
+def test_log_shape_grads_match_central_differences_on_a_fixed_grid(
+        ref_params, monkeypatch):
+    phis = np.linspace(-500.0, 3000.0, 200)
+    eps = flux_to_energy(phis, ref_params.ip_a)
+    base = LineShapes(ref_params, -500.0, 3000.0)
+    grads = base.log_shape_grads(eps)
+    shapes = (base.shape01(eps), base.shape03(eps))
+    monkeypatch.setattr(FrequencyGrid, "build",
+                        classmethod(lambda cls, *args, **kwargs: base.grid))
+    for k, name in enumerate(rate_model.SHAPE_FIELDS):
+        value = getattr(ref_params, name)
+        h = 1e-4 * value
+        up = LineShapes(replace(ref_params, **{name: value + h}), -500.0, 3000.0)
+        down = LineShapes(replace(ref_params, **{name: value - h}), -500.0, 3000.0)
+        pairs = ((up.shape01(eps), down.shape01(eps)),
+                 (up.shape03(eps), down.shape03(eps)))
+        for grad, shape, (g_up, g_down) in zip(grads, shapes, pairs):
+            fd = (np.log(g_up) - np.log(g_down)) / (2.0 * h)
+            live = shape > 1e-10 * shape.max()
+            norm = np.linalg.norm(fd[live])
+            if norm == 0.0:
+                assert np.all(grad[:, k] == 0.0), name
+                continue
+            err = np.linalg.norm((grad[:, k] - fd)[live])
+            assert err < 1e-3 * norm, name
