@@ -7,78 +7,56 @@ converts the fitted broadenings into standard noise metrics (ohmic
 coupling, shunt resistance, capacitive and inductive loss tangents), and
 cross-validates the simplified line-shape model against a full 1D
 rf-SQUID circuit eigenproblem.
+
+The public names below are resolved on first access (PEP 562), so that
+importing the package, or a light submodule such as ``units``, does not
+load scipy.  Each access looks the name up in its submodule again, so the
+package never holds a stale copy of a submodule's attribute.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .envelopes import (
-    HighFreqBroadening,
-    IntrawellBroadening,
-    LowFreqBroadening,
-    g_high,
-    g_low,
-    g_relax,
-    intrawell_rate,
-    relax_width,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DatasetFormatError,
-    DomainError,
-    ModelValidityWarning,
-    MrtfitError,
-    ReportError,
-    SingleWellError,
-    ValidationError,
-)
-from .fitter import (
-    BatchResult,
-    FitConfig,
-    FitResult,
-    InitialGuess,
-    RateDataset,
-    batch_fit,
-    fit,
-    initial_guess,
-)
-from .rate_model import (
-    FrequencyGrid,
-    LineShapes,
-    MrtParams,
-    RateCurve,
-    convolve,
-    rate_01,
-    rate_03,
-    simulate_curve,
-    total_rate,
-)
-from .squid_full import (
-    EffectivePotential,
-    FullModelNoise,
-    FullModelResult,
-    RfSquidParams,
-    WellBasis,
-    effective_potential,
-    full_model_rate,
-    ground_pair_splitting,
-    harmonic_v31,
-    persistent_current,
-    solve_wells,
-)
-from .units import (
-    CONSTANTS,
-    NoiseSummary,
-    PhysicalConstants,
-    QubitCircuitParams,
-    derive_eta,
-    derive_shunt_and_inductive_loss,
-    derive_tan_delta_c,
-    energy_to_flux,
-    flux_to_energy,
-    ghz_to_kelvin,
-    kelvin_to_ghz,
-    noise_summary,
-)
+_EXPORTS = {
+    "envelopes": (
+        "HighFreqBroadening", "IntrawellBroadening", "LowFreqBroadening",
+        "g_high", "g_low", "g_relax", "intrawell_rate", "relax_width"),
+    "errors": (
+        "ConfigError", "ConvergenceError", "DatasetFormatError", "DomainError",
+        "ModelValidityWarning", "MrtfitError", "ReportError", "SingleWellError",
+        "ValidationError"),
+    "fitter": (
+        "BatchResult", "FitConfig", "FitResult", "InitialGuess", "RateDataset",
+        "batch_fit", "fit", "initial_guess"),
+    "rate_model": (
+        "FrequencyGrid", "LineShapes", "MrtParams", "RateCurve", "convolve",
+        "rate_01", "rate_03", "simulate_curve", "total_rate"),
+    "squid_full": (
+        "EffectivePotential", "FullModelNoise", "FullModelResult",
+        "RfSquidParams", "WellBasis", "effective_potential", "full_model_rate",
+        "ground_pair_splitting", "harmonic_v31", "persistent_current",
+        "solve_wells"),
+    "units": (
+        "CONSTANTS", "NoiseSummary", "PhysicalConstants", "derive_eta",
+        "derive_shunt_and_inductive_loss", "derive_tan_delta_c",
+        "energy_to_flux", "flux_to_energy", "ghz_to_kelvin", "kelvin_to_ghz",
+        "noise_summary"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_MODULE_OF, *_EXPORTS])
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                       name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

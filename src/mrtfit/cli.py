@@ -2,8 +2,13 @@
 
 Subcommands: simulate, fit, derive, squid, gen, batch.  Failures exit
 with a class-specific status (parse errors 2, validation errors 3,
-non-convergence 4) and print one machine-parsable line on stderr of the
-form ``MRTFIT-ERROR class=<class> message="..."``.
+non-convergence 4, any other exception 5 as class ``internal``) and print
+one machine-parsable line on stderr of the form
+``MRTFIT-ERROR class=<class> message="..."``, never a traceback.
+
+Each subcommand imports the parts of the package it runs, so ``derive``
+loads no scipy module and only ``fit`` and ``batch`` load
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -25,21 +30,13 @@ from .errors import (
     MrtfitError,
     ValidationError,
 )
-from .fitter import RateDataset, batch_fit, fit, initial_guess
-from .rate_model import LineShapes, RateCurve, simulate_curve
-from .squid_full import (
-    RfSquidParams,
-    effective_potential,
-    harmonic_v31,
-    persistent_current,
-    solve_wells,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NONCONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 CONFIG_ENV_VAR = "MRTFIT_CONFIG"
 
@@ -91,6 +88,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .rate_model import LineShapes, RateCurve, simulate_curve
+
     cfg = _load_config(args)
     params = cfg.model_params()
     sim = cfg.sections["simulate"]
@@ -114,6 +113,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .fitter import RateDataset
+    from .rate_model import simulate_curve
+
     cfg = _load_config(args)
     params = cfg.model_params()
     gen = cfg.sections["gen"]
@@ -139,6 +141,9 @@ def cmd_gen(args) -> int:
 
 
 def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
+    from .fitter import fit, initial_guess
+    from .rate_model import LineShapes, RateCurve
+
     fit_cfg = cfg.fit_config()
     guess = initial_guess(dataset)
     result = fit(dataset, fit_cfg, guess)
@@ -183,6 +188,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    from .fitter import RateDataset, batch_fit
+
     cfg = _load_config(args)
     files = sorted(Path(args.data_dir).glob("*.csv"))
     if not files:
@@ -234,6 +241,9 @@ def cmd_batch(args) -> int:
 
 
 def cmd_squid(args) -> int:
+    from .squid_full import (RfSquidParams, effective_potential, harmonic_v31,
+                             persistent_current, solve_wells)
+
     cfg = _load_config(args)
     sq = cfg.sections["squid"]
     params = RfSquidParams(
@@ -280,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                        f"default from ${CONFIG_ENV_VAR} if set")
         p.add_argument("--out", help="output directory (default: cwd)")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configured random seed")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("derive", help="derived noise metrics from fit values")
     common(p)
@@ -307,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded synthetic dataset")
     common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the configured random seed")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fit", help="fit a dataset and write a report")
@@ -317,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="fit every dataset in a directory")
     common(p)
     p.add_argument("--data-dir", required=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per dataset and CPU")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("squid", help="solve the rf-SQUID circuit and print "
@@ -339,6 +350,8 @@ def main(argv=None) -> int:
         return _fail("non-convergence", str(exc), EXIT_NONCONVERGENCE)
     except (ValidationError, MrtfitError) as exc:
         return _fail("validation", str(exc), EXIT_VALIDATION)
+    except Exception as exc:  # noqa: BLE001 - last resort: one line, no traceback
+        return _fail("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

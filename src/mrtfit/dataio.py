@@ -11,7 +11,8 @@ comment-prefixed metadata lines and a header row::
 
 ``rate_rel_err`` and ``well`` are optional columns; a dataset-wide well
 label can be given as metadata instead.  Unknown columns are ignored
-with a warning; malformed rows are rejected with their line number.
+with a warning; malformed rows, including non-finite numbers (``nan``,
+``inf``), are rejected with their line number.
 
 Run configuration is INI-style with sections [model], [fit], [squid],
 [gen], [simulate], [output].  Every key has a documented default and
@@ -31,15 +32,17 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DatasetFormatError, ReportError, ValidationError
-from .fitter import FitConfig, FitResult, RateDataset, PARAM_NAMES
-from .rate_model import MrtParams
 from .units import noise_summary
+
+if TYPE_CHECKING:
+    from .fitter import FitConfig, FitResult, RateDataset
+    from .rate_model import MrtParams
 
 DATASET_TAG = "mrtfit-dataset v1"
 REPORT_TAG = "mrtfit-report-v1"
@@ -63,6 +66,8 @@ def load_dataset(path) -> RateDataset:
     Raises DatasetFormatError with a line number for malformed rows or
     invariant violations (for example a non-positive rate).
     """
+    from .fitter import RateDataset
+
     path = Path(path)
     meta = {}
     header = None
@@ -112,13 +117,20 @@ def load_dataset(path) -> RateDataset:
     has_sigma = False
     for lineno, row in rows:
         try:
-            phi.append(float(row["phi_x_uPhi0"]))
+            x = float(row["phi_x_uPhi0"])
             r = float(row["rate_per_us"])
         except ValueError as exc:
             raise DatasetFormatError(f"non-numeric field: {exc}", line=lineno) from exc
+        if not math.isfinite(x):
+            raise DatasetFormatError(
+                f"phi_x_uPhi0 must be finite, got {row['phi_x_uPhi0']}", line=lineno)
+        if not math.isfinite(r):
+            raise DatasetFormatError(
+                f"rate must be finite, got {row['rate_per_us']}", line=lineno)
         if r <= 0:
             raise DatasetFormatError(
                 f"rate must be positive, got {row['rate_per_us']}", line=lineno)
+        phi.append(x)
         rate.append(r)
         s = row.get("rate_rel_err", "")
         if s:
@@ -127,9 +139,9 @@ def load_dataset(path) -> RateDataset:
                 s_val = float(s)
             except ValueError as exc:
                 raise DatasetFormatError(f"bad rate_rel_err {s!r}", line=lineno) from exc
-            if s_val <= 0:
+            if not (math.isfinite(s_val) and s_val > 0):
                 raise DatasetFormatError(
-                    f"rate_rel_err must be positive, got {s}", line=lineno)
+                    f"rate_rel_err must be positive and finite, got {s}", line=lineno)
             sig.append(s_val)
         else:
             sig.append(math.nan)
@@ -248,6 +260,8 @@ class RunConfig:
         return int(self.get(section, key))
 
     def model_params(self) -> MrtParams:
+        from .rate_model import MrtParams
+
         m = self.sections["model"]
         return MrtParams(
             delta01_ghz=float(m["delta01_mhz"]) * 1e-3,
@@ -260,6 +274,8 @@ class RunConfig:
             ip_a=float(m["ip_ua"]) * 1e-6)
 
     def fit_config(self) -> FitConfig:
+        from .fitter import FitConfig
+
         f = self.sections["fit"]
         free = tuple(x.strip() for x in f["free"].split(",") if x.strip())
         return FitConfig(
@@ -329,6 +345,8 @@ def report_from_fit(result: FitResult, config: FitConfig,
                     input_sha256: str = "", config_sha256: str = "",
                     timestamp: Optional[str] = None) -> dict:
     """Machine-readable fit report (a plain JSON-serializable dict)."""
+    from .fitter import PARAM_NAMES
+
     best = {}
     for name in PARAM_NAMES:
         label, scale = _REPORT_UNITS[name]

@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import least_squares
 
 from . import units
 from .errors import ConvergenceError, ValidationError
@@ -350,6 +349,13 @@ def initial_guess(dataset: RateDataset,
 # ---------------------------------------------------------------------------
 # fitting
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call so that
+    importing the package does not load ``scipy.optimize``."""
+    from scipy.optimize import least_squares as _least_squares
+    return _least_squares(*args, **kwargs)
+
+
 def _to_x(values: dict, free: Sequence[str]) -> np.ndarray:
     return np.array([math.log(values[n]) if n in _LOG_PARAMS else values[n]
                      for n in free])
@@ -495,10 +501,13 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
     Runs up to ``config.multistart`` trust-region starts; the first uses
     the supplied (or automatic) guess, later ones jitter it by
     ``jitter_rel``, and the search stops early once a start converges.
-    Raises ConvergenceError, carrying the best-so-far result, only if no
-    start converges at all.
+    An automatic guess (``None`` or an ``InitialGuess``) is clipped into
+    the bounds; an explicit ``MrtParams`` guess outside them raises
+    ValidationError.  Raises ConvergenceError, carrying the best-so-far
+    result, only if no start converges at all.
     """
     config = config or FitConfig()
+    automatic = not isinstance(guess, MrtParams)
     if guess is None:
         guess = initial_guess(dataset)
     if isinstance(guess, InitialGuess):
@@ -519,7 +528,9 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
 
     lo, hi = _x_bounds(free, config.bounds)
     x0 = _to_x(values0, free)
-    if np.any(x0 < lo) or np.any(x0 > hi):
+    if automatic:
+        x0 = np.clip(x0, lo, hi)
+    elif np.any(x0 < lo) or np.any(x0 > hi):
         raise ValidationError("initial guess lies outside the configured bounds")
 
     objective = _Objective(dataset, free, fixed, config.gr_form)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import quad
 from scipy.special import erf, wofz
 
 from .envelopes import (
@@ -58,6 +57,7 @@ TABLE_FLOOR = 1e-14
 _INCOHERENT_WARN_RATIO = 0.3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
+
 # reach of the Gaussian below its centre, in widths, that the ohmic
 # remainder is tabulated for beneath the grid's lower edge
 _GAUSS_REACH = 10.0
@@ -71,6 +71,14 @@ SHAPE_FIELDS = ("phi31_uphi0", "w_phi_uphi0", "gamma_phi_uphi0",
 _NU31, _W, _GAM, _ZET, _T = range(len(SHAPE_FIELDS))
 
 InitWell = str  # "L" or "R"
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first call: only the narrow
+    relaxation core integrates, and ``scipy.integrate`` loads
+    ``scipy.optimize`` with it."""
+    from scipy.integrate import quad as _quad
+    return _quad(*args, **kwargs)
 
 
 def _check_well(init_well: str) -> str:

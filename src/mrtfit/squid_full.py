@@ -28,14 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, SingleWellError, ValidationError
-from .rate_model import LineShapes, MrtParams, RateCurve, _rate_coef, simulate_curve
 from .units import (
     CONSTANTS,
     FluxUPhi0,
@@ -44,6 +42,9 @@ from .units import (
     energy_to_flux,
     wb_to_uphi0,
 )
+
+if TYPE_CHECKING:
+    from .rate_model import MrtParams, RateCurve
 
 _GHZ = 1e9
 DEFAULT_GRID_POINTS = 4096
@@ -321,14 +322,85 @@ def excited_crossing_gap(params: RfSquidParams, c_f: float,
         return float(ev[2] - ev[1])
 
     lo, hi = 0.7 * phi_guess, 1.3 * phi_guess
-    res = minimize_scalar(gap, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 0.02})
-    phi31 = float(res.x)
+    phi31, gap_min = _fminbound(gap, lo, hi, xatol=0.02)
     if phi31 - lo < 1.0 or hi - phi31 < 1.0:
         raise ConvergenceError(
             f"avoided-crossing search ended at the bracket edge "
             f"(phi = {phi31:.1f} uPhi0 in [{lo:.1f}, {hi:.1f}])")
-    return FreqGHz(float(res.fun)), FluxUPhi0(phi31)
+    return FreqGHz(gap_min), FluxUPhi0(phi31)
+
+
+def _fminbound(func, a: float, b: float, xatol: float,
+               maxfun: int = 500) -> tuple:
+    """Minimize ``func`` on [a, b] by Brent's bounded method; returns
+    (x, func(x)).
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` with the same
+    constants, steps and stopping rule, so it returns the same x and value
+    bit for bit without importing ``scipy.optimize``.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:            # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0 else -step)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return float(xf), float(fx)
 
 
 def persistent_current(basis: WellBasis) -> float:
@@ -384,6 +456,9 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     exact level differences at every requested bias (one eigensolve per
     point).
     """
+    # the eigensolver alone (the ``squid`` subcommand) needs no rate model
+    from .rate_model import LineShapes, MrtParams, RateCurve, _rate_coef, simulate_curve
+
     if bias_mode not in ("fixed", "per_bias"):
         raise ValidationError(f"unknown bias_mode {bias_mode!r}")
     pot0 = effective_potential(dc_replace(params, phi_x_uphi0=0.0),

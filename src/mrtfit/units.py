@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NewType, Sequence
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 
 FluxUPhi0 = NewType("FluxUPhi0", float)
 """Magnetic flux in units of 1e-6 flux quanta."""
@@ -27,9 +27,6 @@ FreqGHz = NewType("FreqGHz", float)
 
 TempK = NewType("TempK", float)
 """Thermodynamic temperature in kelvin."""
-
-RatePerUs = NewType("RatePerUs", float)
-"""Transition rate in inverse microseconds."""
 
 
 @dataclass(frozen=True)
@@ -198,27 +195,3 @@ def noise_summary(
         tan_delta_c=derive_tan_delta_c(zeta_phi, phi31),
         tan_delta_l_at=tan_l,
     )
-
-
-@dataclass(frozen=True)
-class QubitCircuitParams:
-    """Nominal rf-SQUID circuit parameters.
-
-    ic_a is the total critical current through both junctions of the
-    compound junction, phi_cjj_x the compound-junction bias in units of
-    the flux quantum, ip_a the independently measured persistent current.
-    """
-
-    ic_a: float
-    l_h: float
-    c_f: float
-    phi_cjj_x: float
-    ip_a: float
-
-    def __post_init__(self):
-        for name in ("ic_a", "l_h", "c_f", "ip_a"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
-        if abs(self.phi_cjj_x) > 1.0:
-            raise ValidationError(
-                f"|phi_cjj_x| must not exceed 1 flux quantum, got {self.phi_cjj_x}")

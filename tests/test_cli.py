@@ -180,13 +180,67 @@ def test_batch_threads_smoke(tmp_path, capsys):
     assert len(summary) == 3
 
 
-def test_cli_import_skips_unused_scipy_subpackages():
-    code = ("import sys, mrtfit.cli; print(' '.join(m for m in "
-            "('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
-            "if m in sys.modules))")
+def _python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; returns its standard output, stripped."""
     src = str(Path(mrtfit.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_cli_import_skips_unused_scipy_subpackages():
+    code = ("import sys, mrtfit.cli; print(' '.join(m for m in "
+            "('scipy.signal', 'scipy.stats', 'scipy.interpolate', "
+            "'scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    assert _python(code) == ""
+
+
+@pytest.mark.parametrize("argv, unwanted", [
+    (DERIVE_ARGS, ("scipy",)),
+    (["simulate"], ("scipy.optimize", "scipy.integrate")),
+    (["squid"], ("scipy.optimize", "scipy.integrate")),
+], ids=["derive", "simulate", "squid"])
+def test_subcommand_loads_only_the_scipy_it_runs(tmp_path, argv, unwanted):
+    code = (
+        "import contextlib, io, sys\n"
+        "from mrtfit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv + ['--out', str(tmp_path)]!r}) == 0\n"
+        f"print(' '.join(m for m in sys.modules if m.startswith({unwanted!r})))")
+    assert _python(code) == ""
+
+
+def test_unexpected_exception_is_reported_as_internal(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(mrtfit.cli, "cmd_derive", broken)
+    assert run(DERIVE_ARGS) == mrtfit.cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err == 'MRTFIT-ERROR class=internal message="RuntimeError: boom"\n'
+
+
+def test_package_names_resolve_in_a_fresh_interpreter():
+    code = ("import mrtfit\n"
+            "names = [*mrtfit.__all__, 'squid_full']\n"
+            "missing = [n for n in names if getattr(mrtfit, n, None) is None]\n"
+            "missing += [n for n in mrtfit.__all__ if n not in dir(mrtfit)]\n"
+            "from mrtfit import *\n"
+            "print(' '.join(missing))")
+    assert _python(code) == ""
+
+
+def test_package_names_follow_their_submodule(monkeypatch):
+    # resolved on every access, never cached: a name replaced in its
+    # submodule (and later restored) is seen through the package
+    import mrtfit.fitter
+
+    def stand_in(*args, **kwargs):
+        return None
+
+    monkeypatch.setattr(mrtfit.fitter, "fit", stand_in)
+    assert mrtfit.fit is stand_in
+    assert "fit" not in vars(mrtfit)

@@ -69,6 +69,18 @@ def test_malformed_row_rejected_with_line_number(tmp_path):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("row", ["nan,0.6,0.05", "2.0,inf,0.05", "2.0,0.6,inf"],
+                         ids=["phi_x_uPhi0", "rate_per_us", "rate_rel_err"])
+def test_non_finite_field_rejected_with_line_number(tmp_path, row):
+    path = tmp_path / "bad3.csv"
+    path.write_text("# ip_uA = 1.37\n"
+                    "phi_x_uPhi0,rate_per_us,rate_rel_err\n"
+                    "1.0,0.5,0.05\n" + row + "\n")
+    with pytest.raises(DatasetFormatError) as err:
+        dataio.load_dataset(path)
+    assert err.value.line == 4
+
+
 def test_unknown_column_warns(tmp_path):
     path = tmp_path / "extra.csv"
     path.write_text("# ip_uA = 1.37\n"

@@ -13,7 +13,7 @@ from mrtfit import (
     initial_guess,
     simulate_curve,
 )
-from mrtfit.errors import ValidationError
+from mrtfit.errors import ConvergenceError, ValidationError
 import mrtfit.fitter as fitter
 from mrtfit.fitter import PARAM_NAMES, _FIELD_OF, _Objective, _params_to_dict, _to_x
 from mrtfit.rate_model import SHAPE_FIELDS
@@ -309,6 +309,21 @@ def test_fit_rejects_guess_outside_bounds(ref_params):
     cfg = FitConfig(bounds={**FitConfig().bounds, "w_phi": (50.0, 100.0)})
     with pytest.raises(ValidationError):
         fit(ds, cfg, ref_params)
+
+
+def test_fit_clips_automatic_guess_into_bounds(ref_params):
+    # cut off before the first peak: the automatic guess takes a noise bump
+    # for it and puts zeta_phi above its upper bound
+    ds = synth_dataset(ref_params, seed=1, n=90, lo=-200.0, hi=1200.0)
+    guess = initial_guess(ds)
+    assert guess.params.zeta_phi_uphi0 > FitConfig().bounds["zeta_phi"][1]
+    for automatic in (None, guess):
+        try:
+            result = fit(ds, guess=automatic)
+        except ConvergenceError:
+            continue
+        lo, hi = FitConfig().bounds["zeta_phi"]
+        assert lo <= result.params.zeta_phi_uphi0 <= hi
 
 
 def test_derived_metrics_equal_units_conversions(ref_params):

@@ -16,8 +16,8 @@ from mrtfit import (
     solve_wells,
 )
 from mrtfit.errors import SingleWellError, ValidationError
-from mrtfit.squid_full import excited_crossing_gap, full_spectrum
-from mrtfit.units import flux_to_energy
+from mrtfit.squid_full import _fminbound, excited_crossing_gap, full_spectrum
+from mrtfit.units import energy_to_flux, flux_to_energy
 
 from conftest import REF, REF_CIRCUIT
 
@@ -47,6 +47,13 @@ def test_potential_symmetric_at_degeneracy(circuit):
     np.testing.assert_allclose(u, u[::-1], rtol=1e-12)
     lo, hi = pot.minima_indices
     assert lo < pot.partition_index <= hi
+
+
+def test_rf_squid_params_validation():
+    with pytest.raises(ValidationError):
+        replace(RfSquidParams(**REF_CIRCUIT), ic_a=-1e-6)
+    with pytest.raises(ValidationError):
+        replace(RfSquidParams(**REF_CIRCUIT), phi_cjj_x=-1.5)
 
 
 def test_single_well_regimes_rejected():
@@ -157,6 +164,39 @@ def test_tunneling_amplitudes_reference(basis):
     # sensitive to the circuit parameters)
     ratio = d01 / 2.72e-3
     assert 0.1 < ratio < 10.0
+
+
+def _crossing_gap(circuit):
+    """The avoided-crossing gap that ``excited_crossing_gap`` minimizes on
+    the reference circuit, with its search bracket."""
+    def gap(phi):
+        ev = full_spectrum(replace(circuit, phi_x_uphi0=float(phi)),
+                           circuit.c_f, 3)
+        return float(ev[2] - ev[1])
+
+    pot0 = effective_potential(circuit)
+    basis0 = solve_wells(pot0, circuit.c_f, n_levels=2, compute_amplitudes=False)
+    phi_guess = energy_to_flux(basis0.omega31_ghz, persistent_current(basis0))
+    return gap, (0.7 * phi_guess, 1.3 * phi_guess), 0.02
+
+
+@pytest.mark.parametrize("case", ["crossing_gap", "quartic", "cosine"])
+def test_fminbound_equals_scipy_bounded_brent(circuit, case):
+    from scipy.optimize import minimize_scalar
+
+    if case == "crossing_gap":
+        func, bounds, xatol = _crossing_gap(circuit)
+    elif case == "quartic":
+        func, bounds, xatol = (lambda x: (x - 2) * x * (x + 2) ** 2,
+                               (-3.0, -1.0), 1e-5)
+    else:
+        func, bounds, xatol = (lambda x: -math.cos(x) * math.exp(-0.1 * x),
+                               (0.5, 6.0), 1e-3)
+    res = minimize_scalar(func, bounds=bounds, method="bounded",
+                          options={"xatol": xatol})
+    x, fx = _fminbound(func, *bounds, xatol=xatol)
+    assert x == float(res.x)
+    assert fx == float(res.fun)
 
 
 def test_grid_convergence_energies_and_splitting(circuit):

@@ -142,12 +142,3 @@ def test_noise_summary_bundles_consistently():
         0.54, 1.37e-6, 250e-12, 7.3e-3, units.DEFAULT_LOSS_OMEGAS)
     assert s.r_shunt_ohm == r_s
     assert s.tan_delta_l_at == tan_l
-
-
-def test_circuit_params_validation():
-    with pytest.raises(Exception):
-        units.QubitCircuitParams(ic_a=-1e-6, l_h=250e-12, c_f=110e-15,
-                                 phi_cjj_x=-0.74, ip_a=1.37e-6)
-    with pytest.raises(Exception):
-        units.QubitCircuitParams(ic_a=2.3e-6, l_h=250e-12, c_f=110e-15,
-                                 phi_cjj_x=-1.5, ip_a=1.37e-6)
