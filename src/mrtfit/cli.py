@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: simulate, fit, derive, squid, gen, batch.  Failures exit
-with a class-specific status (parse errors 2, validation errors 3,
-non-convergence 4, any other exception 5 as class ``internal``) and print
-one machine-parsable line on stderr of the form
-``MRTFIT-ERROR class=<class> message="..."``, never a traceback.
+with a class-specific status (usage errors on the command line 1, parse
+errors 2, validation errors 3, non-convergence 4, any other exception 5 as
+class ``internal``) and print one machine-parsable line on stderr of the
+form ``MRTFIT-ERROR class=<class> message="..."``, never a traceback or
+usage text.  ``--help`` prints its help and exits 0.
 
 Each subcommand imports the parts of the package it runs, so ``derive``
 loads no scipy module and only ``fit`` and ``batch`` load
@@ -45,6 +46,18 @@ def _fail(klass: str, message: str, code: int) -> int:
     message = message.replace('"', "'").replace("\n", " ")
     print(f'MRTFIT-ERROR class={klass} message="{message}"', file=sys.stderr)
     return code
+
+
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser, subparsers included, whose usage errors raise
+    :class:`_UsageError` instead of printing usage text and exiting 2."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _load_config(args) -> dataio.RunConfig:
@@ -277,7 +290,7 @@ def cmd_squid(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mrtfit",
         description="Simulate and fit macroscopic resonant tunneling rate "
                     "curves of rf-SQUID flux qubits; extract flux- and "
@@ -338,8 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail("usage", str(exc), EXIT_USAGE)
     try:
         return args.func(args)
     except (DatasetFormatError, ConfigError) as exc:

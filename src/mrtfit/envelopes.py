@@ -32,7 +32,7 @@ from .units import FreqGHz
 
 _OHMIC_COUPLING_WARN = 0.3
 _SERIES_CUTOFF = 1e-6
-_SLOPE_SERIES_CUTOFF = 1e-2
+_EXCESS_SERIES_CUTOFF = 0.1
 _EXP_CUTOFF = 30.0
 
 
@@ -75,23 +75,31 @@ def balance_factor(x):
     return out
 
 
-def thermal_enhancement_slope(x):
-    """Derivative of :func:`thermal_enhancement`, with the same branches:
-    series below |x| < 1e-2, the asymptotic forms beyond |x| > 30."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SLOPE_SERIES_CUTOFF
-    neg = x < -_EXP_CUTOFF
-    pos = x > _EXP_CUTOFF
-    mid = ~(small | neg | pos)
-    xs = x[small]
-    out[small] = 0.5 + xs / 6.0 - xs**3 / 180.0
-    out[pos] = 1.0
-    out[neg] = -(1.0 + x[neg]) * np.exp(x[neg])
-    xm = x[mid]
-    em = -np.expm1(-xm)
-    out[mid] = (em - xm * (1.0 - em)) / (em * em)
-    return out
+def thermal_excess(y) -> tuple:
+    """The even part of :func:`thermal_enhancement` beyond 1 and its slope.
+
+    e(y) = (y/2) coth(y/2) - 1, so that theta(y) = 1 + y/2 + e(y); e(y) is
+    about y^2 / 12 near zero.  Returns (e(y), e'(y)): a series below
+    |y| < 0.1, beyond it coth written with u = exp(-|y|), which cannot
+    overflow.
+    """
+    y = np.asarray(y, dtype=float)
+    e = np.empty_like(y)
+    de = np.empty_like(y)
+    small = np.abs(y) < _EXCESS_SERIES_CUTOFF
+    ys = y[small]
+    y2 = ys * ys
+    e[small] = y2 * (1 / 12 - y2 * (1 / 720 - y2 * (1 / 30240 - y2 / 1209600)))
+    de[small] = ys * (1 / 6 - y2 * (1 / 180 - y2 * (1 / 5040 - y2 / 151200)))
+    a = np.abs(y[~small])
+    one_minus_u = -np.expm1(-a)
+    u = 1.0 - one_minus_u
+    coth = (1.0 + u) / one_minus_u
+    e[~small] = 0.5 * a * coth - 1.0
+    # e'(y) = coth(y/2) / 2 - (y/4) csch^2(y/2), odd in y
+    de[~small] = np.copysign(0.5 * coth - a * u / (one_minus_u * one_minus_u),
+                             y[~small])
+    return e, de
 
 
 def balance_factor_slope(x):

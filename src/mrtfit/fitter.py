@@ -148,12 +148,23 @@ class FitConfig:
         unknown = set(self.free) - set(PARAM_NAMES)
         if unknown:
             raise ValidationError(f"unknown free parameters: {sorted(unknown)}")
-        for tol in (self.ftol, self.xtol, self.gtol):
-            if tol <= 0:
-                raise ValidationError("tolerances must be positive")
+        # written so that NaN fails every check
+        for name in ("ftol", "xtol", "gtol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValidationError(f"{name} must be positive, got {value}")
+        for name in ("max_nfev", "multistart"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValidationError(f"{name} must be at least 1, got {value}")
+        if not 0 <= self.jitter_rel < 1:
+            raise ValidationError(
+                f"jitter_rel must lie in [0, 1), got {self.jitter_rel}")
         for name, (lo, hi) in self.bounds.items():
             if name not in PARAM_NAMES:
                 raise ValidationError(f"bounds given for unknown parameter {name!r}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(f"bounds for {name} must be finite: ({lo}, {hi})")
             if not lo < hi:
                 raise ValidationError(f"empty bounds for {name}: ({lo}, {hi})")
 
@@ -540,7 +551,7 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
     rng = np.random.default_rng(config.seed)
     best = None
     n_starts = 0
-    for attempt in range(max(config.multistart, 1)):
+    for attempt in range(config.multistart):
         if attempt == 0:
             x_start = x0
         else:

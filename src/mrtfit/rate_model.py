@@ -15,10 +15,28 @@ Two exact analytic short cuts replace the convolution in the
 delta-function limits: gamma = 0 turns the ohmic envelope into a delta
 (zeroth peak becomes the bare Gaussian), zeta = 0 turns the relaxation
 envelope into a delta (first peak becomes a translated copy of the
-zeroth).  The narrow Lorentzian core of the ohmic envelope is handled
-analytically as a Voigt profile at any grid resolution; only the smooth
-thermal correction is convolved numerically, which keeps the default
-grid small and the far tails accurate.
+zeroth).
+
+The ohmic envelope is split exactly: with theta(y) = 1 + y/2 + e(y) and
+e(y) = (y/2) coth(y/2) - 1,
+
+    g_high(x) = A L_gamma(x) + B D_gamma(x) + s(x),
+
+where L_gamma is the Lorentzian, D_gamma = x / pi (x^2 + gamma^2),
+A = (gamma/2T) cot(gamma/2T), B = gamma/2T, and
+s = (gamma/pi) (e(x/T) - e(i gamma/T)) / (x^2 + gamma^2).  The Gaussian
+convolved with the first two terms is (A Re w(z) + B Im w(z)) /
+(W sqrt(2 pi)) from one Faddeeva call at any grid resolution.  The
+numerator of s vanishes at the poles +-i gamma, so s is smooth on the
+thermal scale and only s is convolved numerically.
+
+No grid step therefore has to resolve gamma: the step is
+min(W/16, 2T/3, width0/3), from the local cubic's (step/W)^4 log error,
+the thermal scale and the relaxation width at resonance, with no floor
+beyond a stencil's worth of nodes.  A relaxation core narrower than three
+steps is reached only at the GRID_MAX_POINTS clamp; its mass is then
+pinned by quadrature.  ``LineShapes.diagnostics`` records which of these
+applied.
 
 A build also keeps what the parameter derivatives need, so the fitter
 gets exact sensitivities of the tabulated line shapes from a few more
@@ -45,13 +63,12 @@ from .envelopes import (
     g_low,
     g_relax,
     relax_width,
-    thermal_enhancement,
-    thermal_enhancement_slope,
+    thermal_excess,
 )
 from .errors import DomainError, ModelValidityWarning, ValidationError
 from .units import FluxUPhi0, FreqGHz, TempK, flux_to_energy, kelvin_to_ghz
 
-GRID_MIN_POINTS = 2**14 + 1
+GRID_MIN_POINTS = 2**8 + 1
 GRID_MAX_POINTS = 2**18 + 1
 TABLE_FLOOR = 1e-14
 _INCOHERENT_WARN_RATIO = 0.3
@@ -269,20 +286,45 @@ def convolve(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return full[iz: iz + n] * grid.step
 
 
+def _ohmic_core_weights(g: float, t: float) -> tuple:
+    """Weights A = (y/2) cot(y/2) and B = y/2 of the Lorentzian and of the
+    dispersion term in the split of the ohmic envelope, y = gamma / T, and
+    dA/dy.  A = 1 + e(i y) for the even thermal excess e of
+    :func:`~mrtfit.envelopes.thermal_excess`; a series below y < 0.1."""
+    y = g / t
+    if y < 0.1:
+        y2 = y * y
+        a = 1.0 - y2 * (1 / 12 + y2 * (1 / 720 + y2 * (1 / 30240 + y2 / 1209600)))
+        da = -y * (1 / 6 + y2 * (1 / 180 + y2 * (1 / 5040 + y2 / 151200)))
+    else:
+        h = 0.5 * y
+        cot = 1.0 / math.tan(h)
+        a = h * cot
+        da = 0.5 * (cot - h / math.sin(h) ** 2)
+    return a, 0.5 * y, da
+
+
 def _ohmic_remainder(x: np.ndarray, g: float, t: float) -> np.ndarray:
-    """The ohmic envelope beyond its bare Lorentzian core."""
-    return (g / math.pi) / (x * x + g * g) * (thermal_enhancement(x / t) - 1.0)
+    """s(x), the ohmic envelope beyond its core A L_gamma + B D_gamma.
+
+    s = (gamma / pi) (e(x/T) - e(i gamma/T)) / (x^2 + gamma^2): the zeros
+    of the numerator cancel the poles at +-i gamma, so s is smooth on the
+    thermal scale."""
+    e, _ = thermal_excess(x / t)
+    c = _ohmic_core_weights(g, t)[0] - 1.0
+    return (g / math.pi) * (e - c) / (x * x + g * g)
 
 
 def _ohmic_remainder_slopes(x: np.ndarray, g: float, t: float) -> tuple:
     """Derivatives of :func:`_ohmic_remainder` in x, gamma and T."""
+    a, _, da = _ohmic_core_weights(g, t)
+    e, de = thermal_excess(x / t)
     x2g2 = x * x + g * g
     lor = (g / math.pi) / x2g2
-    th1 = thermal_enhancement(x / t) - 1.0
-    th_slope = thermal_enhancement_slope(x / t)
-    d_x = -2.0 * x * lor / x2g2 * th1 + lor * th_slope / t
-    d_g = lor * (x * x - g * g) / (g * x2g2) * th1
-    d_t = -lor * th_slope * x / (t * t)
+    rem = lor * (e - (a - 1.0))
+    d_x = lor * de / t - 2.0 * x * rem / x2g2
+    d_g = rem * (x * x - g * g) / (g * x2g2) - lor * da / t
+    d_t = lor * (g * da - x * de) / (t * t)
     return d_x, d_g, d_t
 
 
@@ -338,6 +380,13 @@ class LineShapes:
     behind the Voigt core and the spectra of the convolution operands), so
     :meth:`log_shape_grads` gets the parameter sensitivities from a few
     more FFTs rather than from further builds.
+
+    ``diagnostics`` is a plain dict filled during the build: the node count
+    ``n``, the ``step`` used and the ``step_wanted`` by the physics,
+    whether the GRID_MAX_POINTS clamp made the step coarser (``clamped``),
+    whether the Gaussian was narrower than the grid and taken as a delta
+    (``gaussian_as_delta``), and whether the narrow-core quadrature ran
+    (``relax_quad``).
     """
 
     def __init__(self, params: MrtParams, phi_lo: float, phi_hi: float,
@@ -365,11 +414,17 @@ class LineShapes:
         hi = max(eps_hi, eps_hi - nu31) + pad
         lo = min(lo, -pad)
         hi = max(hi, pad)
-        step_want = min(w / 2.0, 2.0 * t / 3.0)
+        # the local cubic's log-space error falls as (step / W)^4; the
+        # aliasing of the sampled relaxation core is exp(-2 pi width0 / step)
+        step_want = min(w / 16.0, 2.0 * t / 3.0)
         if self._rx is not None:
             width0 = float(relax_width(nu31, self._rx))
-            step_want = min(step_want, width0 / 2.0)
+            step_want = min(step_want, width0 / 3.0)
         self.grid = FrequencyGrid.build(lo, hi, step_want, n_min, n_max)
+        self.diagnostics = {"n": len(self.grid), "step": self.grid.step,
+                            "step_wanted": step_want,
+                            "clamped": self.grid.step > step_want,
+                            "gaussian_as_delta": False, "relax_quad": False}
 
         self._conv01 = self._relax_norm = None
         self._table01 = self._build_zeroth()
@@ -409,10 +464,13 @@ class LineShapes:
         g = hf.gamma_ghz
         t = hf.temperature_ghz
         w = lf.width_ghz
-        # Voigt core Re w(z) / (W sqrt(2 pi)) from the Faddeeva function
+        # Voigt core (A Re w(z) + B Im w(z)) / (W sqrt(2 pi)) from the
+        # Faddeeva function: the Gaussian convolved with A L_gamma + B D_gamma
+        a, b, _ = _ohmic_core_weights(g, t)
         self._faddeeva = wofz((nu - lf.shift_ghz + 1j * g) / (math.sqrt(2.0) * w))
-        core = self._faddeeva.real / (_SQRT_2PI * w)
-        if w >= 1.5 * grid.step:
+        core = (a * self._faddeeva.real + b * self._faddeeva.imag) / (_SQRT_2PI * w)
+        self.diagnostics["gaussian_as_delta"] = w < 1.5 * grid.step
+        if not self.diagnostics["gaussian_as_delta"]:
             # every node draws on the remainder over the Gaussian's whole
             # reach, so the remainder is tabulated that far below the grid
             ext = int(math.ceil((lf.shift_ghz + _GAUSS_REACH * w) / grid.step))
@@ -435,13 +493,15 @@ class LineShapes:
         tab = g_relax(nu, rx, form=self.gr_form)
         width0 = float(relax_width(rx.omega31_ghz, rx))
         if width0 < 3.0 * self.grid.step:
-            # narrow core: pin the discrete mass to the analytic mass; break
-            # points at the core's flanks keep quad from stepping over it
+            # narrow core, reached only at the grid clamp: pin the discrete
+            # mass to the analytic mass; break points at the core's flanks
+            # keep quad from stepping over it
             lo, hi = self.grid.lo, self.grid.hi
             core = 50.0 * width0
             points = [x for x in (0.0, -rx.omega31_ghz, -core, core) if lo < x < hi]
             mass = quad(lambda x: float(g_relax(x, rx, form=self.gr_form)),
                         lo, hi, points=points, limit=400)[0]
+            self.diagnostics["relax_quad"] = True
             if not mass > 0:
                 raise DomainError(
                     f"narrow relaxation core: quadrature mass {mass:.3g} is not "
@@ -520,15 +580,20 @@ class LineShapes:
             out[_T] = sh_t * d_sh
             return out
         g = hf.gamma_ghz
-        # Voigt core through w'(z) = -2 z w(z) + 2i / sqrt(pi): slopes in the
-        # bias, in gamma and in W at fixed bias
+        # Voigt core Re(k w(z)) / (W sqrt(2 pi)) with k = A - iB, through
+        # w'(z) = -2 z w(z) + 2i / sqrt(pi): slopes in the bias, in gamma
+        # and in W at fixed bias; A and B move with gamma / T
+        a, b, da = _ohmic_core_weights(g, t)
+        k = a - 1j * b
+        dk_dy = da - 0.5j
         z = (nu - sh + 1j * g) / (math.sqrt(2.0) * w)
         fw = self._faddeeva
         fp = -2.0 * z * fw + 2j / _SQRT_PI
-        v_x = fp.real / (2.0 * _SQRT_PI * w * w)
-        out[_GAM] = -fp.imag / (2.0 * _SQRT_PI * w * w)
-        out[_W] = -(fw.real + (z * fp).real) / (_SQRT_2PI * w * w) - sh_w * v_x
-        out[_T] = -sh_t * v_x
+        v_x = (k * fp).real / (2.0 * _SQRT_PI * w * w)
+        out[_GAM] = ((1j * k * fp).real / (2.0 * _SQRT_PI * w * w)
+                     + (dk_dy * fw).real / (t * _SQRT_2PI * w))
+        out[_W] = -(k * (fw + z * fp)).real / (_SQRT_2PI * w * w) - sh_w * v_x
+        out[_T] = -sh_t * v_x - (g / t) * (dk_dy * fw).real / (t * _SQRT_2PI * w)
         if self._conv01 is not None:
             conv = self._conv01
             _, rem_g, rem_t = _ohmic_remainder_slopes(self._nu_ext, g, t)

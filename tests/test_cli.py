@@ -128,6 +128,27 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "MRTFIT-ERROR class=parse" in err
 
 
+@pytest.mark.parametrize("argv, says", [
+    (DERIVE_ARGS + ["--seed", "3"], "unrecognized arguments: --seed 3"),
+    (DERIVE_ARGS[:-2], "mrtfit derive: the following arguments are required: --t-mk"),
+    (["bogus"], "invalid choice: 'bogus'"),
+])
+def test_usage_error_is_one_line_with_exit_1(argv, says, capsys):
+    assert run(argv) == mrtfit.cli.EXIT_USAGE == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("MRTFIT-ERROR class=usage message=")
+    assert says in err
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["derive", "--help"])
+    assert exc.value.code == 0
+    assert "--gamma-phi" in capsys.readouterr().out
+
+
 def test_exit_code_missing_file(capsys):
     assert run(["fit", "--data", "/nonexistent/x.csv"]) == 2
 
@@ -148,6 +169,13 @@ def test_exit_code_validation_error(tmp_path, capsys):
     code = run(["fit", "--config", good_cfg, "--data", str(small)])
     assert code == 3
     assert "class=validation" in capsys.readouterr().err
+
+
+def test_bad_fit_config_value_is_a_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[fit]\njitter_rel = 1.5\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("MRTFIT-ERROR class=validation") and "jitter_rel" in err
 
 
 def test_exit_code_single_well(tmp_path, capsys):

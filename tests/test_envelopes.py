@@ -50,7 +50,6 @@ def test_thermal_helpers_at_zero():
 
 
 @pytest.mark.parametrize("fn, slope", [
-    (env.thermal_enhancement, env.thermal_enhancement_slope),
     (env.balance_factor, env.balance_factor_slope),
 ])
 def test_thermal_helper_slopes_match_central_differences(fn, slope):
@@ -60,6 +59,30 @@ def test_thermal_helper_slopes_match_central_differences(fn, slope):
     h = 1e-5
     fd = (fn(x + h) - fn(x - h)) / (2.0 * h)
     np.testing.assert_allclose(slope(x), fd, rtol=1e-6, atol=1e-9)
+
+
+def test_thermal_excess_and_slope_across_the_series_cut():
+    # theta(y) = 1 + y/2 + e(y); the slope against central differences of
+    # e, on both sides of the series cut at |y| = 0.1 and far out
+    y = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                        [-0.1 - 1e-9, -0.1, -0.1 + 1e-9, 0.0,
+                         0.1 - 1e-9, 0.1, 0.1 + 1e-9, -700.0, 700.0]])
+    e, de = env.thermal_excess(y)
+    # inside theta's exact branch, |y| < 30; deep on the negative side the
+    # three terms cancel, so the gap is scaled by |y|
+    inner = np.abs(y) < 29.0
+    gap = np.abs(1.0 + y / 2.0 + e - env.thermal_enhancement(y))[inner]
+    assert np.all(gap <= 1e-14 * (1.0 + np.abs(y[inner])))
+    h = 1e-5
+    fd = (env.thermal_excess(y + h)[0] - env.thermal_excess(y - h)[0]) / (2.0 * h)
+    np.testing.assert_allclose(de, fd, rtol=1e-6, atol=1e-9)
+    # the two branches meet at the cut, in value and in slope (e'' = 1/6
+    # there to 1e-3)
+    d = 1e-12
+    (e_in, e_out), (de_in, de_out) = env.thermal_excess(np.array([0.1 - d, 0.1]))
+    assert abs(e_out - e_in - de_out * d) < 1e-15
+    assert abs(de_out - de_in - d / 6.0) < 1e-15
+    assert np.all(np.isfinite(e)) and np.all(np.isfinite(de))
 
 
 # ---------------------------------------------------------------------------

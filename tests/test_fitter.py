@@ -304,6 +304,35 @@ def test_fit_requires_enough_points(ref_params):
         fit(ds)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"ftol": math.nan},
+    {"gtol": 0.0},
+    {"multistart": 0},
+    {"max_nfev": 0},
+    {"bounds": {**FitConfig().bounds, "w_phi": (math.nan, 100.0)}},
+    {"bounds": {**FitConfig().bounds, "gamma_phi": (1e-4, math.inf)}},
+    {"jitter_rel": 1.5},
+    {"jitter_rel": -0.1},
+], ids=["nan ftol", "zero gtol", "multistart 0", "max_nfev 0", "nan bound",
+        "infinite bound", "jitter 1.5", "negative jitter"])
+def test_fit_config_rejects_bad_values(overrides):
+    with pytest.raises(ValidationError):
+        FitConfig(**overrides)
+
+
+def test_fit_without_quadrature(ref_params, monkeypatch):
+    # the physics-set grid resolves the REF relaxation core, so no build of
+    # a noisy REF fit needs the narrow-core quadrature
+    import mrtfit.rate_model as rate_model
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quad called")
+
+    monkeypatch.setattr(rate_model, "quad", no_quad)
+    result = fit(synth_dataset(ref_params, seed=5))
+    assert result.converged
+
+
 def test_fit_rejects_guess_outside_bounds(ref_params):
     ds = synth_dataset(ref_params, seed=1)
     cfg = FitConfig(bounds={**FitConfig().bounds, "w_phi": (50.0, 100.0)})

@@ -15,6 +15,7 @@ from mrtfit import (
     total_rate,
 )
 import mrtfit.rate_model as rate_model
+from mrtfit.envelopes import HighFreqBroadening, g_high
 from mrtfit.errors import DomainError, ValidationError
 from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
 
@@ -113,6 +114,20 @@ def test_short_tilted_extended_convolution_matches_full_padding():
         # the tilt amplifies the rounding by up to exp(tilt * hi)
         atol = 1e-13 * expect.max() * math.exp(tilt * grid.hi)
         np.testing.assert_allclose(got, expect, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 0.03, 0.14])
+def test_ohmic_split_reproduces_g_high(ratio):
+    # A L_gamma + B D_gamma + s equals the ohmic envelope; scaled by its
+    # maximum, because deep on the negative side the terms cancel to e^-50
+    t = kelvin_to_ghz(REF["temperature_k"])
+    g = ratio * t
+    x = np.linspace(-50.0, 50.0, 20001) * t
+    a, b, _ = rate_model._ohmic_core_weights(g, t)
+    split = ((a * g + b * x) / (math.pi * (x * x + g * g))
+             + rate_model._ohmic_remainder(x, g, t))
+    full = g_high(x, HighFreqBroadening(gamma_ghz=g, temperature_ghz=t))
+    assert np.abs(split - full).max() <= 1e-14 * full.max()
 
 
 def test_rate01_gaussian_closed_form_at_peak():
@@ -283,6 +298,26 @@ def test_simulate_grid_self_convergence(ref_params):
     np.testing.assert_allclose(r_coarse[mask], r_fine[mask], rtol=1e-4)
 
 
+def test_ref_grid_is_set_by_the_physics(ref_params):
+    # no floor: REF needs about 5100 nodes and matches a 2^17 + 1 build at
+    # the biases of a REF dataset wherever the rate is above 1e-10 of its peak
+    phis = np.linspace(-500.0, 3000.0, 200)
+    shapes = LineShapes(ref_params, -500.0, 3000.0)
+    assert len(shapes.grid) <= 5200
+    fine = LineShapes(ref_params, -500.0, 3000.0, n_min=2**17 + 1).total(phis)
+    live = fine > 1e-10 * fine.max()
+    np.testing.assert_allclose(shapes.total(phis)[live], fine[live], rtol=1e-6)
+
+
+def test_diagnostics_report_grid_and_short_cuts(ref_params):
+    d = LineShapes(ref_params, -500.0, 3000.0).diagnostics
+    assert d["step"] <= d["step_wanted"]
+    assert not d["clamped"] and not d["relax_quad"] and not d["gaussian_as_delta"]
+    d = LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42).diagnostics
+    assert d["n"] == rate_model.GRID_MAX_POINTS and d["step"] > d["step_wanted"]
+    assert d["clamped"] and d["relax_quad"]
+
+
 def test_simulate_curve_validation(ref_params):
     with pytest.raises(ValidationError):
         simulate_curve(np.array([2.0, 1.0]), ref_params)
@@ -299,7 +334,9 @@ def test_eval_outside_tabulated_span_raises(ref_params):
 def test_local_cubic_reproduces_nodes_and_tracks_spline(ref_params):
     from scipy.interpolate import CubicSpline
 
-    shapes = LineShapes(ref_params, -500.0, 3000.0)
+    # two interpolants through the same nodes part as step^4; the grid is
+    # pinned to the 2^14 + 1 nodes this tolerance was set on
+    shapes = LineShapes(ref_params, -500.0, 3000.0, n_min=2**14 + 1)
     nodes = shapes.grid.values
     eps = flux_to_energy(np.linspace(-500.0, 3000.0, 2001), ref_params.ip_a)
     for log_table, at in ((shapes._log01, eps),
@@ -399,8 +436,9 @@ SLOPE_CASES = {
     "half_width": {"gr_form": "half_width"},
     "gamma=0": {"gamma_phi_uphi0": 0.0},
     "zeta=0": {"zeta_phi_uphi0": 0.0},
+    "small gamma": {"gamma_phi_uphi0": 0.05},
     "narrow relaxation core": NARROW_CORE,
-    "gaussian near the grid step": {"w_phi_uphi0": 0.4, "delta01_ghz": 1e-5},
+    "gaussian near the grid step": {"w_phi_uphi0": 0.03, "delta01_ghz": 1e-5},
 }
 
 
@@ -410,6 +448,8 @@ def test_table_slopes_match_central_differences_on_a_fixed_grid(case, monkeypatc
     form = overrides.pop("gr_form", "standard")
     p = make_params(**overrides)
     base = LineShapes(p, -500.0, 3000.0, gr_form=form)
+    if case == "gaussian near the grid step":
+        assert base.diagnostics["gaussian_as_delta"]
     d01, d03 = base._table_slopes()
     monkeypatch.setattr(FrequencyGrid, "build",
                         classmethod(lambda cls, *args, **kwargs: base.grid))
