@@ -30,7 +30,7 @@ _EXPORTS = {
         "BatchResult", "FitConfig", "FitResult", "InitialGuess", "RateDataset",
         "batch_fit", "fit", "initial_guess"),
     "rate_model": (
-        "FrequencyGrid", "LineShapes", "MrtParams", "RateCurve", "convolve",
+        "FrequencyGrid", "LineShapes", "MrtParams", "RateCurve", "peak_rates",
         "rate_01", "rate_03", "simulate_curve", "total_rate"),
     "squid_full": (
         "EffectivePotential", "FullModelNoise", "FullModelResult",

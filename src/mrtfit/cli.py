@@ -15,6 +15,7 @@ loads no scipy module and only ``fit`` and ``batch`` load
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -100,26 +101,30 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
+def _flux_grid(cfg: dataio.RunConfig, section: str) -> np.ndarray:
+    """The flux biases (uPhi0) ``[section]`` asks for."""
+    n = cfg.getint(section, "n_points")
+    lo = cfg.getfloat(section, "phi_min_uphi0")
+    hi = cfg.getfloat(section, "phi_max_uphi0")
+    if not (n >= 1 and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"[{section}] needs n_points >= 1 and finite "
+                              f"flux ends, got {n} points on {lo}..{hi}")
+    return np.linspace(lo, hi, n)
+
+
 def cmd_simulate(args) -> int:
-    from .rate_model import LineShapes, RateCurve, simulate_curve
+    from .rate_model import RateCurve, peak_rates
 
     cfg = _load_config(args)
     params = cfg.model_params()
-    sim = cfg.sections["simulate"]
-    phi = np.linspace(float(sim["phi_min_uphi0"]), float(sim["phi_max_uphi0"]),
-                      int(sim["n_points"]))
-    well = sim["well"]
-    total = simulate_curve(phi, params, init_well=well,
-                           gr_form=cfg.get("model", "gr_form"))
-    folded = -phi if well == "R" else phi
-    shapes = LineShapes(params, float(folded.min()), float(folded.max()),
-                        gr_form=cfg.get("model", "gr_form"))
-    peak0 = RateCurve(phi_x=phi, rate=shapes.rate01(folded), init_well=well)
-    peak1_rate = shapes.rate03(folded)
+    phi = _flux_grid(cfg, "simulate")
+    well = cfg.get("simulate", "well")
+    r01, r03 = peak_rates(phi, params, well, cfg.get("model", "gr_form"))
+    curves = {"total": RateCurve(phi_x=phi, rate=r01 + r03, init_well=well),
+              "peak0": RateCurve(phi_x=phi, rate=r01, init_well=well)}
+    if params.delta03_ghz > 0 and np.all(r03 > 0):
+        curves["peak1"] = RateCurve(phi_x=phi, rate=r03, init_well=well)
     out = _out_dir(args) / "model_curve.csv"
-    curves = {"total": total, "peak0": peak0}
-    if params.delta03_ghz > 0 and np.all(peak1_rate > 0):
-        curves["peak1"] = RateCurve(phi_x=phi, rate=peak1_rate, init_well=well)
     dataio.write_curve_table(out, curves)
     print(f"wrote {out}")
     return EXIT_OK
@@ -131,20 +136,18 @@ def cmd_gen(args) -> int:
 
     cfg = _load_config(args)
     params = cfg.model_params()
-    gen = cfg.sections["gen"]
-    seed = args.seed if args.seed is not None else int(gen["seed"])
-    n = int(gen["n_points"])
-    phi = np.linspace(float(gen["phi_min_uphi0"]), float(gen["phi_max_uphi0"]), n)
-    curve = simulate_curve(phi, params, init_well=gen["well"],
+    seed = args.seed if args.seed is not None else cfg.getint("gen", "seed")
+    phi = _flux_grid(cfg, "gen")
+    well, qubit_id = cfg.get("gen", "well"), cfg.get("gen", "qubit_id")
+    curve = simulate_curve(phi, params, init_well=well,
                            gr_form=cfg.get("model", "gr_form"))
-    noise_rel = float(gen["noise_rel"])
+    noise_rel = cfg.getfloat("gen", "noise_rel")
     rng = np.random.default_rng(seed)
-    noisy = curve.rate * np.exp(noise_rel * rng.standard_normal(n))
+    noisy = curve.rate * np.exp(noise_rel * rng.standard_normal(len(phi)))
     dataset = RateDataset(
         phi_x=phi, rate=noisy, ip_a=params.ip_a,
-        sigma_rel=np.full(n, noise_rel), well=gen["well"],
-        qubit_id=gen["qubit_id"])
-    out = _out_dir(args) / f"{gen['qubit_id']}.csv"
+        sigma_rel=np.full(len(phi), noise_rel), well=well, qubit_id=qubit_id)
+    out = _out_dir(args) / f"{qubit_id}.csv"
     dataio.save_dataset(out, dataset, extra_meta={
         "seed": seed, "noise_rel": noise_rel,
         "generator": "mrtfit-gen",
@@ -155,7 +158,7 @@ def cmd_gen(args) -> int:
 
 def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
     from .fitter import fit, initial_guess
-    from .rate_model import LineShapes, RateCurve
+    from .rate_model import RateCurve, peak_rates
 
     fit_cfg = cfg.fit_config()
     guess = initial_guess(dataset)
@@ -172,13 +175,9 @@ def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
     # residual table on the data grid (skipped when biases repeat, since a
     # curve table needs a strictly increasing axis)
     if np.all(np.diff(dataset.phi_x) > 0):
-        folded = dataset.folded_phi()
-        shapes = LineShapes(result.params, float(folded.min()),
-                            float(folded.max()), gr_form=fit_cfg.gr_form)
-        rate = shapes.rate01(folded)
-        if result.params.delta03_ghz > 0:
-            rate = rate + shapes.rate03(folded)
-        model = RateCurve(phi_x=np.asarray(dataset.phi_x), rate=rate,
+        r01, r03 = peak_rates(dataset.folded_phi(), result.params,
+                              gr_form=fit_cfg.gr_form)
+        model = RateCurve(phi_x=np.asarray(dataset.phi_x), rate=r01 + r03,
                           init_well="L")
         dataio.write_curve_table(out_dir / f"{stem}.residuals.csv",
                                  {"model": model}, dataset)
@@ -258,13 +257,13 @@ def cmd_squid(args) -> int:
                              persistent_current, solve_wells)
 
     cfg = _load_config(args)
-    sq = cfg.sections["squid"]
-    params = RfSquidParams(
-        ic_a=float(sq["ic_ua"]) * 1e-6, l_h=float(sq["l_ph"]) * 1e-12,
-        c_f=float(sq["c_ff"]) * 1e-15, phi_cjj_x=float(sq["phi_cjj_x"]))
-    pot = effective_potential(params, n_points=int(sq["grid_points"]),
-                              half_span=float(sq["half_span"]))
-    basis = solve_wells(pot, params.c_f, n_levels=int(sq["n_levels"]))
+    f = functools.partial(cfg.getfloat, "squid")
+    n_levels = cfg.getint("squid", "n_levels")
+    params = RfSquidParams(ic_a=f("ic_ua") * 1e-6, l_h=f("l_ph") * 1e-12,
+                           c_f=f("c_ff") * 1e-15, phi_cjj_x=f("phi_cjj_x"))
+    pot = effective_potential(params, n_points=cfg.getint("squid", "grid_points"),
+                              half_span=f("half_span"))
+    basis = solve_wells(pot, params.c_f, n_levels=n_levels)
     ip = persistent_current(basis)
     omega31 = basis.omega31_ghz
     v31 = basis.voltage_v[1, 3]
@@ -278,7 +277,7 @@ def cmd_squid(args) -> int:
         "v31_harmonic_uv": dataio.fmt(
             harmonic_v31(2 * math.pi * omega31 * 1e9, params.c_f) * 1e6),
     }
-    for n in range(2 * int(sq["n_levels"])):
+    for n in range(2 * n_levels):
         rows[f"energy_{n}_ghz"] = dataio.fmt(basis.energies_ghz[n])
     _print_or_json(args, rows, "rf-SQUID well summary")
     if args.out:

@@ -15,8 +15,11 @@ with a warning; malformed rows, including non-finite numbers (``nan``,
 ``inf``), are rejected with their line number.
 
 Run configuration is INI-style with sections [model], [fit], [squid],
-[gen], [simulate], [output].  Every key has a documented default and
-unknown keys are errors, so a typo cannot silently fall back.
+[gen], [simulate].  Every key has a documented default and unknown
+sections and keys are errors, so a typo cannot silently fall back; a
+numeric value that does not parse is an error naming its key.  The
+[model] keys are the report labels of ``rate_model.FIT_PARAMS`` plus
+``ip_ua`` and ``gr_form``.
 
 All numeric output is fixed scientific notation with nine significant
 digits, which makes regenerated files byte-comparable across platforms.
@@ -25,6 +28,7 @@ digits, which makes regenerated files byte-comparable across platforms.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -237,9 +241,6 @@ CONFIG_DEFAULTS = {
         "phi_max_uphi0": "3000",
         "well": "L",
     },
-    "output": {
-        "format": "table",        # table | json
-    },
 }
 
 
@@ -253,37 +254,40 @@ class RunConfig:
     def get(self, section: str, key: str) -> str:
         return self.sections[section][key]
 
+    def _number(self, section: str, key: str, kind):
+        value = self.get(section, key)
+        try:
+            return kind(value)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"[{section}] {key} = {value!r} is not {what}") from None
+
     def getfloat(self, section: str, key: str) -> float:
-        return float(self.get(section, key))
+        return self._number(section, key, float)
 
     def getint(self, section: str, key: str) -> int:
-        return int(self.get(section, key))
+        return self._number(section, key, int)
 
     def model_params(self) -> MrtParams:
-        from .rate_model import MrtParams
+        from .rate_model import FIT_PARAMS, MrtParams
 
-        m = self.sections["model"]
         return MrtParams(
-            delta01_ghz=float(m["delta01_mhz"]) * 1e-3,
-            delta03_ghz=float(m["delta03_mhz"]) * 1e-3,
-            phi31_uphi0=float(m["phi31_uphi0"]),
-            w_phi_uphi0=float(m["w_phi_uphi0"]),
-            gamma_phi_uphi0=float(m["gamma_phi_uphi0"]),
-            zeta_phi_uphi0=float(m["zeta_phi_uphi0"]),
-            temperature_k=float(m["temperature_mk"]) * 1e-3,
-            ip_a=float(m["ip_ua"]) * 1e-6)
+            ip_a=self.getfloat("model", "ip_ua") * 1e-6,
+            **{q.field: self.getfloat("model", q.label) * (1.0 / q.scale)
+               for q in FIT_PARAMS})
 
     def fit_config(self) -> FitConfig:
         from .fitter import FitConfig
 
-        f = self.sections["fit"]
-        free = tuple(x.strip() for x in f["free"].split(",") if x.strip())
+        f = functools.partial(self.getfloat, "fit")
+        i = functools.partial(self.getint, "fit")
+        free = tuple(x.strip() for x in self.get("fit", "free").split(",") if x.strip())
         return FitConfig(
-            free=free, ftol=float(f["ftol"]), xtol=float(f["xtol"]),
-            gtol=float(f["gtol"]), max_nfev=int(f["max_nfev"]),
-            multistart=int(f["multistart"]), jitter_rel=float(f["jitter_rel"]),
-            seed=int(f["seed"]), gr_form=self.sections["model"]["gr_form"],
-            inductance_h=float(f["inductance_ph"]) * 1e-12)
+            free=free, ftol=f("ftol"), xtol=f("xtol"), gtol=f("gtol"),
+            max_nfev=i("max_nfev"), multistart=i("multistart"),
+            jitter_rel=f("jitter_rel"), seed=i("seed"),
+            gr_form=self.get("model", "gr_form"),
+            inductance_h=f("inductance_ph") * 1e-12)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
@@ -320,43 +324,20 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # fit reports
 
-_REPORT_UNITS = {
-    "delta01": ("delta01_mhz", 1e3),       # GHz -> MHz
-    "delta03": ("delta03_mhz", 1e3),
-    "phi31": ("phi31_uphi0", 1.0),
-    "w_phi": ("w_phi_uphi0", 1.0),
-    "gamma_phi": ("gamma_phi_uphi0", 1.0),
-    "zeta_phi": ("zeta_phi_uphi0", 1.0),
-    "temperature": ("temperature_mk", 1e3),
-}
-
-_FIELD_GETTERS = {
-    "delta01": lambda p: p.delta01_ghz,
-    "delta03": lambda p: p.delta03_ghz,
-    "phi31": lambda p: p.phi31_uphi0,
-    "w_phi": lambda p: p.w_phi_uphi0,
-    "gamma_phi": lambda p: p.gamma_phi_uphi0,
-    "zeta_phi": lambda p: p.zeta_phi_uphi0,
-    "temperature": lambda p: p.temperature_k,
-}
-
-
 def report_from_fit(result: FitResult, config: FitConfig,
                     input_sha256: str = "", config_sha256: str = "",
                     timestamp: Optional[str] = None) -> dict:
     """Machine-readable fit report (a plain JSON-serializable dict)."""
-    from .fitter import PARAM_NAMES
+    from .rate_model import FIT_PARAMS
 
     best = {}
-    for name in PARAM_NAMES:
-        label, scale = _REPORT_UNITS[name]
-        value = _FIELD_GETTERS[name](result.params) * scale
-        sigma = result.uncertainties.get(name)
-        best[label] = {
-            "value": float(value),
+    for q in FIT_PARAMS:
+        sigma = result.uncertainties.get(q.name)
+        best[q.label] = {
+            "value": float(getattr(result.params, q.field) * q.scale),
             "sigma_1": None if sigma is None else
-            (None if math.isinf(sigma) else float(sigma * scale)),
-            "fitted": name in result.param_order,
+            (None if math.isinf(sigma) else float(sigma * q.scale)),
+            "fitted": q.name in result.param_order,
         }
     derived = {
         "eta": result.derived.eta,

@@ -8,12 +8,14 @@ squares with an exact Jacobian.  Positive scale-spanning parameters
 space; the peak separation, Gaussian width and temperature stay linear.
 The fluctuation-dissipation tie between the Gaussian width and its shift
 holds at every iterate because the shift is recomputed from (W, T)
-inside the model.
+inside the model.  Names, log flags, default bounds and step-scale
+floors all come from ``rate_model.FIT_PARAMS``.
 
 The line shapes do not depend on the tunneling amplitudes, which only
 scale the two peaks.  The objective keeps the line shapes of its last
-build and reuses them whenever only delta01 and delta03 moved, so such an
-evaluation rebuilds nothing.  The Jacobian at an evaluated point takes
+build and reuses them whenever only delta01 and delta03 moved: it takes
+its rates from ``LineShapes.rates`` with the current amplitudes, so such
+an evaluation rebuilds nothing.  The Jacobian at an evaluated point takes
 the shape columns from that build's sensitivity tables
 (``LineShapes.log_shape_grads``: the exact derivatives of the tabulated
 model on its grid) and the amplitude columns in closed form,
@@ -34,34 +36,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import units
 from .errors import ConvergenceError, ValidationError
-from .rate_model import SHAPE_FIELDS, LineShapes, MrtParams, _rate_coef
+from .rate_model import FIT_PARAMS, SHAPE_FIELDS, LineShapes, MrtParams, _rate_coef
 from .units import NoiseSummary, flux_to_energy, ghz_to_kelvin, kelvin_to_ghz
 
-PARAM_NAMES = ("delta01", "delta03", "phi31", "w_phi", "gamma_phi",
-               "zeta_phi", "temperature")
-_LOG_PARAMS = frozenset({"delta01", "delta03", "gamma_phi", "zeta_phi"})
-# parameters the line shapes depend on: all but the two tunneling amplitudes
-_SHAPE_PARAMS = tuple(n for n in PARAM_NAMES if n not in ("delta01", "delta03"))
-
-_FIELD_OF = {
-    "delta01": "delta01_ghz",
-    "delta03": "delta03_ghz",
-    "phi31": "phi31_uphi0",
-    "w_phi": "w_phi_uphi0",
-    "gamma_phi": "gamma_phi_uphi0",
-    "zeta_phi": "zeta_phi_uphi0",
-    "temperature": "temperature_k",
-}
-
-DEFAULT_BOUNDS = {
-    "delta01": (1e-9, 1.0),          # GHz
-    "delta03": (1e-9, 5.0),          # GHz
-    "phi31": (10.0, 2e4),            # uPhi0
-    "w_phi": (0.5, 5e3),             # uPhi0
-    "gamma_phi": (1e-4, 1e3),        # uPhi0
-    "zeta_phi": (1e-4, 1e3),         # uPhi0
-    "temperature": (5e-4, 0.2),      # K
-}
+PARAM_NAMES = tuple(q.name for q in FIT_PARAMS)
+_PARAM = {q.name: q for q in FIT_PARAMS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +112,7 @@ class FitConfig:
     """Free-parameter mask, bounds, tolerances, and multistart policy."""
 
     free: tuple = PARAM_NAMES
-    bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
+    bounds: dict = field(default_factory=lambda: {q.name: q.bounds for q in FIT_PARAMS})
     ftol: float = 1e-10
     xtol: float = 1e-10
     gtol: float = 1e-10
@@ -192,18 +171,6 @@ class FitResult:
     n_eval: int
     cost_initial: float
     n_starts: int = 1
-
-
-def _params_to_dict(p: MrtParams) -> dict:
-    return {name: getattr(p, _FIELD_OF[name]) for name in PARAM_NAMES}
-
-
-def _params_from_dict(values: dict, ip_a: float) -> MrtParams:
-    return MrtParams(
-        delta01_ghz=values["delta01"], delta03_ghz=values["delta03"],
-        phi31_uphi0=values["phi31"], w_phi_uphi0=values["w_phi"],
-        gamma_phi_uphi0=values["gamma_phi"], zeta_phi_uphi0=values["zeta_phi"],
-        temperature_k=values["temperature"], ip_a=ip_a)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +269,7 @@ def initial_guess(dataset: RateDataset,
         w_phi = width_guess_at(phi[i0])
         w_ghz = w_phi * conv
         delta01 = _delta_from_peak(rate[i0], w_ghz)
-        params = _params_from_dict({
+        params = MrtParams.from_names({
             "delta01": delta01, "delta03": 0.0, "phi31": max(10.0 * w_phi, 100.0),
             "w_phi": w_phi, "gamma_phi": 1e-2 * w_phi, "zeta_phi": 0.0,
             "temperature": provisional_t_k}, ip)
@@ -350,7 +317,7 @@ def initial_guess(dataset: RateDataset,
         excess = rate[j] - relax_tail
         if excess > 0:
             gamma_phi = excess * math.pi * eps_t * t_ghz / _rate_coef(delta01) / conv
-    params = _params_from_dict({
+    params = MrtParams.from_names({
         "delta01": delta01, "delta03": delta03, "phi31": phi31,
         "w_phi": w_phi, "gamma_phi": max(gamma_phi, 1e-4),
         "zeta_phi": max(zeta_phi, 1e-4), "temperature": t_k}, ip)
@@ -368,41 +335,32 @@ def least_squares(*args, **kwargs):
 
 
 def _to_x(values: dict, free: Sequence[str]) -> np.ndarray:
-    return np.array([math.log(values[n]) if n in _LOG_PARAMS else values[n]
+    return np.array([math.log(values[n]) if _PARAM[n].log else values[n]
                      for n in free])
 
 
 def _from_x(x: np.ndarray, free: Sequence[str], fixed: dict) -> dict:
     values = dict(fixed)
     for xi, name in zip(x, free):
-        values[name] = math.exp(xi) if name in _LOG_PARAMS else float(xi)
+        values[name] = math.exp(xi) if _PARAM[name].log else float(xi)
     return values
 
 
 def _x_bounds(free: Sequence[str], bounds: dict) -> tuple:
     lo, hi = [], []
     for name in free:
-        b_lo, b_hi = bounds.get(name, DEFAULT_BOUNDS[name])
-        if name in _LOG_PARAMS:
-            if b_lo <= 0:
-                b_lo = DEFAULT_BOUNDS[name][0]
-            lo.append(math.log(b_lo))
-            hi.append(math.log(b_hi))
-        else:
-            lo.append(b_lo)
-            hi.append(b_hi)
+        q = _PARAM[name]
+        b_lo, b_hi = bounds.get(name, q.bounds)
+        if q.log:
+            b_lo, b_hi = math.log(b_lo if b_lo > 0 else q.bounds[0]), math.log(b_hi)
+        lo.append(b_lo)
+        hi.append(b_hi)
     return np.array(lo), np.array(hi)
 
 
 def _x_scale(free: Sequence[str], x0: np.ndarray) -> np.ndarray:
-    floors = {"phi31": 10.0, "w_phi": 1.0, "temperature": 1e-3}
-    scale = []
-    for name, xi in zip(free, x0):
-        if name in _LOG_PARAMS:
-            scale.append(1.0)
-        else:
-            scale.append(max(abs(xi), floors.get(name, 1.0)))
-    return np.array(scale)
+    return np.array([1.0 if _PARAM[n].log else max(abs(xi), _PARAM[n].x_floor)
+                     for n, xi in zip(free, x0)])
 
 
 class _Objective:
@@ -428,28 +386,22 @@ class _Objective:
         self.gr_form = gr_form
         self.n_eval = 0
         self.eps = flux_to_energy(self.phi, self.ip)
-        self._shape_key = None
-        self._shapes = self._g01 = self._g03 = None
+        self._shape_key = self._shapes = None
 
     def _peak_rates(self, values: dict) -> tuple:
-        """(r01, r03) at the data biases; r03 is None without a first peak."""
-        params = _params_from_dict(values, self.ip)
-        two_peaks = params.delta03_ghz > 0
-        key = (tuple(values[n] for n in _SHAPE_PARAMS), two_peaks)
+        """(r01, r03) at the data biases, from the last build if only the
+        amplitudes moved."""
+        params = MrtParams.from_names(values, self.ip)
+        key = tuple(getattr(params, f) for f in SHAPE_FIELDS)
         if key != self._shape_key:
-            shapes = LineShapes(params, float(self.phi.min()), float(self.phi.max()),
-                                gr_form=self.gr_form)
-            self._g01 = shapes.shape01(self.eps)
-            self._g03 = shapes.shape03(self.eps) if two_peaks else None
-            self._shapes = shapes
+            self._shapes = LineShapes(params, float(self.phi.min()),
+                                      float(self.phi.max()), gr_form=self.gr_form)
             self._shape_key = key
-        r01 = _rate_coef(params.delta01_ghz) * self._g01
-        r03 = _rate_coef(params.delta03_ghz) * self._g03 if two_peaks else None
-        return r01, r03
+        return self._shapes.rates(self.phi, params)
 
     def model_log_rate(self, values: dict) -> np.ndarray:
         r01, r03 = self._peak_rates(values)
-        return np.log(r01 if r03 is None else r01 + r03)
+        return np.log(r01 + r03)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.n_eval += 1
@@ -463,8 +415,6 @@ class _Objective:
         values = _from_x(x, self.free, self.fixed)
         r01, r03 = self._peak_rates(values)
         d01, d03 = self._shapes.log_shape_grads(self.eps)
-        if r03 is None:
-            r03 = np.zeros_like(r01)
         w01 = r01 / (r01 + r03)
         w03 = r03 / (r01 + r03)
         cols = []
@@ -474,9 +424,9 @@ class _Objective:
             elif name == "delta03":
                 col = 2.0 * w03
             else:
-                k = SHAPE_FIELDS.index(_FIELD_OF[name])
+                k = SHAPE_FIELDS.index(_PARAM[name].field)
                 col = w01 * d01[:, k] + w03 * d03[:, k]
-                if name in _LOG_PARAMS:
+                if _PARAM[name].log:
                     col = col * values[name]
             cols.append(col)
         return np.column_stack(cols) * self.inv_sigma[:, None]
@@ -495,7 +445,7 @@ def _linearized_uncertainties(jac: np.ndarray, chi2: float, n_pts: int,
     inv_s2[:rank] = 1.0 / s[:rank] ** 2
     cov_x = (vt.T * inv_s2) @ vt * s2
     # chain rule to natural units: d(exp x)/dx = value for log parameters
-    deriv = np.array([math.exp(xi) if name in _LOG_PARAMS else 1.0
+    deriv = np.array([math.exp(xi) if _PARAM[name].log else 1.0
                       for name, xi in zip(free, x_best)])
     cov = cov_x * np.outer(deriv, deriv)
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -530,7 +480,7 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
                               f"both peaks, got {len(dataset)}")
 
     free = list(config.free)
-    values0 = _params_to_dict(guess)
+    values0 = guess.by_name()
     if guess.delta03_ghz == 0.0:
         # degenerate single-peak start: the first peak carries no signal
         free = [n for n in free if n not in ("delta03", "zeta_phi")]
@@ -557,7 +507,7 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
         else:
             jitter = rng.uniform(-config.jitter_rel, config.jitter_rel, len(free))
             x_start = np.array([
-                xi + math.log1p(j) if name in _LOG_PARAMS else xi * (1.0 + j)
+                xi + math.log1p(j) if _PARAM[name].log else xi * (1.0 + j)
                 for xi, j, name in zip(x0, jitter, free)])
             x_start = np.clip(x_start, lo, hi)
         n_starts += 1
@@ -574,7 +524,7 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
     cov, sigma, rank, dof = _linearized_uncertainties(
         best.jac, chi2, len(dataset), free, best.x)
     values = _from_x(best.x, free, fixed)
-    params = _params_from_dict(values, dataset.ip_a)
+    params = MrtParams.from_names(values, dataset.ip_a)
     uncertainties = {name: float(s) for name, s in zip(free, sigma)}
     derived = units.noise_summary(
         params.gamma_phi_uphi0, params.zeta_phi_uphi0, params.phi31_uphi0,

@@ -41,14 +41,21 @@ applied.
 A build also keeps what the parameter derivatives need, so the fitter
 gets exact sensitivities of the tabulated line shapes from a few more
 FFTs instead of finite differences over further builds.
+
+Every rate comes from ``LineShapes.rates``, which applies the two
+amplitudes to the line shapes at folded biases.  ``peak_rates``, and
+through it ``rate_01``, ``rate_03``, ``total_rate`` and ``simulate_curve``,
+builds on the folded window of its own biases.  ``FIT_PARAMS`` is the one
+table of the seven fit parameters: names, fields, labels, units, log
+flags and bounds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -80,12 +87,6 @@ _SQRT_PI = math.sqrt(math.pi)
 _GAUSS_REACH = 10.0
 # largest exp(a |nu|) the first-peak tilt may reach over the grid, as a log
 _TILT_REACH = 14.0
-
-# the parameters the line shapes depend on, as MrtParams fields, in the
-# column order of LineShapes.log_shape_grads; _NU31.._T index them
-SHAPE_FIELDS = ("phi31_uphi0", "w_phi_uphi0", "gamma_phi_uphi0",
-                "zeta_phi_uphi0", "temperature_k")
-_NU31, _W, _GAM, _ZET, _T = range(len(SHAPE_FIELDS))
 
 InitWell = str  # "L" or "R"
 
@@ -164,6 +165,48 @@ class MrtParams:
     def temperature_ghz(self) -> FreqGHz:
         return kelvin_to_ghz(self.temperature_k)
 
+    # views by fit-parameter name (see FIT_PARAMS)
+    def by_name(self) -> dict:
+        return {q.name: getattr(self, q.field) for q in FIT_PARAMS}
+
+    @classmethod
+    def from_names(cls, values: dict, ip_a: float) -> MrtParams:
+        return cls(ip_a=ip_a, **{q.field: values[q.name] for q in FIT_PARAMS})
+
+
+class FitParam(NamedTuple):
+    """One fit parameter: its name (as in ``[fit] free``), its MrtParams
+    field, its report label (also its ``[model]`` config key), the factor
+    from field to label units, whether the fitter moves it in log space,
+    its default bounds (field units) and, for a linear parameter, the
+    floor of its step scale."""
+
+    name: str
+    field: str
+    label: str
+    scale: float
+    log: bool
+    bounds: tuple
+    x_floor: float = 1.0
+
+
+FIT_PARAMS = (
+    FitParam("delta01", "delta01_ghz", "delta01_mhz", 1e3, True, (1e-9, 1.0)),
+    FitParam("delta03", "delta03_ghz", "delta03_mhz", 1e3, True, (1e-9, 5.0)),
+    FitParam("phi31", "phi31_uphi0", "phi31_uphi0", 1.0, False, (10.0, 2e4), 10.0),
+    FitParam("w_phi", "w_phi_uphi0", "w_phi_uphi0", 1.0, False, (0.5, 5e3), 1.0),
+    FitParam("gamma_phi", "gamma_phi_uphi0", "gamma_phi_uphi0", 1.0, True, (1e-4, 1e3)),
+    FitParam("zeta_phi", "zeta_phi_uphi0", "zeta_phi_uphi0", 1.0, True, (1e-4, 1e3)),
+    FitParam("temperature", "temperature_k", "temperature_mk", 1e3, False,
+             (5e-4, 0.2), 1e-3),
+)
+
+# the fields the line shapes depend on (all but the two tunneling
+# amplitudes), in the column order of LineShapes.log_shape_grads;
+# _NU31.._T index them
+SHAPE_FIELDS = tuple(q.field for q in FIT_PARAMS[2:])
+_NU31, _W, _GAM, _ZET, _T = range(len(SHAPE_FIELDS))
+
 
 @dataclass(frozen=True, eq=False)
 class RateCurve:
@@ -230,7 +273,7 @@ class _Convolution:
     nodes below its lower edge; the right operand lives on the grid.  Only
     the n output nodes are kept, so the cyclic length need only keep
     wrap-around off them: max(2n - 1 - iz, n + ext + iz) for a zero index
-    iz, about 3n/2 rather than the 2n - 1 of :func:`convolve`.  Operand
+    iz, about 3n/2 rather than the 2n - 1 of full zero padding.  Operand
     spectra can be kept and recombined: ``back`` of a sum of spectrum
     products is the sum of the convolutions.
 
@@ -265,25 +308,6 @@ class _Convolution:
         if self._unweights is not None:
             out = out * self._unweights
         return out
-
-
-def convolve(f: np.ndarray, g: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Convolution h(nu) = integral f(nu - nu') g(nu') d nu' on ``grid``.
-
-    Both inputs must be tabulated on the same grid.  Implemented as a
-    real FFT convolution zero-padded to a fast length of at least 2n - 1
-    (non-cyclic); the slice aligns the result with the input grid through
-    the grid's zero index.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    n = len(grid)
-    if f.shape != (n,) or g.shape != (n,):
-        raise ValidationError("convolve requires both tabulations on the given grid")
-    n_fft = next_fast_len(2 * n - 1, real=True)
-    full = irfft(rfft(f, n_fft) * rfft(g, n_fft), n_fft)
-    iz = grid.index_of_zero
-    return full[iz: iz + n] * grid.step
 
 
 def _ohmic_core_weights(g: float, t: float) -> tuple:
@@ -410,10 +434,10 @@ class LineShapes:
         eps_lo = flux_to_energy(phi_lo, params.ip_a)
         eps_hi = flux_to_energy(phi_hi, params.ip_a)
         pad = 8.0 * w + 40.0 * t + 40.0 * gam + 4.0 * zet
-        lo = min(eps_lo, eps_lo - nu31) - pad
-        hi = max(eps_hi, eps_hi - nu31) + pad
-        lo = min(lo, -pad)
-        hi = max(hi, pad)
+        # both peaks' windows and zero: whatever the window, G_03 draws on
+        # the relaxation wing down to -nu31
+        lo = min(eps_lo, 0.0) - nu31 - pad
+        hi = max(eps_hi, 0.0) + pad
         # the local cubic's log-space error falls as (step / W)^4; the
         # aliasing of the sampled relaxation core is exp(-2 pi width0 / step)
         step_want = min(w / 16.0, 2.0 * t / 3.0)
@@ -770,75 +794,53 @@ class LineShapes:
         scale = np.array([per_uphi0] * 4 + [kelvin_to_ghz(1.0)])[:, None]
         return (d01 * scale).T, (d03 * scale).T
 
-    def rate01(self, phi_x) -> np.ndarray:
-        eps = flux_to_energy(np.atleast_1d(np.asarray(phi_x, dtype=float)),
+    def rates(self, folded_phi, params: MrtParams | None = None) -> tuple:
+        """Peak rates (r01, r03) in 1/us at flux biases ``folded_phi``
+        (uPhi0), taken in the left-initialization orientation.
+
+        The tunneling amplitudes come from ``params`` (by default the
+        build's own); the line shapes do not depend on them, so one build
+        serves every amplitude, provided the other fields are the build's.
+        r03 is zero where there is no first peak (delta03 = 0).
+        """
+        p = self.params if params is None else params
+        eps = flux_to_energy(np.atleast_1d(np.asarray(folded_phi, dtype=float)),
                              self.params.ip_a)
-        return _rate_coef(self.params.delta01_ghz) * self.shape01(eps)
-
-    def rate03(self, phi_x) -> np.ndarray:
-        eps = flux_to_energy(np.atleast_1d(np.asarray(phi_x, dtype=float)),
-                             self.params.ip_a)
-        return _rate_coef(self.params.delta03_ghz) * self.shape03(eps)
-
-    def total(self, phi_x, init_well: InitWell = "L") -> np.ndarray:
-        """Total escape rate; right-well initialization is the mirror image
-        of the left-well curve."""
-        _check_well(init_well)
-        phi = np.atleast_1d(np.asarray(phi_x, dtype=float))
-        if init_well == "R":
-            phi = -phi
-        return self.rate01(phi) + self.rate03(phi)
+        r01 = _rate_coef(p.delta01_ghz) * self.shape01(eps)
+        if not p.delta03_ghz > 0:
+            return r01, np.zeros_like(r01)
+        return r01, _rate_coef(p.delta03_ghz) * self.shape03(eps)
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_shapes(params: MrtParams, phi_lo_q: float, phi_hi_q: float,
-                   gr_form: str) -> LineShapes:
-    return LineShapes(params, phi_lo_q, phi_hi_q, gr_form=gr_form)
-
-
-_QUANTUM_UPHI0 = 500.0
-
-
-def line_shapes_for(params: MrtParams, phi_lo: float, phi_hi: float,
-                    gr_form: str = "standard") -> LineShapes:
-    """Cached line shapes covering at least [phi_lo, phi_hi] (uPhi0).
-
-    The range is quantized outward so that repeated point-wise calls with
-    nearby biases share one tabulation.
-    """
-    lo_q = _QUANTUM_UPHI0 * math.floor(min(phi_lo, 0.0) / _QUANTUM_UPHI0)
-    hi_q = _QUANTUM_UPHI0 * math.ceil(max(phi_hi, 0.0) / _QUANTUM_UPHI0)
-    return _cached_shapes(params, lo_q, hi_q, gr_form)
-
-
-def _as_folded(phi_x, init_well: InitWell):
-    _check_well(init_well)
+def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L",
+               gr_form: str = "standard") -> tuple:
+    """Peak rates (r01, r03) in 1/us at flux biases ``phi_x`` (uPhi0), from
+    one build over their folded window; right-well initialization is the
+    mirror image of the left."""
     phi = np.atleast_1d(np.asarray(phi_x, dtype=float))
-    return (-phi if init_well == "R" else phi)
+    folded = -phi if _check_well(init_well) == "R" else phi
+    shapes = LineShapes(params, float(folded.min()), float(folded.max()),
+                        gr_form=gr_form)
+    return shapes.rates(folded)
 
 
 def rate_01(phi_x, params: MrtParams, gr_form: str = "standard"):
     """Zeroth-peak rate (1/us) at flux bias ``phi_x`` (uPhi0), left init."""
-    phi = np.atleast_1d(np.asarray(phi_x, dtype=float))
-    shapes = line_shapes_for(params, phi.min(), phi.max(), gr_form)
-    out = shapes.rate01(phi)
+    out = peak_rates(phi_x, params, "L", gr_form)[0]
     return out[0] if np.isscalar(phi_x) else out
 
 
 def rate_03(phi_x, params: MrtParams, gr_form: str = "standard"):
     """First-peak rate (1/us) at flux bias ``phi_x`` (uPhi0), left init."""
-    phi = np.atleast_1d(np.asarray(phi_x, dtype=float))
-    shapes = line_shapes_for(params, phi.min(), phi.max(), gr_form)
-    out = shapes.rate03(phi)
+    out = peak_rates(phi_x, params, "L", gr_form)[1]
     return out[0] if np.isscalar(phi_x) else out
 
 
 def total_rate(phi_x, params: MrtParams, init_well: InitWell = "L",
                gr_form: str = "standard"):
     """Total escape rate (1/us) for either initialization well."""
-    folded = _as_folded(phi_x, init_well)
-    shapes = line_shapes_for(params, folded.min(), folded.max(), gr_form)
-    out = shapes.rate01(folded) + shapes.rate03(folded)
+    r01, r03 = peak_rates(phi_x, params, init_well, gr_form)
+    out = r01 + r03
     return out[0] if np.isscalar(phi_x) else out
 
 
@@ -854,8 +856,5 @@ def simulate_curve(phi_grid, params: MrtParams, init_well: InitWell = "L",
         raise ValidationError("phi_grid must be a non-empty 1-d sequence")
     if len(phi) > 1 and not np.all(np.diff(phi) > 0):
         raise ValidationError("phi_grid must be strictly increasing")
-    folded = _as_folded(phi, init_well)
-    shapes = line_shapes_for(params, float(folded.min()), float(folded.max()),
-                             gr_form)
-    rate = shapes.rate01(folded) + shapes.rate03(folded)
-    return RateCurve(phi_x=phi, rate=rate, init_well=init_well)
+    r01, r03 = peak_rates(phi, params, init_well, gr_form)
+    return RateCurve(phi_x=phi, rate=r01 + r03, init_well=init_well)

@@ -112,6 +112,13 @@ def _potential_ghz(params: RfSquidParams, y: np.ndarray) -> np.ndarray:
     return quad_term - jj_term
 
 
+def _flux_axis(params: RfSquidParams, n_points: int, half_span: float) -> np.ndarray:
+    """Uniform grid of y = Phi/Phi0, staggered about the partition point."""
+    dy = 2.0 * half_span / n_points
+    y_part = params.phi_x_uphi0 * 1e-6 - 0.5
+    return y_part + (np.arange(n_points) + 0.5 - n_points / 2) * dy
+
+
 def effective_potential(params: RfSquidParams,
                         n_points: int = DEFAULT_GRID_POINTS,
                         half_span: float = DEFAULT_HALF_SPAN) -> EffectivePotential:
@@ -128,10 +135,7 @@ def effective_potential(params: RfSquidParams,
             "bias")
     if n_points < 64 or n_points % 2:
         raise ValidationError("n_points must be even and at least 64")
-    yx = params.phi_x_uphi0 * 1e-6
-    y_part = yx - 0.5
-    dy = 2.0 * half_span / n_points
-    y = y_part + (np.arange(n_points) + 0.5 - n_points / 2) * dy
+    y = _flux_axis(params, n_points, half_span)
     u = _potential_ghz(params, y)
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
     minima = tuple(int(i) + 1 for i in np.nonzero(interior)[0])
@@ -151,14 +155,20 @@ def _kinetic_coef_ghz(c_f: float) -> float:
     return CONSTANTS.hbar**2 / (2.0 * c_f * CONSTANTS.Phi0**2) / CONSTANTS.h / _GHZ
 
 
-def _solve_block(diag, off, n_levels, label, dy):
+def _lowest_levels(u: np.ndarray, dy: float, c_f: float, n_levels: int,
+                   where: str, vectors: bool = False):
+    """Lowest ``n_levels`` of the finite-difference Hamiltonian (GHz) for the
+    potential ``u`` on a grid of step ``dy``: the energies, and with
+    ``vectors`` also the eigenvectors, as ``eigh_tridiagonal`` gives them."""
+    a = _kinetic_coef_ghz(c_f)
     try:
-        return eigh_tridiagonal(diag, off, select="i",
+        return eigh_tridiagonal(u + 2.0 * a / dy**2, np.full(len(u) - 1, -a / dy**2),
+                                eigvals_only=not vectors, select="i",
                                 select_range=(0, n_levels - 1))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"eigenvalue solve failed in the {label} well block "
-            f"(n = {len(diag)}, dy = {dy:.3e} Phi0): {exc}") from exc
+            f"eigenvalue solve failed in {where} (n = {len(u)}, "
+            f"dy = {dy:.3e} Phi0): {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,48 +218,37 @@ def solve_wells(pot: EffectivePotential, c_f: float, n_levels: int = 2,
     """
     if n_levels < 2:
         raise ValidationError("need at least two levels per well")
-    y, u = pot.y, pot.u_ghz
+    y, u, dy = pot.y, pot.u_ghz, pot.step
     n = len(y)
-    dy = pot.step
-    a = _kinetic_coef_ghz(c_f)
-    diag = u + 2.0 * a / dy**2
-    off = np.full(n - 1, -a / dy**2)
     m = pot.partition_index
+    e_left, v_left = _lowest_levels(u[:m], dy, c_f, n_levels,
+                                    "the left well block", vectors=True)
+    e_right, v_right = _lowest_levels(u[m:], dy, c_f, n_levels,
+                                      "the right well block", vectors=True)
 
-    e_left, v_left = _solve_block(diag[:m], off[: m - 1], n_levels, "left", dy)
-    e_right, v_right = _solve_block(diag[m:], off[m:], n_levels, "right", dy)
-
+    # interleave by well, each wavefunction positive next to the partition
     n_states = 2 * n_levels
-    energies = np.empty(n_states)
+    energies = np.column_stack([e_left, e_right]).ravel()
     psi = np.zeros((n_states, n))
-    for k in range(n_levels):
-        sl = v_left[:, k] * (1.0 if v_left[-1, k] > 0 else -1.0)
-        sr = v_right[:, k] * (1.0 if v_right[0, k] > 0 else -1.0)
-        energies[2 * k] = e_left[k]
-        energies[2 * k + 1] = e_right[k]
-        psi[2 * k, :m] = sl
-        psi[2 * k + 1, m:] = sr
+    psi[0::2, :m] = (v_left * np.where(v_left[-1] > 0, 1.0, -1.0)).T
+    psi[1::2, m:] = (v_right * np.where(v_right[0] > 0, 1.0, -1.0)).T
+    parity = np.arange(n_states) % 2
+    same_well = parity[:, None] == parity[None, :]
 
-    # current operator is diagonal in flux: I = (Phi - Phi^x + Phi0/2)/L
+    # current operator is diagonal in flux: I = (Phi - Phi^x + Phi0/2)/L;
+    # opposite wells vanish exactly
     yx = pot.params.phi_x_uphi0 * 1e-6
     i_diag = CONSTANTS.Phi0 * (y - yx + 0.5) / pot.params.l_h
-    current = np.zeros((n_states, n_states))
-    for p in range(n_states):
-        for q in range(p, n_states):
-            if (p - q) % 2 == 0:      # same well; opposite wells vanish exactly
-                val = float(np.sum(psi[p] * i_diag * psi[q]))
-                current[p, q] = current[q, p] = val
+    current = np.where(same_well, (psi * i_diag) @ psi.T, 0.0)
 
     # voltage operator q/C = -i hbar/C d/dPhi; central differences give an
-    # exactly antisymmetric derivative matrix on each block
+    # exactly antisymmetric derivative matrix on each block.  dpsi crosses
+    # the partition, so opposite wells are masked rather than zero.
     dpsi = np.zeros_like(psi)
     dpsi[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * dy)
-    voltage = np.zeros((n_states, n_states))
-    for p in range(n_states):
-        for q in range(n_states):
-            if (p - q) % 2 == 0 and p != q:
-                d = float(np.sum(psi[p] * dpsi[q]))
-                voltage[p, q] = CONSTANTS.hbar / (c_f * CONSTANTS.Phi0) * abs(d)
+    voltage = np.where(same_well & ~np.eye(n_states, dtype=bool),
+                       CONSTANTS.hbar / (c_f * CONSTANTS.Phi0) * np.abs(psi @ dpsi.T),
+                       0.0)
 
     deltas = {}
     if compute_amplitudes:
@@ -272,22 +271,9 @@ def full_spectrum(params: RfSquidParams, c_f: float, n_levels: int,
                   n_points: int = DEFAULT_GRID_POINTS,
                   half_span: float = DEFAULT_HALF_SPAN) -> np.ndarray:
     """Lowest levels of the untruncated 1D Hamiltonian, in GHz."""
-    yx = params.phi_x_uphi0 * 1e-6
-    y_part = yx - 0.5
-    dy = 2.0 * half_span / n_points
-    y = y_part + (np.arange(n_points) + 0.5 - n_points / 2) * dy
-    u = _potential_ghz(params, y)
-    a = _kinetic_coef_ghz(c_f)
-    diag = u + 2.0 * a / dy**2
-    off = np.full(n_points - 1, -a / dy**2)
-    try:
-        return eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, n_levels - 1),
-                                eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"full-spectrum eigenvalue solve failed (n = {n_points}, "
-            f"dy = {dy:.3e} Phi0): {exc}") from exc
+    u = _potential_ghz(params, _flux_axis(params, n_points, half_span))
+    return _lowest_levels(u, 2.0 * half_span / n_points, c_f, n_levels,
+                          "the full spectrum")
 
 
 def ground_pair_splitting(params: RfSquidParams, c_f: float,
@@ -457,7 +443,7 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     point).
     """
     # the eigensolver alone (the ``squid`` subcommand) needs no rate model
-    from .rate_model import LineShapes, MrtParams, RateCurve, _rate_coef, simulate_curve
+    from .rate_model import LineShapes, MrtParams, RateCurve, simulate_curve
 
     if bias_mode not in ("fixed", "per_bias"):
         raise ValidationError(f"unknown bias_mode {bias_mode!r}")
@@ -508,14 +494,16 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     for i, p in enumerate(phi):
         pot_b = effective_potential(dc_replace(params, phi_x_uphi0=float(p)),
                                     n_points, half_span)
-        basis_b = solve_wells(pot_b, params.c_f, n_levels=2,
-                              compute_amplitudes=False)
-        eps_exact[i] = basis_b.energies_ghz[0] - basis_b.energies_ghz[1]
-        om31_exact[i] = basis_b.omega31_ghz
+        u, m, dy = pot_b.u_ghz, pot_b.partition_index, pot_b.step
+        e_left = _lowest_levels(u[:m], dy, params.c_f, 2, "the left well block")
+        e_right = _lowest_levels(u[m:], dy, params.c_f, 2, "the right well block")
+        eps_exact[i] = e_left[0] - e_right[0]
+        om31_exact[i] = e_right[1] - e_right[0]
     shapes = LineShapes(mrt, float(phi.min()), float(phi.max()), gr_form=gr_form)
-    rate = (_rate_coef(mrt.delta01_ghz) * shapes.shape01(eps_exact)
-            + _rate_coef(mrt.delta03_ghz)
-            * shapes.shape03(eps_exact - om31_exact + mrt.nu31_ghz()))
-    curve = RateCurve(phi_x=phi, rate=rate, init_well="L")
+    # each peak at its exact energy, passed as the bias of equal linear energy
+    r01, _ = shapes.rates(energy_to_flux(eps_exact, mrt.ip_a))
+    _, r03 = shapes.rates(energy_to_flux(eps_exact - om31_exact, mrt.ip_a)
+                          + mrt.phi31_uphi0)
+    curve = RateCurve(phi_x=phi, rate=r01 + r03, init_well="L")
     solver_info["bias_mode"] = "per_bias"
     return FullModelResult(curve=curve, params=mrt, solver=solver_info)

@@ -108,3 +108,17 @@ def quad_total_rate(phi_uphi0, *, delta01, delta03, phi31, w_phi, gamma_phi,
     elif delta03 > 0:
         total += rate_coef(delta03) * quad_g01(eps - nu31, w, g, t)
     return total
+
+
+def convolve(f, g, grid):
+    """Reference linear convolution h(nu) = integral f(nu - nu') g(nu') d nu'
+    of two tabulations on ``grid`` (a ``FrequencyGrid``): a real FFT
+    zero-padded to a fast length of at least 2n - 1, sliced back onto the
+    grid through its zero index."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    n = len(grid)
+    n_fft = next_fast_len(2 * n - 1, real=True)
+    full = irfft(rfft(f, n_fft) * rfft(g, n_fft), n_fft)
+    iz = grid.index_of_zero
+    return full[iz: iz + n] * grid.step

@@ -208,7 +208,8 @@ def test_criterion_4_oracle_equivalence(capsys):
             expect = oracle_total(phi_u)
             if expect < 1e-6 * peak:     # accuracy is unconstrained below
                 continue                 # one millionth of the peak
-            got = float(shapes.total(np.array([phi_u]))[0])
+            r01, r03 = shapes.rates(np.array([phi_u]))
+            got = float(r01[0] + r03[0])
             worst = max(worst, abs(got / expect - 1.0))
             accepted += 1
             n_checked += 1
@@ -409,7 +410,7 @@ def test_criterion_7_family_tables(tmp_path, capsys):
                       zeta_phi_uphi0=1.0)
         phis = np.linspace(-200.0, 250.0, 901)
         shapes = LineShapes(p, -200.0, 250.0)
-        curve0 = RateCurve(phi_x=phis, rate=shapes.rate01(phis), init_well="L")
+        curve0 = RateCurve(phi_x=phis, rate=shapes.rates(phis)[0], init_well="L")
         path = tmp_path / f"fig_a_w{w:.0f}.csv"
         dataio.write_curve_table(path, {"peak0": curve0})
         fwhm[w] = _fwhm_from_table(path, "rate_peak0_per_us")

@@ -89,6 +89,16 @@ def test_simulate_writes_decomposed_table(tmp_path):
     assert len([l for l in lines if not l.startswith("#")]) == 51
 
 
+def test_simulate_total_is_the_sum_of_its_peaks(tmp_path):
+    # one build serves all three columns, on a window off the 500 uPhi0 marks
+    cfg = write_config(tmp_path, "[simulate]\nphi_min_uphi0 = -437\n"
+                                 "phi_max_uphi0 = 2611\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "model_curve.csv", delimiter=",", skiprows=2)
+    np.testing.assert_allclose(table[:, 1], table[:, 2] + table[:, 3],
+                               rtol=2e-8, atol=0)
+
+
 def test_squid_summary(tmp_path, capsys):
     cfg = write_config(tmp_path, "[squid]\ngrid_points = 2048\n")
     assert run(["squid", "--config", cfg, "--format", "json"]) == 0
@@ -176,6 +186,32 @@ def test_bad_fit_config_value_is_a_validation_error(tmp_path, capsys):
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("MRTFIT-ERROR class=validation") and "jitter_rel" in err
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# the subcommand that reads each config section
+READER = {"model": ["simulate"], "fit": ["fit", "--data", "absent.csv"],
+          "squid": ["squid"], "gen": ["gen"], "simulate": ["simulate"]}
+NUMERIC_KEYS = [(section, key) for section, keys in dataio.CONFIG_DEFAULTS.items()
+                for key, value in keys.items() if _is_number(value)]
+
+
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS,
+                         ids=[f"{s}.{k}" for s, k in NUMERIC_KEYS])
+def test_every_numeric_config_key_is_read_and_checked(tmp_path, capsys, section, key):
+    # a key nothing reads accepts "abc" silently and fails here
+    cfg = write_config(tmp_path, f"[{section}]\n{key} = abc\n")
+    assert run(READER[section] + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1
+    assert err.startswith("MRTFIT-ERROR class=parse") and f"[{section}] {key} " in err
 
 
 def test_exit_code_single_well(tmp_path, capsys):

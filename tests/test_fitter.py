@@ -15,13 +15,14 @@ from mrtfit import (
 )
 from mrtfit.errors import ConvergenceError, ValidationError
 import mrtfit.fitter as fitter
-from mrtfit.fitter import PARAM_NAMES, _FIELD_OF, _Objective, _params_to_dict, _to_x
-from mrtfit.rate_model import SHAPE_FIELDS
+from mrtfit.fitter import PARAM_NAMES, _Objective, _to_x
+from mrtfit.rate_model import FIT_PARAMS, SHAPE_FIELDS
 from mrtfit.units import noise_summary
 
 from conftest import REF
 
 IP = REF["ip_a"]
+FIELD = {q.name: q.field for q in FIT_PARAMS}
 
 
 def synth_dataset(params: MrtParams, seed=None, noise_rel=0.05, n=200,
@@ -41,7 +42,7 @@ def synth_dataset(params: MrtParams, seed=None, noise_rel=0.05, n=200,
 def rel_errs(fitted: MrtParams, truth: MrtParams) -> dict:
     out = {}
     for name in PARAM_NAMES:
-        field = _FIELD_OF[name]
+        field = FIELD[name]
         t = getattr(truth, field)
         out[name] = (getattr(fitted, field) - t) / t if t else math.nan
     return out
@@ -96,7 +97,7 @@ def test_initial_guess_mirror_invariant(ref_params):
     g_l = initial_guess(ds)
     g_r = initial_guess(ds.mirrored())
     for name in PARAM_NAMES:
-        field = _FIELD_OF[name]
+        field = FIELD[name]
         assert getattr(g_l.params, field) == getattr(g_r.params, field)
 
 
@@ -142,7 +143,7 @@ def test_fit_from_automatic_guess_with_noise(ref_params):
 
 def test_objective_amplitude_only_step_matches_fresh_build(ref_params):
     ds = synth_dataset(ref_params, seed=9)
-    x = _to_x(_params_to_dict(ref_params), PARAM_NAMES)
+    x = _to_x(ref_params.by_name(), PARAM_NAMES)
     moved = x.copy()
     moved[[PARAM_NAMES.index("delta01"), PARAM_NAMES.index("delta03")]] += (1e-4, -3e-4)
     objective = _Objective(ds, PARAM_NAMES, {}, "standard")
@@ -163,7 +164,7 @@ def test_fit_builds_line_shapes_once_per_distinct_shape_key(ref_params, monkeypa
 
     def shape_key(x):
         values = fitter._from_x(x, PARAM_NAMES, {})
-        return tuple(values[n] for n in fitter._SHAPE_PARAMS)
+        return tuple(values[q.name] for q in FIT_PARAMS if q.field in SHAPE_FIELDS)
 
     call = _Objective.__call__
 
@@ -207,13 +208,13 @@ def test_jacobian_matches_central_differences(ref_params, case):
         if case == "mirrored":
             ds = ds.mirrored()
     objective = _Objective(ds, PARAM_NAMES, {}, "standard")
-    x = _to_x(_params_to_dict(params), PARAM_NAMES)
+    x = _to_x(params.by_name(), PARAM_NAMES)
     objective(x)
     jac = objective.jac(x)
-    model = np.exp(objective.model_log_rate(_params_to_dict(params)))
+    model = np.exp(objective.model_log_rate(params.by_name()))
     live = model > 1e-10 * model.max()
     for k, name in enumerate(PARAM_NAMES):
-        h = 1e-3 if name in fitter._LOG_PARAMS else 1e-3 * abs(x[k])
+        h = 1e-3 if fitter._PARAM[name].log else 1e-3 * abs(x[k])
         up, down = x.copy(), x.copy()
         up[k] += h
         down[k] -= h
@@ -225,7 +226,7 @@ def test_jacobian_matches_central_differences(ref_params, case):
 def test_jacobian_at_the_evaluated_point_builds_nothing(ref_params, monkeypatch):
     ds = synth_dataset(ref_params, seed=9)
     objective = _Objective(ds, PARAM_NAMES, {}, "standard")
-    x = _to_x(_params_to_dict(ref_params), PARAM_NAMES)
+    x = _to_x(ref_params.by_name(), PARAM_NAMES)
     objective(x)
     builds = []
     monkeypatch.setattr(fitter, "LineShapes",
@@ -270,7 +271,7 @@ def test_fit_mirror_equivariance(ref_params):
     result_l = fit(ds)
     result_r = fit(ds.mirrored())
     for name in PARAM_NAMES:
-        field = _FIELD_OF[name]
+        field = FIELD[name]
         assert getattr(result_l.params, field) == pytest.approx(
             getattr(result_r.params, field), rel=1e-9)
 
@@ -287,12 +288,12 @@ def test_fit_rate_rescaling_moves_only_amplitudes(ref_params):
     r2 = fit(ds_scaled, guess=start2)
     # minima agree to a small fraction of the parameter uncertainty
     for name in ("delta01", "delta03"):
-        field = _FIELD_OF[name]
+        field = FIELD[name]
         shift = abs(getattr(r2.params, field) / math.sqrt(scale)
                     - getattr(r1.params, field))
         assert shift < r1.uncertainties[name] / 50.0, name
     for name in ("phi31", "w_phi", "gamma_phi", "zeta_phi", "temperature"):
-        field = _FIELD_OF[name]
+        field = FIELD[name]
         sigma = r1.uncertainties[name]
         shift = abs(getattr(r2.params, field) - getattr(r1.params, field))
         assert shift < sigma / 10.0, name

@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrtfit import (
     FrequencyGrid,
     LineShapes,
     MrtParams,
-    convolve,
     rate_01,
     rate_03,
     simulate_curve,
@@ -21,14 +21,20 @@ from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
 
 import oracles
 from conftest import REF
+from oracles import convolve
 
 
 def make_params(**overrides):
     return MrtParams(**{**REF, **overrides})
 
 
+def total(shapes, phi):
+    r01, r03 = shapes.rates(phi)
+    return r01 + r03
+
+
 # ---------------------------------------------------------------------------
-# raw convolution operator
+# raw convolution operator (the zero-padded reference in oracles.py)
 
 def test_convolve_identity_with_discrete_delta():
     grid = FrequencyGrid.build(-4.0, 4.0, 1e-3)
@@ -74,12 +80,6 @@ def test_convolve_against_direct_quadrature():
         k = int(round((nu_s - grid.lo) / grid.step))
         expect = oracles.quad_g01(nu[k], w, g, t)
         assert out[k] == pytest.approx(expect, rel=1e-4)
-
-
-def test_convolve_requires_matching_grids():
-    grid = FrequencyGrid.build(-1.0, 1.0, 1e-3)
-    with pytest.raises(ValidationError):
-        convolve(np.zeros(len(grid) - 1), np.zeros(len(grid)), grid)
 
 
 @pytest.mark.parametrize("n_min", [33, 4097])
@@ -150,7 +150,7 @@ def test_rate01_matches_quadrature_oracle(ref_params):
     for phi in (-150.0, 0.0, 38.9, 120.0, 400.0, 1200.0, 2500.0):
         eps = flux_to_energy(phi, p.ip_a)
         expect = coef * oracles.quad_g01(eps, w, g, t)
-        got = shapes.rate01(phi)[0]
+        got = shapes.rates(phi)[0][0]
         assert got == pytest.approx(expect, rel=1e-3), phi
 
 
@@ -191,8 +191,8 @@ def test_rate03_delta_limit_is_translated_zeroth_peak(ref_params):
     p = replace(ref_params, zeta_phi_uphi0=0.0)
     shapes = LineShapes(p, -500.0, 2500.0)
     phis = np.linspace(1800.0, 2500.0, 41)
-    r3 = shapes.rate03(phis)
-    r1 = shapes.rate01(phis - p.phi31_uphi0)
+    r3 = shapes.rates(phis)[1]
+    r1 = shapes.rates(phis - p.phi31_uphi0)[0]
     ratio = (p.delta03_ghz / p.delta01_ghz) ** 2
     np.testing.assert_allclose(r3, ratio * r1, rtol=1e-9)
 
@@ -211,7 +211,7 @@ def test_rate03_matches_2d_quadrature_oracle(ref_params):
         expect = coef * oracles.quad_g03(eps, w, g, z, t, nu31)
         if expect < 1e-6 * peak:
             continue
-        got = shapes.rate03(phi)[0]
+        got = shapes.rates(phi)[1][0]
         assert got == pytest.approx(expect, rel=1e-3), phi
 
 
@@ -232,6 +232,33 @@ def test_mirror_symmetry_exact(ref_params):
     left = total_rate(phis, ref_params, init_well="L")
     right = total_rate(-phis, ref_params, init_well="R")
     np.testing.assert_array_equal(left, right)
+
+
+# parameter sets near REF, inside the incoherent, weak-coupling region
+near_ref = st.builds(
+    MrtParams, delta01_ghz=st.floats(1e-3, 4e-3), delta03_ghz=st.floats(1e-2, 5e-2),
+    phi31_uphi0=st.floats(1800.0, 2500.0), w_phi_uphi0=st.floats(25.0, 50.0),
+    gamma_phi_uphi0=st.floats(0.2, 1.5), zeta_phi_uphi0=st.floats(1.0, 10.0),
+    temperature_k=st.floats(5e-3, 12e-3), ip_a=st.just(REF["ip_a"]))
+biases = st.lists(st.floats(-600.0, 3000.0), min_size=1, max_size=8).map(np.array)
+
+
+@settings(max_examples=25, deadline=None)
+@given(near_ref, biases)
+def test_mirror_symmetry_property(p, phis):
+    np.testing.assert_array_equal(total_rate(phis, p, init_well="R"),
+                                  total_rate(-phis, p, init_well="L"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(near_ref, biases, st.floats(0.2, 5.0), st.sampled_from(["delta01", "delta03"]))
+def test_amplitude_rescaling_property(p, phis, k, amplitude):
+    # an amplitude scales its own peak by k^2 and leaves the other bit for bit
+    field = f"{amplitude}_ghz"
+    scaled = replace(p, **{field: k * getattr(p, field)})
+    moved, kept = (rate_01, rate_03) if amplitude == "delta01" else (rate_03, rate_01)
+    np.testing.assert_allclose(moved(phis, scaled), k * k * moved(phis, p), rtol=1e-12)
+    np.testing.assert_array_equal(kept(phis, scaled), kept(phis, p))
 
 
 def test_total_rate_spans_four_decades(ref_params):
@@ -292,8 +319,8 @@ def test_simulate_grid_self_convergence(ref_params):
     coarse = LineShapes(ref_params, -500.0, 3000.0)
     fine = LineShapes(ref_params, -500.0, 3000.0,
                       n_min=2 * (len(coarse.grid) - 1) + 1)
-    r_coarse = coarse.total(phis)
-    r_fine = fine.total(phis)
+    r_coarse = total(coarse, phis)
+    r_fine = total(fine, phis)
     mask = r_fine > r_fine.max() * 1e-6
     np.testing.assert_allclose(r_coarse[mask], r_fine[mask], rtol=1e-4)
 
@@ -304,9 +331,9 @@ def test_ref_grid_is_set_by_the_physics(ref_params):
     phis = np.linspace(-500.0, 3000.0, 200)
     shapes = LineShapes(ref_params, -500.0, 3000.0)
     assert len(shapes.grid) <= 5200
-    fine = LineShapes(ref_params, -500.0, 3000.0, n_min=2**17 + 1).total(phis)
+    fine = total(LineShapes(ref_params, -500.0, 3000.0, n_min=2**17 + 1), phis)
     live = fine > 1e-10 * fine.max()
-    np.testing.assert_allclose(shapes.total(phis)[live], fine[live], rtol=1e-6)
+    np.testing.assert_allclose(total(shapes, phis)[live], fine[live], rtol=1e-6)
 
 
 def test_diagnostics_report_grid_and_short_cuts(ref_params):
@@ -328,7 +355,7 @@ def test_simulate_curve_validation(ref_params):
 def test_eval_outside_tabulated_span_raises(ref_params):
     shapes = LineShapes(ref_params, -100.0, 100.0)
     with pytest.raises(DomainError):
-        shapes.rate01(np.array([50000.0]))
+        shapes.rates(np.array([50000.0]))
 
 
 def test_local_cubic_reproduces_nodes_and_tracks_spline(ref_params):
@@ -417,15 +444,27 @@ def test_lower_tail_matches_quadrature_oracle(ref_params):
             phi31=p.phi31_uphi0, w_phi=p.w_phi_uphi0,
             gamma_phi=p.gamma_phi_uphi0, zeta_phi=p.zeta_phi_uphi0,
             t_k=p.temperature_k, ip_a=p.ip_a)
-        assert shapes.total(phi)[0] == pytest.approx(expect, rel=1e-5), phi
+        assert total(shapes, phi)[0] == pytest.approx(expect, rel=1e-5), phi
 
 
 def test_rates_independent_of_window_lower_edge(ref_params):
     phis = np.linspace(-500.0, 3000.0, 3501)
-    near = LineShapes(ref_params, -500.0, 3000.0).total(phis)
-    wide = LineShapes(ref_params, -1000.0, 3000.0).total(phis)
+    near = total(LineShapes(ref_params, -500.0, 3000.0), phis)
+    wide = total(LineShapes(ref_params, -1000.0, 3000.0), phis)
     live = near > 1e-10 * near.max()
     np.testing.assert_allclose(near[live], wide[live], rtol=1e-6)
+
+
+def test_window_above_zero_keeps_the_relaxation_wing():
+    # G_03 in the valley draws on the relaxation wing down to -nu31, below
+    # the grid a window starting above zero flux would otherwise span
+    p = make_params(delta01_ghz=2e-3, delta03_ghz=20e-3, w_phi_uphi0=35.0,
+                    gamma_phi_uphi0=1.0, zeta_phi_uphi0=1.0, temperature_k=5e-3)
+    phis = np.linspace(900.0, 1300.0, 41)
+    near = LineShapes(p, 900.0, 1300.0).rates(phis)
+    wide = LineShapes(p, -500.0, 3000.0).rates(phis)
+    for got, expect in zip(near, wide):
+        np.testing.assert_allclose(got, expect, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,11 @@ from mrtfit import (
     solve_wells,
 )
 from mrtfit.errors import SingleWellError, ValidationError
+from mrtfit.rate_model import LineShapes
 from mrtfit.squid_full import _fminbound, excited_crossing_gap, full_spectrum
-from mrtfit.units import energy_to_flux, flux_to_energy
+from mrtfit.units import CONSTANTS, energy_to_flux, flux_to_energy
+
+import oracles
 
 from conftest import REF, REF_CIRCUIT
 
@@ -117,6 +120,27 @@ def test_voltage_matrix_structure(basis):
     assert abs(v[1, 1]) < 1e-3 * v31
     assert abs(v[3, 3]) < 1e-3 * v31
     np.testing.assert_allclose(v, v.T, rtol=0, atol=1e-12 * v31)
+
+
+def test_matrix_elements_equal_the_loop_reference(basis, circuit):
+    # element by element as sums over the grid; the matrix products add in
+    # another order, so they agree to rounding of the largest element
+    psi, pot = basis.wavefunctions, basis.potential
+    i_diag = CONSTANTS.Phi0 * (pot.y - circuit.phi_x_uphi0 * 1e-6 + 0.5) / circuit.l_h
+    dpsi = np.zeros_like(psi)
+    dpsi[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * pot.step)
+    n = len(psi)
+    cur, volt = np.zeros((n, n)), np.zeros((n, n))
+    for p in range(n):
+        for q in range(n):
+            if (p - q) % 2 == 0:
+                cur[p, q] = np.sum(psi[p] * i_diag * psi[q])
+                if p != q:
+                    volt[p, q] = (CONSTANTS.hbar / (circuit.c_f * CONSTANTS.Phi0)
+                                  * abs(np.sum(psi[p] * dpsi[q])))
+    np.testing.assert_allclose(basis.current_a, cur, rtol=0,
+                               atol=1e-13 * np.abs(cur).max())
+    np.testing.assert_allclose(basis.voltage_v, volt, rtol=0, atol=1e-13 * volt.max())
 
 
 def test_same_well_tunneling_amplitudes_are_zero_by_construction(basis):
@@ -262,6 +286,27 @@ def test_full_model_zeta_mapping_close_to_fitted_value(circuit):
     res = full_model_rate(circuit, noise, np.linspace(0.0, 100.0, 5))
     assert res.params.zeta_phi_uphi0 == pytest.approx(4.53, rel=0.10)
     assert res.solver["v31_volt"] * 1e6 == pytest.approx(7.13, abs=0.05)
+
+
+def test_per_bias_mode_equals_the_solve_wells_reference(circuit):
+    # each bias from a full solve_wells basis, each peak's line shape at its
+    # exact energy, as the per-bias mode computes from energies alone
+    noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
+                           tan_delta_c=2.07e-3, temperature_k=7.3e-3)
+    phis = np.linspace(-100.0, 300.0, 4)
+    res = full_model_rate(circuit, noise, phis, bias_mode="per_bias", n_points=1024)
+    p = res.params
+    shapes = LineShapes(p, phis.min(), phis.max())
+    expect = []
+    for phi in phis:
+        pot = effective_potential(replace(circuit, phi_x_uphi0=float(phi)), 1024)
+        b = solve_wells(pot, circuit.c_f, compute_amplitudes=False)
+        eps = b.energies_ghz[0] - b.energies_ghz[1]
+        expect.append(
+            oracles.rate_coef(p.delta01_ghz) * shapes.shape01(eps)[0]
+            + oracles.rate_coef(p.delta03_ghz)
+            * shapes.shape03(eps - b.omega31_ghz + p.nu31_ghz())[0])
+    np.testing.assert_allclose(res.curve.rate, expect, rtol=1e-12)
 
 
 def test_full_model_per_bias_mode_close_to_fixed(circuit):
