@@ -215,8 +215,8 @@ def cmd_batch(args) -> int:
                              qubit_id=f.stem)
         datasets.append(ds)
     out_dir = _out_dir(args)
-    result = batch_fit(datasets, cfg.fit_config(), threads=args.threads)
     fit_cfg = cfg.fit_config()
+    result = batch_fit(datasets, fit_cfg, threads=args.threads)
     lines = ["qubit_id,status,chi2_per_dof,eta,r_shunt_ohm,tan_delta_c,"
              "tan_delta_l_1ghz"]
     for entry, f in zip(result.entries, files):

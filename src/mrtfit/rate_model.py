@@ -34,9 +34,13 @@ No grid step therefore has to resolve gamma: the step is
 min(W/16, 2T/3, width0/3), from the local cubic's (step/W)^4 log error,
 the thermal scale and the relaxation width at resonance, with no floor
 beyond a stencil's worth of nodes.  A relaxation core narrower than three
-steps is reached only at the GRID_MAX_POINTS clamp; its mass is then
-pinned by quadrature.  ``LineShapes.diagnostics`` records which of these
-applied.
+steps is reached only at the GRID_MAX_POINTS clamp.  Its mass is then
+pinned in closed form: the relaxation envelope is a Lorentzian L_h of
+half-width h = c width0 (c = 1 "standard", 1/2 "half_width") plus a
+remainder that is smooth on the grid, because the width is flat across
+the core to exp(-nu31/T).  L_h integrates to an arctangent over the
+window and the remainder sums on the nodes.  ``LineShapes.diagnostics``
+records which of these applied.
 
 A build also keeps what the parameter derivatives need, so the fitter
 gets exact sensitivities of the tabulated line shapes from a few more
@@ -89,14 +93,6 @@ _GAUSS_REACH = 10.0
 _TILT_REACH = 14.0
 
 InitWell = str  # "L" or "R"
-
-
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on first call: only the narrow
-    relaxation core integrates, and ``scipy.integrate`` loads
-    ``scipy.optimize`` with it."""
-    from scipy.integrate import quad as _quad
-    return _quad(*args, **kwargs)
 
 
 def _check_well(init_well: str) -> str:
@@ -370,6 +366,23 @@ def _renormalized_slope(tab, d, mass, d_mass, discrete, step) -> np.ndarray:
     return d * (mass / discrete) + tab * (d_mass - mass * d_discrete / discrete) / discrete
 
 
+def _relax_mass(tab: np.ndarray, nu: np.ndarray, h: float) -> tuple:
+    """Mass of the relaxation table ``tab`` over the window of the uniform
+    grid ``nu``, and its slope in the core half-width h at a fixed table.
+
+    The core L_h = h / pi (nu^2 + h^2) integrates in closed form,
+    (atan(hi / h) - atan(lo / h)) / pi; the remainder tab - L_h is smooth
+    on the grid and sums on the nodes."""
+    step = nu[1] - nu[0]
+    lo, hi, h2 = nu[0], nu[-1], h * h
+    x2h2 = nu * nu + h2
+    mass = ((math.atan(hi / h) - math.atan(lo / h)) / math.pi
+            + float(np.sum(tab - (h / math.pi) / x2h2)) * step)
+    d_mass = ((lo / (lo * lo + h2) - hi / (hi * hi + h2)) / math.pi
+              - float(np.sum((nu * nu - h2) / x2h2**2)) * step / math.pi)
+    return mass, d_mass
+
+
 def _lagrange(s: np.ndarray) -> tuple:
     """Weights of the four-point Lagrange cubic on nodes -1, 0, 1, 2 at s."""
     a, b, c, d = s + 1.0, s, s - 1.0, s - 2.0
@@ -409,8 +422,8 @@ class LineShapes:
     ``n``, the ``step`` used and the ``step_wanted`` by the physics,
     whether the GRID_MAX_POINTS clamp made the step coarser (``clamped``),
     whether the Gaussian was narrower than the grid and taken as a delta
-    (``gaussian_as_delta``), and whether the narrow-core quadrature ran
-    (``relax_quad``).
+    (``gaussian_as_delta``), and whether the narrow relaxation core had its
+    mass pinned in closed form (``relax_renorm``).
     """
 
     def __init__(self, params: MrtParams, phi_lo: float, phi_hi: float,
@@ -420,6 +433,8 @@ class LineShapes:
             phi_lo, phi_hi = phi_hi, phi_lo
         self.params = params
         self.gr_form = gr_form
+        # half-width of the relaxation Lorentzian in units of its width gw
+        self._relax_c = 1.0 if gr_form == "standard" else 0.5
         w = params.w_ghz()
         gam = params.gamma_ghz()
         zet = params.zeta_ghz()
@@ -448,7 +463,7 @@ class LineShapes:
         self.diagnostics = {"n": len(self.grid), "step": self.grid.step,
                             "step_wanted": step_want,
                             "clamped": self.grid.step > step_want,
-                            "gaussian_as_delta": False, "relax_quad": False}
+                            "gaussian_as_delta": False, "relax_renorm": False}
 
         self._conv01 = self._relax_norm = None
         self._table01 = self._build_zeroth()
@@ -518,22 +533,17 @@ class LineShapes:
         width0 = float(relax_width(rx.omega31_ghz, rx))
         if width0 < 3.0 * self.grid.step:
             # narrow core, reached only at the grid clamp: pin the discrete
-            # mass to the analytic mass; break points at the core's flanks
-            # keep quad from stepping over it
-            lo, hi = self.grid.lo, self.grid.hi
-            core = 50.0 * width0
-            points = [x for x in (0.0, -rx.omega31_ghz, -core, core) if lo < x < hi]
-            mass = quad(lambda x: float(g_relax(x, rx, form=self.gr_form)),
-                        lo, hi, points=points, limit=400)[0]
-            self.diagnostics["relax_quad"] = True
+            # mass to the analytic mass
+            mass, d_mass_h = _relax_mass(tab, nu, self._relax_c * width0)
+            self.diagnostics["relax_renorm"] = True
             if not mass > 0:
                 raise DomainError(
-                    f"narrow relaxation core: quadrature mass {mass:.3g} is not "
-                    f"positive at zeta = {self.params.zeta_phi_uphi0:.6g} uPhi0 "
-                    f"over the frequency window {lo:.6g}..{hi:.6g} GHz")
+                    f"narrow relaxation core: mass {mass:.3g} is not positive "
+                    f"at zeta = {self.params.zeta_phi_uphi0:.6g} uPhi0 over the "
+                    f"frequency window {nu[0]:.6g}..{nu[-1]:.6g} GHz")
             discrete = float(np.sum(tab)) * self.grid.step
             if discrete > 0:
-                self._relax_norm = (mass, discrete, points)
+                self._relax_norm = (mass, discrete, d_mass_h)
                 tab = tab * (mass / discrete)
         return tab
 
@@ -634,37 +644,35 @@ class LineShapes:
         out[:, self._clipped01] = 0.0
         return out
 
-    def _relax_slopes(self, nu) -> tuple:
-        """Derivatives of the bare relaxation envelope in (nu31, zeta, T).
+    def _relax_table_slopes(self) -> tuple:
+        """Derivatives of :meth:`_relax_table` in (nu31, zeta, T).
 
         g_relax is the Lorentzian h / pi (nu^2 + h^2) of half-width h = c gw,
         with gw = zeta b((nu + nu31) / T) and c = 1 ("standard") or 1/2
         ("half_width")."""
-        rx = self._rx
+        nu = self.grid.values
+        rx, c = self._rx, self._relax_c
         z, t = rx.zeta_ghz, rx.temperature_ghz
         y = (nu + rx.omega31_ghz) / t
         gw = z * balance_factor(y)
-        c = 1.0 if self.gr_form == "standard" else 0.5
         h2 = (c * gw) ** 2
         d_gw = c * (nu * nu - h2) / (math.pi * (nu * nu + h2) ** 2)
         gw_nu31 = z * balance_factor_slope(y) / t
-        return d_gw * gw_nu31, d_gw * gw / z, -d_gw * gw_nu31 * y
-
-    def _relax_table_slopes(self) -> tuple:
-        """Derivatives of :meth:`_relax_table` in (nu31, zeta, T)."""
-        slopes = self._relax_slopes(self.grid.values)
+        slopes = (d_gw * gw_nu31, d_gw * gw / z, -d_gw * gw_nu31 * y)
         if self._relax_norm is None:
             return slopes
-        mass, discrete, points = self._relax_norm
-        tab = g_relax(self.grid.values, self._rx, form=self.gr_form)
-        out = []
-        for k, d in enumerate(slopes):
-            # the quadrature mass moves with the parameters too
-            d_mass = quad(lambda x: float(self._relax_slopes(x)[k]),
-                          self.grid.lo, self.grid.hi, points=points, limit=400)[0]
-            out.append(_renormalized_slope(tab, d, mass, d_mass, discrete,
-                                           self.grid.step))
-        return tuple(out)
+        # the mass moves with the parameters too: through the table and
+        # through the core half-width c gw(0)
+        mass, discrete, d_mass_h = self._relax_norm
+        y0 = rx.omega31_ghz / t
+        h_nu31 = c * z * float(balance_factor_slope(y0)) / t
+        h_slopes = (h_nu31, c * float(balance_factor(y0)), -h_nu31 * y0)
+        tab = g_relax(nu, rx, form=self.gr_form)
+        step = self.grid.step
+        return tuple(
+            _renormalized_slope(tab, d, mass, float(np.sum(d)) * step + d_mass_h * dh,
+                                discrete, step)
+            for d, dh in zip(slopes, h_slopes))
 
     def _first_slopes(self, d01: np.ndarray) -> np.ndarray:
         """d G_03 / d(nu31, W, gamma, zeta, T) on the grid, from the slopes
@@ -818,6 +826,10 @@ def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L",
     one build over their folded window; right-well initialization is the
     mirror image of the left."""
     phi = np.atleast_1d(np.asarray(phi_x, dtype=float))
+    if phi.size == 0:
+        raise ValidationError("no flux biases given")
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("flux biases must be finite")
     folded = -phi if _check_well(init_well) == "R" else phi
     shapes = LineShapes(params, float(folded.min()), float(folded.max()),
                         gr_form=gr_form)

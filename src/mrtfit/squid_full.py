@@ -22,6 +22,8 @@ vanishes linearly with the grid step, so the amplitudes are extracted
 instead from avoided-crossing gaps of the untruncated spectrum, which is
 the grid-converged equivalent (splitting at degeneracy for the ground
 pair, minimal gap at the excited-state resonance for the first peak).
+The minimal gap is the vertex of gap^2, a parabola in the bias near the
+crossing, found from seven solves without an iterative search.
 """
 
 from __future__ import annotations
@@ -194,9 +196,6 @@ class WellBasis:
     voltage_v: np.ndarray             # (2 n, 2 n), magnitudes
     delta_ghz: dict                   # {(0,1): ..., (0,3): ...}
 
-    def state_index(self, well: str, k: int) -> int:
-        return 2 * k + (1 if well == "R" else 0)
-
     @property
     def omega31_ghz(self) -> FreqGHz:
         """Level spacing E_3 - E_1 of the target (right) well, as E/h."""
@@ -214,7 +213,9 @@ def solve_wells(pot: EffectivePotential, c_f: float, n_levels: int = 2,
     Returns the lowest ``n_levels`` states per well with energies,
     current and voltage matrix elements, and (optionally) the tunneling
     amplitudes for the (0,1) and (0,3) pairs from avoided-crossing gaps
-    of the untruncated spectrum.
+    of the untruncated spectrum.  The (0,3) crossing is sought from this
+    basis's level spacing and persistent current, the degeneracy values
+    when ``pot`` is at zero bias.
     """
     if n_levels < 2:
         raise ValidationError("need at least two levels per well")
@@ -250,21 +251,15 @@ def solve_wells(pot: EffectivePotential, c_f: float, n_levels: int = 2,
                        CONSTANTS.hbar / (c_f * CONSTANTS.Phi0) * np.abs(psi @ dpsi.T),
                        0.0)
 
-    deltas = {}
+    basis = WellBasis(potential=pot, n_levels=n_levels, energies_ghz=energies,
+                      wavefunctions=psi, current_a=current, voltage_v=voltage,
+                      delta_ghz={})
     if compute_amplitudes:
-        deltas[(0, 1)] = ground_pair_splitting(pot.params, c_f, n_points=n,
-                                               half_span=_half_span_of(pot))
-        omega31 = energies[3] - energies[1]
-        deltas[(0, 3)], _ = excited_crossing_gap(
-            pot.params, c_f, omega31, n_points=n, half_span=_half_span_of(pot))
-
-    return WellBasis(potential=pot, n_levels=n_levels, energies_ghz=energies,
-                     wavefunctions=psi, current_a=current, voltage_v=voltage,
-                     delta_ghz=deltas)
-
-
-def _half_span_of(pot: EffectivePotential) -> float:
-    return (pot.y[-1] - pot.y[0] + pot.step) / 2.0
+        half_span = (y[-1] - y[0] + dy) / 2.0
+        basis.delta_ghz[(0, 1)] = ground_pair_splitting(pot.params, c_f, n, half_span)
+        basis.delta_ghz[(0, 3)], _ = excited_crossing_gap(
+            pot.params, c_f, basis.omega31_ghz, basis.ip_a, n, half_span)
+    return basis
 
 
 def full_spectrum(params: RfSquidParams, c_f: float, n_levels: int,
@@ -287,106 +282,43 @@ def ground_pair_splitting(params: RfSquidParams, c_f: float,
 
 
 def excited_crossing_gap(params: RfSquidParams, c_f: float,
-                         omega31_ghz: float,
+                         omega31_ghz: float, ip_a: float,
                          n_points: int = DEFAULT_GRID_POINTS,
                          half_span: float = DEFAULT_HALF_SPAN) -> tuple:
     """Tunneling amplitude into the excited target state and the resonance
     bias: minimal avoided-crossing gap of levels 1 and 2 near the bias
     where the initial ground state aligns with the excited state.
 
+    Near the crossing the gap is a hyperbola in the bias, so gap^2 is a
+    parabola.  Its vertex through three solves at the linear guess
+    omega31 / 2 I_p and at +-5 % of it is refined once through three solves
+    at 1/20 of that spacing, and the gap is solved at the final vertex:
+    seven solves.  ``ip_a`` is the persistent current of the caller's well
+    basis.
+
     Returns (delta03_ghz, phi31_uphi0).
     """
-    pot0 = effective_potential(dc_replace(params, phi_x_uphi0=0.0),
-                               n_points, half_span)
-    basis_free = solve_wells(pot0, c_f, n_levels=2, compute_amplitudes=False)
-    ip = persistent_current(basis_free)
-    phi_guess = energy_to_flux(omega31_ghz, ip)
+    phi_guess = energy_to_flux(omega31_ghz, ip_a)
+    lo, hi = 0.7 * phi_guess, 1.3 * phi_guess
 
     def gap(phi):
         ev = full_spectrum(dc_replace(params, phi_x_uphi0=float(phi)), c_f, 3,
                            n_points, half_span)
         return float(ev[2] - ev[1])
 
-    lo, hi = 0.7 * phi_guess, 1.3 * phi_guess
-    phi31, gap_min = _fminbound(gap, lo, hi, xatol=0.02)
-    if phi31 - lo < 1.0 or hi - phi31 < 1.0:
-        raise ConvergenceError(
-            f"avoided-crossing search ended at the bracket edge "
-            f"(phi = {phi31:.1f} uPhi0 in [{lo:.1f}, {hi:.1f}])")
-    return FreqGHz(gap_min), FluxUPhi0(phi31)
-
-
-def _fminbound(func, a: float, b: float, xatol: float,
-               maxfun: int = 500) -> tuple:
-    """Minimize ``func`` on [a, b] by Brent's bounded method; returns
-    (x, func(x)).
-
-    A port of scipy's ``minimize_scalar(method="bounded")`` with the same
-    constants, steps and stopping rule, so it returns the same x and value
-    bit for bit without importing ``scipy.optimize``.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:            # try a parabolic step
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf + (step if rat >= 0 else -step)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return float(xf), float(fx)
+    phi31, spacing = phi_guess, 0.05 * phi_guess
+    for _ in range(2):
+        below, at, above = (gap(phi31 + k * spacing) ** 2 for k in (-1, 0, 1))
+        curvature = below - 2.0 * at + above
+        vertex = (phi31 - 0.5 * spacing * (above - below) / curvature
+                  if curvature > 0 else math.nan)
+        if not lo < vertex < hi:
+            raise ConvergenceError(
+                f"avoided-crossing search failed: gap^2 about {phi31:.1f} uPhi0 "
+                f"has curvature {curvature:.3g} GHz^2 and vertex {vertex:.1f} "
+                f"uPhi0, outside [{lo:.1f}, {hi:.1f}]")
+        phi31, spacing = vertex, spacing / 20.0
+    return FreqGHz(gap(phi31)), FluxUPhi0(phi31)
 
 
 def persistent_current(basis: WellBasis) -> float:
@@ -453,7 +385,7 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     ip = persistent_current(basis0)
     delta01 = ground_pair_splitting(params, params.c_f, n_points, half_span)
     omega31_0 = basis0.omega31_ghz
-    delta03, phi31 = excited_crossing_gap(params, params.c_f, omega31_0,
+    delta03, phi31 = excited_crossing_gap(params, params.c_f, omega31_0, ip,
                                           n_points, half_span)
 
     # resonance-bias basis for the intrawell quantities

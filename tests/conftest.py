@@ -21,6 +21,14 @@ REF = dict(
     ip_a=1.37e-6,
 )
 
+# REF with a narrow relaxation core, below three grid steps at the clamp, on
+# which a renormalization by quadrature once stepped over the core and
+# returned a negative mass
+NARROW_CORE = dict(delta01_ghz=1.6895e-3, delta03_ghz=4.3576e-2,
+                   phi31_uphi0=2400.29, w_phi_uphi0=55.347,
+                   gamma_phi_uphi0=0.083785, zeta_phi_uphi0=0.020241,
+                   temperature_k=11.205e-3)
+
 REF_CIRCUIT = dict(ic_a=2.30e-6, l_h=250e-12, c_f=110e-15, phi_cjj_x=-0.74)
 
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrtfit
 from mrtfit import (
     FitConfig,
     MrtParams,
@@ -19,7 +24,7 @@ from mrtfit.fitter import PARAM_NAMES, _Objective, _to_x
 from mrtfit.rate_model import FIT_PARAMS, SHAPE_FIELDS
 from mrtfit.units import noise_summary
 
-from conftest import REF
+from conftest import NARROW_CORE, REF
 
 IP = REF["ip_a"]
 FIELD = {q.name: q.field for q in FIT_PARAMS}
@@ -321,17 +326,22 @@ def test_fit_config_rejects_bad_values(overrides):
         FitConfig(**overrides)
 
 
-def test_fit_without_quadrature(ref_params, monkeypatch):
-    # the physics-set grid resolves the REF relaxation core, so no build of
-    # a noisy REF fit needs the narrow-core quadrature
-    import mrtfit.rate_model as rate_model
-
-    def no_quad(*args, **kwargs):
-        raise AssertionError("quad called")
-
-    monkeypatch.setattr(rate_model, "quad", no_quad)
-    result = fit(synth_dataset(ref_params, seed=5))
-    assert result.converged
+def test_narrow_core_curve_loads_no_integrator_or_optimizer():
+    # the narrow relaxation core has its mass in closed form, so a curve
+    # at the grid clamp needs neither scipy.integrate nor scipy.optimize
+    code = (
+        "import sys, numpy as np\n"
+        "from mrtfit import MrtParams, simulate_curve\n"
+        f"p = MrtParams(**{dict(REF, **NARROW_CORE)!r})\n"
+        "simulate_curve(np.linspace(-720.09, 3480.42, 200), p)\n"
+        "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))")
+    src = str(Path(mrtfit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == ""
 
 
 def test_fit_rejects_guess_outside_bounds(ref_params):

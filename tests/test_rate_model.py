@@ -9,6 +9,7 @@ from mrtfit import (
     FrequencyGrid,
     LineShapes,
     MrtParams,
+    peak_rates,
     rate_01,
     rate_03,
     simulate_curve,
@@ -20,7 +21,7 @@ from mrtfit.errors import DomainError, ValidationError
 from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
 
 import oracles
-from conftest import REF
+from conftest import NARROW_CORE, REF
 from oracles import convolve
 
 
@@ -339,10 +340,10 @@ def test_ref_grid_is_set_by_the_physics(ref_params):
 def test_diagnostics_report_grid_and_short_cuts(ref_params):
     d = LineShapes(ref_params, -500.0, 3000.0).diagnostics
     assert d["step"] <= d["step_wanted"]
-    assert not d["clamped"] and not d["relax_quad"] and not d["gaussian_as_delta"]
+    assert not d["clamped"] and not d["relax_renorm"] and not d["gaussian_as_delta"]
     d = LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42).diagnostics
     assert d["n"] == rate_model.GRID_MAX_POINTS and d["step"] > d["step_wanted"]
-    assert d["clamped"] and d["relax_quad"]
+    assert d["clamped"] and d["relax_renorm"]
 
 
 def test_simulate_curve_validation(ref_params):
@@ -350,6 +351,15 @@ def test_simulate_curve_validation(ref_params):
         simulate_curve(np.array([2.0, 1.0]), ref_params)
     with pytest.raises(ValidationError):
         total_rate(0.0, ref_params, init_well="X")
+
+
+@pytest.mark.parametrize("func", [peak_rates, total_rate, rate_01, rate_03])
+def test_non_finite_or_empty_biases_rejected(ref_params, func):
+    for bad in (math.nan, [0.0, math.inf], [-math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            func(bad, ref_params)
+    with pytest.raises(ValidationError, match="no flux biases"):
+        func(np.array([]), ref_params)
 
 
 def test_eval_outside_tabulated_span_raises(ref_params):
@@ -376,14 +386,6 @@ def test_local_cubic_reproduces_nodes_and_tracks_spline(ref_params):
         np.testing.assert_allclose(got[mask], spline[mask], rtol=1e-7)
 
 
-# REF with a narrow relaxation core on which the renormalization quadrature
-# once stepped over the core and returned a negative mass
-NARROW_CORE = dict(delta01_ghz=1.6895e-3, delta03_ghz=4.3576e-2,
-                   phi31_uphi0=2400.29, w_phi_uphi0=55.347,
-                   gamma_phi_uphi0=0.083785, zeta_phi_uphi0=0.020241,
-                   temperature_k=11.205e-3)
-
-
 def test_narrow_relaxation_core_gives_finite_positive_rates():
     p = make_params(**NARROW_CORE)
     curve = simulate_curve(np.linspace(-720.09, 3480.42, 200), p)
@@ -392,11 +394,32 @@ def test_narrow_relaxation_core_gives_finite_positive_rates():
 
 
 def test_nonpositive_relaxation_core_mass_raises(monkeypatch):
-    import mrtfit.rate_model as rate_model
-
-    monkeypatch.setattr(rate_model, "quad", lambda *args, **kwargs: (-1e-6, 0.0))
+    monkeypatch.setattr(rate_model, "_relax_mass", lambda *args: (-1e-6, 0.0))
     with pytest.raises(DomainError, match="zeta"):
         LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42)
+
+
+@pytest.mark.parametrize("overrides, window", [
+    (NARROW_CORE, (-720.09, 3480.42)),
+    ({"zeta_phi_uphi0": 0.001}, (-500.0, 3000.0)),
+    ({"zeta_phi_uphi0": 0.01}, (-500.0, 3000.0)),
+    ({"zeta_phi_uphi0": 0.1}, (-500.0, 3000.0)),
+], ids=["narrow core", "zeta 0.001", "zeta 0.01", "zeta 0.1"])
+def test_closed_form_relaxation_mass_matches_quadrature(overrides, window):
+    from scipy.integrate import quad
+
+    from mrtfit.envelopes import g_relax, relax_width
+
+    shapes = LineShapes(make_params(**overrides), *window)
+    rx, nu = shapes._rx, shapes.grid.values
+    width0 = float(relax_width(rx.omega31_ghz, rx))
+    points = [x for x in (0.0, -rx.omega31_ghz, -width0, width0,
+                          -50.0 * width0, 50.0 * width0) if nu[0] < x < nu[-1]]
+    for form, c in (("standard", 1.0), ("half_width", 0.5)):
+        mass, _ = rate_model._relax_mass(g_relax(nu, rx, form=form), nu, c * width0)
+        expect, _ = quad(lambda x: float(g_relax(x, rx, form=form)), nu[0], nu[-1],
+                         points=points, limit=400, epsabs=1e-13, epsrel=1e-13)
+        assert abs(mass - expect) < 1e-9, form
 
 
 def test_incoherent_validity_warning():

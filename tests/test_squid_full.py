@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from mrtfit import (
     FullModelNoise,
@@ -15,9 +16,10 @@ from mrtfit import (
     simulate_curve,
     solve_wells,
 )
-from mrtfit.errors import SingleWellError, ValidationError
+from mrtfit.errors import ConvergenceError, SingleWellError, ValidationError
 from mrtfit.rate_model import LineShapes
-from mrtfit.squid_full import _fminbound, excited_crossing_gap, full_spectrum
+import mrtfit.squid_full as squid_full
+from mrtfit.squid_full import excited_crossing_gap, full_spectrum
 from mrtfit.units import CONSTANTS, energy_to_flux, flux_to_energy
 
 import oracles
@@ -172,7 +174,7 @@ def test_level_spacing_reference(basis):
     # and with the solver's own persistent current and resonance bias
     ip = persistent_current(basis)
     d03, phi31 = excited_crossing_gap(RfSquidParams(**REF_CIRCUIT),
-                                      REF_CIRCUIT["c_f"], omega31)
+                                      REF_CIRCUIT["c_f"], omega31, ip)
     self_anchor = flux_to_energy(phi31, ip)
     assert abs(omega31 - self_anchor) / self_anchor < 0.10
     assert phi31 == pytest.approx(2212.0, abs=2.0)
@@ -190,37 +192,62 @@ def test_tunneling_amplitudes_reference(basis):
     assert 0.1 < ratio < 10.0
 
 
-def _crossing_gap(circuit):
-    """The avoided-crossing gap that ``excited_crossing_gap`` minimizes on
-    the reference circuit, with its search bracket."""
-    def gap(phi):
-        ev = full_spectrum(replace(circuit, phi_x_uphi0=float(phi)),
-                           circuit.c_f, 3)
-        return float(ev[2] - ev[1])
-
-    pot0 = effective_potential(circuit)
-    basis0 = solve_wells(pot0, circuit.c_f, n_levels=2, compute_amplitudes=False)
-    phi_guess = energy_to_flux(basis0.omega31_ghz, persistent_current(basis0))
-    return gap, (0.7 * phi_guess, 1.3 * phi_guess), 0.02
-
-
-@pytest.mark.parametrize("case", ["crossing_gap", "quartic", "cosine"])
-def test_fminbound_equals_scipy_bounded_brent(circuit, case):
+@pytest.mark.parametrize("phi_cjj_x", [-0.735, -0.74, -0.745, -0.75, -0.755, -0.76])
+def test_crossing_vertex_matches_a_tight_bounded_search(phi_cjj_x, monkeypatch):
     from scipy.optimize import minimize_scalar
 
-    if case == "crossing_gap":
-        func, bounds, xatol = _crossing_gap(circuit)
-    elif case == "quartic":
-        func, bounds, xatol = (lambda x: (x - 2) * x * (x + 2) ** 2,
-                               (-3.0, -1.0), 1e-5)
+    circuit = RfSquidParams(**dict(REF_CIRCUIT, phi_cjj_x=phi_cjj_x))
+    basis0 = solve_wells(effective_potential(circuit), circuit.c_f,
+                         compute_amplitudes=False)
+
+    def gap(phi):
+        ev = full_spectrum(replace(circuit, phi_x_uphi0=float(phi)), circuit.c_f, 3)
+        return float(ev[2] - ev[1])
+
+    guess = energy_to_flux(basis0.omega31_ghz, basis0.ip_a)
+    ref = minimize_scalar(gap, bounds=(0.7 * guess, 1.3 * guess), method="bounded",
+                          options={"xatol": 1e-7})
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return full_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(squid_full, "full_spectrum", counted)
+    d03, phi31 = excited_crossing_gap(circuit, circuit.c_f, basis0.omega31_ghz,
+                                      basis0.ip_a)
+    assert abs(phi31 - ref.x) <= 1e-3
+    assert abs(d03 / ref.fun - 1.0) <= 1e-7
+    assert len(calls) <= 7
+
+
+@pytest.mark.parametrize("factor", [0.5, 10.0])
+def test_crossing_search_outside_its_bracket_raises(circuit, basis, factor):
+    # at half the spacing the vertex lies above 1.3 times the guess; at ten
+    # times it, far from any crossing, gap^2 curves downward
+    with pytest.raises(ConvergenceError, match="avoided-crossing"):
+        excited_crossing_gap(circuit, circuit.c_f, factor * basis.omega31_ghz,
+                             basis.ip_a)
+
+
+@pytest.mark.parametrize("path, solves", [("fixed", 12), ("squid", 10)])
+def test_degeneracy_wells_are_solved_once(circuit, monkeypatch, path, solves):
+    # wells at zero bias 2, ground pair 1, crossing 7, and for the rate
+    # curve the wells at the resonance bias 2
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(squid_full, "eigh_tridiagonal", counted)
+    if path == "fixed":
+        noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
+                               tan_delta_c=2.07e-3, temperature_k=7.3e-3)
+        full_model_rate(circuit, noise, np.linspace(0.0, 100.0, 5))
     else:
-        func, bounds, xatol = (lambda x: -math.cos(x) * math.exp(-0.1 * x),
-                               (0.5, 6.0), 1e-3)
-    res = minimize_scalar(func, bounds=bounds, method="bounded",
-                          options={"xatol": xatol})
-    x, fx = _fminbound(func, *bounds, xatol=xatol)
-    assert x == float(res.x)
-    assert fx == float(res.fun)
+        solve_wells(effective_potential(circuit), circuit.c_f)
+    assert len(calls) == solves
 
 
 def test_grid_convergence_energies_and_splitting(circuit):
@@ -248,8 +275,8 @@ def test_harmonic_v31_arithmetic():
         harmonic_v31(-1.0, 110e-15)
 
 
-def test_harmonic_v31_matches_numerical_matrix_element(circuit):
-    d03, phi31 = excited_crossing_gap(circuit, circuit.c_f, 16.354)
+def test_harmonic_v31_matches_numerical_matrix_element(circuit, basis):
+    d03, phi31 = excited_crossing_gap(circuit, circuit.c_f, 16.354, basis.ip_a)
     pot = effective_potential(replace(circuit, phi_x_uphi0=phi31))
     b = solve_wells(pot, circuit.c_f, n_levels=2, compute_amplitudes=False)
     v_num = b.voltage_v[1, 3]
