@@ -15,6 +15,7 @@ loads no scipy module and only ``fit`` and ``batch`` load
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -200,7 +201,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    from .fitter import RateDataset, batch_fit
+    from .fitter import batch_fit
 
     cfg = _load_config(args)
     files = sorted(Path(args.data_dir).glob("*.csv"))
@@ -210,9 +211,7 @@ def cmd_batch(args) -> int:
     for f in files:
         ds = dataio.load_dataset(f)
         if ds.qubit_id is None:
-            ds = RateDataset(phi_x=ds.phi_x, rate=ds.rate, ip_a=ds.ip_a,
-                             sigma_rel=ds.sigma_rel, well=ds.well,
-                             qubit_id=f.stem)
+            ds = dataclasses.replace(ds, qubit_id=f.stem)
         datasets.append(ds)
     out_dir = _out_dir(args)
     fit_cfg = cfg.fit_config()

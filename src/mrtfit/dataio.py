@@ -34,7 +34,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -339,12 +339,6 @@ def report_from_fit(result: FitResult, config: FitConfig,
             (None if math.isinf(sigma) else float(sigma * q.scale)),
             "fitted": q.name in result.param_order,
         }
-    derived = {
-        "eta": result.derived.eta,
-        "r_shunt_ohm": result.derived.r_shunt_ohm,
-        "tan_delta_c": result.derived.tan_delta_c,
-        "tan_delta_l_at": [[w, v] for w, v in result.derived.tan_delta_l_at],
-    }
     return {
         "format": REPORT_TAG,
         "provenance": {
@@ -368,7 +362,7 @@ def report_from_fit(result: FitResult, config: FitConfig,
         "covariance": {"order": list(result.param_order),
                        "matrix": [[float(x) for x in row]
                                   for row in result.covariance]},
-        "derived": derived,
+        "derived": asdict(result.derived),
     }
 
 
@@ -381,25 +375,25 @@ def load_report(path) -> dict:
     """Load a report and re-derive the noise metrics from the stored
     best-fit parameters; a mismatch means the file was edited or the
     producing version disagrees, and is an error."""
+    from .rate_model import FIT_PARAMS
+
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     if report.get("format") != REPORT_TAG:
         raise ReportError(f"{path}: not a {REPORT_TAG} file")
-    best = report["best_fit"]
+    best = {q.name: report["best_fit"][q.label]["value"] * (1.0 / q.scale)
+            for q in FIT_PARAMS}
     fixed = report["fixed"]
     summary = noise_summary(
-        gamma_phi=best["gamma_phi_uphi0"]["value"],
-        zeta_phi=best["zeta_phi_uphi0"]["value"],
-        phi31=best["phi31_uphi0"]["value"],
+        gamma_phi=best["gamma_phi"],
+        zeta_phi=best["zeta_phi"],
+        phi31=best["phi31"],
         ip=fixed["ip_ua"] * 1e-6,
         inductance=fixed["inductance_ph"] * 1e-12,
-        temperature=best["temperature_mk"]["value"] * 1e-3,
+        temperature=best["temperature"],
         omegas=tuple(w for w, _ in report["derived"]["tan_delta_l_at"]))
     stored = report["derived"]
-    checks = [
-        ("eta", summary.eta, stored["eta"]),
-        ("r_shunt_ohm", summary.r_shunt_ohm, stored["r_shunt_ohm"]),
-        ("tan_delta_c", summary.tan_delta_c, stored["tan_delta_c"]),
-    ]
+    checks = [(name, getattr(summary, name), stored[name])
+              for name in ("eta", "r_shunt_ohm", "tan_delta_c")]
     for (w, v), (w_s, v_s) in zip(summary.tan_delta_l_at,
                                   stored["tan_delta_l_at"]):
         checks.append((f"tan_delta_l({w_s:.3e})", v, v_s))

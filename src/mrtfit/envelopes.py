@@ -36,43 +36,40 @@ _EXCESS_SERIES_CUTOFF = 0.1
 _EXP_CUTOFF = 30.0
 
 
+def _piecewise(x, small, pos, neg, mid):
+    """Evaluate a function of x by pieces: ``small`` below |x| < 1e-6,
+    ``pos`` above x > 30, ``neg`` below x < -30 and ``mid`` elsewhere, each
+    a function of the masked x."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    is_small = np.abs(x) < _SERIES_CUTOFF
+    is_neg = x < -_EXP_CUTOFF
+    is_pos = x > _EXP_CUTOFF
+    is_mid = ~(is_small | is_neg | is_pos)
+    for mask, piece in ((is_small, small), (is_pos, pos), (is_neg, neg), (is_mid, mid)):
+        out[mask] = piece(x[mask])
+    return out
+
+
 def thermal_enhancement(x):
     """x / (1 - exp(-x)) with the removable singularity at x = 0.
 
     Stable for any real x: series below |x| < 1e-6, asymptotics beyond
     |x| > 30 where the naive expression overflows or cancels.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SERIES_CUTOFF
-    neg = x < -_EXP_CUTOFF
-    pos = x > _EXP_CUTOFF
-    mid = ~(small | neg | pos)
-    xs = x[small]
-    out[small] = 1.0 + xs / 2.0 + xs * xs / 12.0
-    out[pos] = x[pos]
-    out[neg] = -x[neg] * np.exp(x[neg])
-    xm = x[mid]
-    out[mid] = xm / (-np.expm1(-xm))
-    return out
+    return _piecewise(x, lambda s: 1.0 + s / 2.0 + s * s / 12.0,
+                      lambda p: p,
+                      lambda n: -n * np.exp(n),
+                      lambda m: m / (-np.expm1(-m)))
 
 
 def balance_factor(x):
     """tanh(x) / (1 - exp(-x)), the detailed-balance weight of the
     intrawell relaxation rate, with the x = 0 singularity removed."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SERIES_CUTOFF
-    neg = x < -_EXP_CUTOFF
-    pos = x > _EXP_CUTOFF
-    mid = ~(small | neg | pos)
-    xs = x[small]
-    out[small] = 1.0 + xs / 2.0 - xs * xs / 4.0
-    out[pos] = 1.0
-    out[neg] = np.exp(x[neg])
-    xm = x[mid]
-    out[mid] = np.tanh(xm) / (-np.expm1(-xm))
-    return out
+    return _piecewise(x, lambda s: 1.0 + s / 2.0 - s * s / 4.0,
+                      lambda p: 1.0,
+                      np.exp,
+                      lambda m: np.tanh(m) / (-np.expm1(-m)))
 
 
 def thermal_excess(y) -> tuple:

@@ -578,9 +578,6 @@ def _fit_one(args):
     dataset, config = args
     try:
         return fit(dataset, config)
-    except ConvergenceError as exc:
-        # keep the best-so-far result but mark it
-        return exc
     except Exception as exc:   # noqa: BLE001  - isolate any per-qubit failure
         return exc
 

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import erf, wofz
+from scipy.special import wofz
 
 from .envelopes import (
     HighFreqBroadening,
@@ -77,7 +77,8 @@ from .envelopes import (
     thermal_excess,
 )
 from .errors import DomainError, ModelValidityWarning, ValidationError
-from .units import FluxUPhi0, FreqGHz, TempK, flux_to_energy, kelvin_to_ghz
+from .units import (FluxUPhi0, FreqGHz, TempK, energy_to_flux, flux_to_energy,
+                    kelvin_to_ghz)
 
 GRID_MIN_POINTS = 2**8 + 1
 GRID_MAX_POINTS = 2**18 + 1
@@ -427,8 +428,7 @@ class LineShapes:
     """
 
     def __init__(self, params: MrtParams, phi_lo: float, phi_hi: float,
-                 gr_form: str = "standard",
-                 n_min: int = GRID_MIN_POINTS, n_max: int = GRID_MAX_POINTS):
+                 gr_form: str = "standard", n_min: int = GRID_MIN_POINTS):
         if phi_lo > phi_hi:
             phi_lo, phi_hi = phi_hi, phi_lo
         self.params = params
@@ -457,9 +457,9 @@ class LineShapes:
         # aliasing of the sampled relaxation core is exp(-2 pi width0 / step)
         step_want = min(w / 16.0, 2.0 * t / 3.0)
         if self._rx is not None:
-            width0 = float(relax_width(nu31, self._rx))
-            step_want = min(step_want, width0 / 3.0)
-        self.grid = FrequencyGrid.build(lo, hi, step_want, n_min, n_max)
+            self._width0 = float(relax_width(nu31, self._rx))
+            step_want = min(step_want, self._width0 / 3.0)
+        self.grid = FrequencyGrid.build(lo, hi, step_want, n_min)
         self.diagnostics = {"n": len(self.grid), "step": self.grid.step,
                             "step_wanted": step_want,
                             "clamped": self.grid.step > step_want,
@@ -474,32 +474,15 @@ class LineShapes:
 
     # ---- table assembly -------------------------------------------------
 
-    def _gaussian_parts(self) -> tuple:
-        """Bare Gaussian table, its analytic mass over the grid window and
-        its discrete mass."""
-        lf = self._lf
-        tab = g_low(self.grid.values, lf)
-        rt2w = math.sqrt(2.0) * lf.width_ghz
-        mass = 0.5 * (erf((self.grid.hi - lf.shift_ghz) / rt2w)
-                      - erf((self.grid.lo - lf.shift_ghz) / rt2w))
-        return tab, mass, float(np.sum(tab)) * self.grid.step
-
-    def _gaussian_table(self) -> np.ndarray:
-        """Low-frequency Gaussian, renormalized so its discrete mass equals
-        the analytic mass over the grid window (matters only when the
-        width is near the grid step)."""
-        tab, mass, discrete = self._gaussian_parts()
-        if discrete > 0:
-            tab = tab * (mass / discrete)
-        return tab
-
     def _build_zeroth(self) -> np.ndarray:
-        """G_01 on the grid: Voigt core plus convolved thermal correction."""
+        """G_01 on the grid: Voigt core plus convolved thermal correction.
+        The sampled Gaussian's mass is exact to 1e-19 at W >= 1.5 steps."""
         grid = self.grid
         nu = grid.values
         lf, hf = self._lf, self._hf
+        self._gauss = g_low(nu, lf)
         if hf is None:
-            return g_low(nu, lf)
+            return self._gauss
         g = hf.gamma_ghz
         t = hf.temperature_ghz
         w = lf.width_ghz
@@ -516,7 +499,7 @@ class LineShapes:
             self._conv01 = _Convolution(grid, ext)
             self._nu_ext = (np.arange(-ext, len(grid)) - grid.index_of_zero) * grid.step
             self._rem_spec = self._conv01.spectrum(_ohmic_remainder(self._nu_ext, g, t))
-            self._gauss_spec = self._conv01.spectrum(self._gaussian_table())
+            self._gauss_spec = self._conv01.spectrum(self._gauss)
             corr = self._conv01.back(self._rem_spec * self._gauss_spec)
         else:
             # Gaussian narrower than the grid: treat it as a delta at the
@@ -530,11 +513,10 @@ class LineShapes:
         nu = self.grid.values
         rx = self._rx
         tab = g_relax(nu, rx, form=self.gr_form)
-        width0 = float(relax_width(rx.omega31_ghz, rx))
-        if width0 < 3.0 * self.grid.step:
+        if self._width0 < 3.0 * self.grid.step:
             # narrow core, reached only at the grid clamp: pin the discrete
             # mass to the analytic mass
-            mass, d_mass_h = _relax_mass(tab, nu, self._relax_c * width0)
+            mass, d_mass_h = _relax_mass(tab, nu, self._relax_c * self._width0)
             self.diagnostics["relax_renorm"] = True
             if not mass > 0:
                 raise DomainError(
@@ -542,9 +524,8 @@ class LineShapes:
                     f"at zeta = {self.params.zeta_phi_uphi0:.6g} uPhi0 over the "
                     f"frequency window {nu[0]:.6g}..{nu[-1]:.6g} GHz")
             discrete = float(np.sum(tab)) * self.grid.step
-            if discrete > 0:
-                self._relax_norm = (mass, discrete, d_mass_h)
-                tab = tab * (mass / discrete)
+            self._relax_norm = (tab, mass, discrete, d_mass_h)
+            tab = tab * (mass / discrete)
         return tab
 
     def _build_first(self) -> np.ndarray | None:
@@ -566,10 +547,9 @@ class LineShapes:
         side the rounding residue of G_01's far tail.
         """
         rx = self._rx
-        width0 = float(relax_width(rx.omega31_ghz, rx))
         reach = max(-self.grid.lo, self.grid.hi)
         return min(0.5 / rx.temperature_ghz,
-                   2.0 * math.log(max(rx.omega31_ghz / width0, 1.0)) / rx.omega31_ghz,
+                   2.0 * math.log(max(rx.omega31_ghz / self._width0, 1.0)) / rx.omega31_ghz,
                    _TILT_REACH / reach)
 
     @staticmethod
@@ -577,29 +557,14 @@ class LineShapes:
         if table is None:
             return None
         floor = table.max() * TABLE_FLOOR
-        return np.log(np.maximum(table, floor))
+        # an all-zero table (peak_rates rejects it) logs to -inf silently
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(table, floor))
 
     # ---- sensitivity tables ---------------------------------------------
     # Derivatives in the internal parameters (nu31, W, gamma, zeta, T), all
     # in GHz, one row per parameter, on the fixed grid of this build.  The
     # FDT shift eps_p = W^2 / 2T enters through W and T.
-
-    def _gaussian_table_slopes(self) -> tuple:
-        """Derivatives of :meth:`_gaussian_table` in the shift and in the
-        width at fixed shift, renormalization included."""
-        lf = self._lf
-        w, sh = lf.width_ghz, lf.shift_ghz
-        step = self.grid.step
-        tab, mass, discrete = self._gaussian_parts()
-        d_sh, d_w = _gauss_slopes(tab, self.grid.values - sh, w)
-        if not discrete > 0:
-            return d_sh, d_w
-        edges = np.array([self.grid.lo, self.grid.hi])
-        pdf = g_low(edges, lf)
-        m_sh = pdf[0] - pdf[1]
-        m_w = ((edges[0] - sh) * pdf[0] - (edges[1] - sh) * pdf[1]) / w
-        return (_renormalized_slope(tab, d_sh, mass, m_sh, discrete, step),
-                _renormalized_slope(tab, d_w, mass, m_w, discrete, step))
 
     def _zeroth_slopes(self) -> np.ndarray:
         """d G_01 / d(nu31, W, gamma, zeta, T) on the grid."""
@@ -608,8 +573,8 @@ class LineShapes:
         w, t, sh = lf.width_ghz, lf.temperature_ghz, lf.shift_ghz
         sh_w, sh_t = w / t, -sh / t
         out = np.zeros((len(SHAPE_FIELDS), len(nu)))
+        d_sh, d_w = _gauss_slopes(self._gauss, nu - sh, w)
         if hf is None:
-            d_sh, d_w = _gauss_slopes(self._table01, nu - sh, w)
             out[_W] = d_w + sh_w * d_sh
             out[_T] = sh_t * d_sh
             return out
@@ -631,7 +596,7 @@ class LineShapes:
         if self._conv01 is not None:
             conv = self._conv01
             _, rem_g, rem_t = _ohmic_remainder_slopes(self._nu_ext, g, t)
-            gauss_sh, gauss_w = (conv.spectrum(d) for d in self._gaussian_table_slopes())
+            gauss_sh, gauss_w = conv.spectrum(d_sh), conv.spectrum(d_w)
             out[_W] += conv.back(self._rem_spec * (gauss_w + sh_w * gauss_sh))
             out[_GAM] += conv.back(conv.spectrum(rem_g) * self._gauss_spec)
             out[_T] += conv.back(conv.spectrum(rem_t) * self._gauss_spec
@@ -663,11 +628,10 @@ class LineShapes:
             return slopes
         # the mass moves with the parameters too: through the table and
         # through the core half-width c gw(0)
-        mass, discrete, d_mass_h = self._relax_norm
+        tab, mass, discrete, d_mass_h = self._relax_norm
         y0 = rx.omega31_ghz / t
         h_nu31 = c * z * float(balance_factor_slope(y0)) / t
         h_slopes = (h_nu31, c * float(balance_factor(y0)), -h_nu31 * y0)
-        tab = g_relax(nu, rx, form=self.gr_form)
         step = self.grid.step
         return tuple(
             _renormalized_slope(tab, d, mass, float(np.sum(d)) * step + d_mass_h * dh,
@@ -833,6 +797,12 @@ def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L",
     folded = -phi if _check_well(init_well) == "R" else phi
     shapes = LineShapes(params, float(folded.min()), float(folded.max()),
                         gr_form=gr_form)
+    if not shapes._table01.max() > 0:
+        centre = energy_to_flux(shapes._lf.shift_ghz, params.ip_a)
+        raise DomainError(
+            f"every zeroth-peak node is clipped: its centre W^2/2T = {centre:.6g} uPhi0 "
+            f"(W = {params.w_phi_uphi0:.6g} uPhi0, T = {params.temperature_k:.6g} K) lies "
+            f"far above the folded bias window {folded.min():.6g}..{folded.max():.6g} uPhi0")
     return shapes.rates(folded)
 
 

@@ -362,6 +362,16 @@ def test_non_finite_or_empty_biases_rejected(ref_params, func):
         func(np.array([]), ref_params)
 
 
+@pytest.mark.parametrize("func", [peak_rates, total_rate, rate_01, rate_03,
+                                  simulate_curve])
+def test_zeroth_peak_centre_far_above_the_grid_rejected(ref_params, func):
+    # W^2 / 2T sits so far above the grid that every zeroth-peak node is
+    # clipped; the rates would be NaN
+    p = replace(ref_params, w_phi_uphi0=600.0, temperature_k=5e-3)
+    with pytest.raises(DomainError, match=r"W\^2/2T = 14773.6 uPhi0 \(W = 600 uPhi0"):
+        func(np.linspace(-500.0, 3000.0, 5), p)
+
+
 def test_eval_outside_tabulated_span_raises(ref_params):
     shapes = LineShapes(ref_params, -100.0, 100.0)
     with pytest.raises(DomainError):
@@ -461,13 +471,18 @@ def test_lower_tail_matches_quadrature_oracle(ref_params):
     # Voigt core's Lorentzian tail is cancelled there as well
     p = ref_params
     shapes = LineShapes(p, -500.0, 3000.0)
-    for phi in (-300.0, -250.0, -200.0):
+    # the lowest biases of the criterion-2 grid above the G_03 table floor,
+    # where the core and the remainder cancel to about 1e-9 of the peak
+    c2_tail = np.linspace(-500.0, 3000.0, 200)[7:11]
+    cases = [(phi, 1e-5) for phi in (-300.0, -250.0, -200.0)]
+    cases += [(phi, 2e-6) for phi in c2_tail]
+    for phi, rel in cases:
         expect = oracles.quad_total_rate(
             phi, delta01=p.delta01_ghz, delta03=p.delta03_ghz,
             phi31=p.phi31_uphi0, w_phi=p.w_phi_uphi0,
             gamma_phi=p.gamma_phi_uphi0, zeta_phi=p.zeta_phi_uphi0,
             t_k=p.temperature_k, ip_a=p.ip_a)
-        assert total(shapes, phi)[0] == pytest.approx(expect, rel=1e-5), phi
+        assert total(shapes, phi)[0] == pytest.approx(expect, rel=rel, abs=0.0), phi
 
 
 def test_rates_independent_of_window_lower_edge(ref_params):
