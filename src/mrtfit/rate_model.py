@@ -30,17 +30,15 @@ convolved with the first two terms is (A Re w(z) + B Im w(z)) /
 numerator of s vanishes at the poles +-i gamma, so s is smooth on the
 thermal scale and only s is convolved numerically.
 
-No grid step therefore has to resolve gamma: the step is
-min(W/16, 2T/3, width0/3), from the local cubic's (step/W)^4 log error,
-the thermal scale and the relaxation width at resonance, with no floor
-beyond a stencil's worth of nodes.  A relaxation core narrower than three
-steps is reached only at the GRID_MAX_POINTS clamp.  Its mass is then
-pinned in closed form: the relaxation envelope is a Lorentzian L_h of
-half-width h = c width0 (c = 1 "standard", 1/2 "half_width") plus a
-remainder that is smooth on the grid, because the width is flat across
-the core to exp(-nu31/T).  L_h integrates to an arctangent over the
-window and the remainder sums on the nodes.  ``LineShapes.diagnostics``
-records which of these applied.
+No grid step therefore has to resolve gamma: with s = min(W/16, 2T/3),
+from the local cubic's (step/W)^4 log error and the thermal scale, the
+step is min(s, max(width0/3, s/2)) for the relaxation width width0 at
+resonance.  A relaxation core narrower than three steps is pinned, not
+resolved: g_relax is a Lorentzian L_h of half-width h = c width0 (c = 1
+"standard", 1/2 "half_width") plus a remainder smooth on the grid, and
+three nodes at zero give the sampled L_h its closed-form mass and second
+moment.  Only a tiny W or a wide window reaches the GRID_MAX_POINTS
+clamp, which warns.  ``LineShapes.diagnostics`` records what applied.
 
 A build also keeps what the parameter derivatives need, so the fitter
 gets exact sensitivities of the tabulated line shapes from a few more
@@ -92,6 +90,8 @@ _SQRT_PI = math.sqrt(math.pi)
 _GAUSS_REACH = 10.0
 # largest exp(a |nu|) the first-peak tilt may reach over the grid, as a log
 _TILT_REACH = 14.0
+# nodes either side of zero over which a pinned core keeps its second moment
+_CORE_MOMENT_NODES = 64
 
 InitWell = str  # "L" or "R"
 
@@ -360,28 +360,30 @@ def _gauss_slopes(tab: np.ndarray, u: np.ndarray, w: float) -> tuple:
     return tab * u / (w * w), tab * (u * u / (w * w) - 1.0) / w
 
 
-def _renormalized_slope(tab, d, mass, d_mass, discrete, step) -> np.ndarray:
-    """Derivative of tab * mass / discrete, where discrete = sum(tab) * step,
-    given the derivatives ``d`` of the table and ``d_mass`` of the mass."""
-    d_discrete = float(np.sum(d)) * step
-    return d * (mass / discrete) + tab * (d_mass - mass * d_discrete / discrete) / discrete
-
-
-def _relax_mass(tab: np.ndarray, nu: np.ndarray, h: float) -> tuple:
-    """Mass of the relaxation table ``tab`` over the window of the uniform
-    grid ``nu``, and its slope in the core half-width h at a fixed table.
-
-    The core L_h = h / pi (nu^2 + h^2) integrates in closed form,
-    (atan(hi / h) - atan(lo / h)) / pi; the remainder tab - L_h is smooth
-    on the grid and sums on the nodes."""
-    step = nu[1] - nu[0]
+def _core_pin(grid: FrequencyGrid, h: float) -> tuple:
+    """Values at the nodes -1, 0, 1 about zero, and their slopes in h, that
+    give L_h = h / pi (nu^2 + h^2) sampled on ``grid`` its closed-form mass
+    over the window, (atan(hi/h) - atan(lo/h)) / pi, and second moment over
+    +-a, a = K steps.  As nu^2 L_h = h / pi - h^2 L_h, the trapezoid rule's
+    error in that moment is -h^2 times its error in the mass over +-a."""
+    nu, iz, step = grid.values, grid.index_of_zero, grid.step
     lo, hi, h2 = nu[0], nu[-1], h * h
     x2h2 = nu * nu + h2
-    mass = ((math.atan(hi / h) - math.atan(lo / h)) / math.pi
-            + float(np.sum(tab - (h / math.pi) / x2h2)) * step)
-    d_mass = ((lo / (lo * lo + h2) - hi / (hi * hi + h2)) / math.pi
-              - float(np.sum((nu * nu - h2) / x2h2**2)) * step / math.pi)
-    return mass, d_mass
+    lor = (h / math.pi) / x2h2
+    lor_h = (nu * nu - h2) / (math.pi * x2h2**2)
+    d0 = (math.atan(hi / h) - math.atan(lo / h)) / math.pi - float(np.sum(lor)) * step
+    d0_h = ((lo / (lo * lo + h2) - hi / (hi * hi + h2)) / math.pi
+            - float(np.sum(lor_h)) * step)
+    # the grid is symmetric about zero, so the two trapezoid ends are equal
+    k = min(_CORE_MOMENT_NODES, iz, len(nu) - 1 - iz)
+    near, a = slice(iz - k, iz + k + 1), k * step
+    local = (float(np.sum(lor[near])) - lor[iz + k]) * step - 2.0 * math.atan(a / h) / math.pi
+    local_h = ((float(np.sum(lor_h[near])) - lor_h[iz + k]) * step
+               + 2.0 * a / (math.pi * (a * a + h2)))
+    # d2 / 2 step^3 on each side node, the rest of the mass d0 at zero
+    d2, d2_h = h2 * local, h2 * local_h + 2.0 * h * local
+    return tuple(np.array([b, 2.0 * m * step**2 - 2.0 * b, b]) / (2.0 * step**3)
+                 for m, b in ((d0, d2), (d0_h, d2_h)))
 
 
 def _lagrange(s: np.ndarray) -> tuple:
@@ -421,10 +423,10 @@ class LineShapes:
 
     ``diagnostics`` is a plain dict filled during the build: the node count
     ``n``, the ``step`` used and the ``step_wanted`` by the physics,
-    whether the GRID_MAX_POINTS clamp made the step coarser (``clamped``),
-    whether the Gaussian was narrower than the grid and taken as a delta
-    (``gaussian_as_delta``), and whether the narrow relaxation core had its
-    mass pinned in closed form (``relax_renorm``).
+    whether the GRID_MAX_POINTS clamp made the step coarser (``clamped``;
+    it also warns), whether the Gaussian was narrower than the grid and
+    taken as a delta (``gaussian_as_delta``), and whether the relaxation
+    core was narrower than three steps and pinned at zero (``relax_renorm``).
     """
 
     def __init__(self, params: MrtParams, phi_lo: float, phi_hi: float,
@@ -455,17 +457,24 @@ class LineShapes:
         hi = max(eps_hi, 0.0) + pad
         # the local cubic's log-space error falls as (step / W)^4; the
         # aliasing of the sampled relaxation core is exp(-2 pi width0 / step)
-        step_want = min(w / 16.0, 2.0 * t / 3.0)
+        step_want, term = min((w / 16.0, "W/16"), (2.0 * t / 3.0, "2T/3"))
         if self._rx is not None:
             self._width0 = float(relax_width(nu31, self._rx))
-            step_want = min(step_want, self._width0 / 3.0)
+            # a core below three half-steps is pinned, not resolved
+            step_want, term = min((step_want, term), max(
+                (self._width0 / 3.0, "width0/3"), (step_want / 2.0, term + "/2")))
         self.grid = FrequencyGrid.build(lo, hi, step_want, n_min)
         self.diagnostics = {"n": len(self.grid), "step": self.grid.step,
                             "step_wanted": step_want,
                             "clamped": self.grid.step > step_want,
                             "gaussian_as_delta": False, "relax_renorm": False}
+        if self.diagnostics["clamped"]:
+            n_want = int(math.ceil((hi - lo) / step_want)) + 1
+            warnings.warn(f"line-shape grid clamped to {len(self.grid)} nodes: the step "
+                          f"{term} = {step_want:.3g} GHz wants {n_want} nodes",
+                          ModelValidityWarning, stacklevel=2)
 
-        self._conv01 = self._relax_norm = None
+        self._conv01 = self._core_slopes = None
         self._table01 = self._build_zeroth()
         self._table03 = self._build_first()
         self._log01 = self._log_table(self._table01)
@@ -511,21 +520,17 @@ class LineShapes:
 
     def _relax_table(self) -> np.ndarray:
         nu = self.grid.values
-        rx = self._rx
-        tab = g_relax(nu, rx, form=self.gr_form)
+        tab = g_relax(nu, self._rx, form=self.gr_form)
         if self._width0 < 3.0 * self.grid.step:
-            # narrow core, reached only at the grid clamp: pin the discrete
-            # mass to the analytic mass
-            mass, d_mass_h = _relax_mass(tab, nu, self._relax_c * self._width0)
+            # narrow core: the table keeps its samples, and three nodes at
+            # zero restore the core's closed-form mass and second moment
+            iz = self.grid.index_of_zero
+            pin, self._core_slopes = _core_pin(self.grid, self._relax_c * self._width0)
             self.diagnostics["relax_renorm"] = True
-            if not mass > 0:
-                raise DomainError(
-                    f"narrow relaxation core: mass {mass:.3g} is not positive "
-                    f"at zeta = {self.params.zeta_phi_uphi0:.6g} uPhi0 over the "
-                    f"frequency window {nu[0]:.6g}..{nu[-1]:.6g} GHz")
-            discrete = float(np.sum(tab)) * self.grid.step
-            self._relax_norm = (tab, mass, discrete, d_mass_h)
-            tab = tab * (mass / discrete)
+            tab[iz - 1: iz + 2] += pin
+            if not tab[iz - 1: iz + 2].min() > 0:
+                raise DomainError("narrow relaxation core: a pinned node is not positive "
+                                  f"at zeta = {self.params.zeta_phi_uphi0:.6g} uPhi0")
         return tab
 
     def _build_first(self) -> np.ndarray | None:
@@ -614,7 +619,7 @@ class LineShapes:
 
         g_relax is the Lorentzian h / pi (nu^2 + h^2) of half-width h = c gw,
         with gw = zeta b((nu + nu31) / T) and c = 1 ("standard") or 1/2
-        ("half_width")."""
+        ("half_width").  Pinned core nodes add their slope in h at zero."""
         nu = self.grid.values
         rx, c = self._rx, self._relax_c
         z, t = rx.zeta_ghz, rx.temperature_ghz
@@ -624,19 +629,14 @@ class LineShapes:
         d_gw = c * (nu * nu - h2) / (math.pi * (nu * nu + h2) ** 2)
         gw_nu31 = z * balance_factor_slope(y) / t
         slopes = (d_gw * gw_nu31, d_gw * gw / z, -d_gw * gw_nu31 * y)
-        if self._relax_norm is None:
-            return slopes
-        # the mass moves with the parameters too: through the table and
-        # through the core half-width c gw(0)
-        tab, mass, discrete, d_mass_h = self._relax_norm
-        y0 = rx.omega31_ghz / t
-        h_nu31 = c * z * float(balance_factor_slope(y0)) / t
-        h_slopes = (h_nu31, c * float(balance_factor(y0)), -h_nu31 * y0)
-        step = self.grid.step
-        return tuple(
-            _renormalized_slope(tab, d, mass, float(np.sum(d)) * step + d_mass_h * dh,
-                                discrete, step)
-            for d, dh in zip(slopes, h_slopes))
+        if self._core_slopes is not None:
+            # the pinned core nodes move with its half-width c gw(0)
+            y0 = rx.omega31_ghz / t
+            h_nu31 = c * z * float(balance_factor_slope(y0)) / t
+            iz = self.grid.index_of_zero
+            for d, dh in zip(slopes, (h_nu31, c * float(balance_factor(y0)), -h_nu31 * y0)):
+                d[iz - 1: iz + 2] += self._core_slopes * dh
+        return slopes
 
     def _first_slopes(self, d01: np.ndarray) -> np.ndarray:
         """d G_03 / d(nu31, W, gamma, zeta, T) on the grid, from the slopes

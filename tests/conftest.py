@@ -21,9 +21,10 @@ REF = dict(
     ip_a=1.37e-6,
 )
 
-# REF with a narrow relaxation core, below three grid steps at the clamp, on
-# which a renormalization by quadrature once stepped over the core and
-# returned a negative mass
+# a fit draw with a narrow relaxation core, below three grid steps, which
+# is pinned rather than resolved; a renormalization by quadrature once
+# stepped over this core and returned a negative mass, and a whole-table
+# rescale at the grid clamp once put the total rate 6% off quadrature
 NARROW_CORE = dict(delta01_ghz=1.6895e-3, delta03_ghz=4.3576e-2,
                    phi31_uphi0=2400.29, w_phi_uphi0=55.347,
                    gamma_phi_uphi0=0.083785, zeta_phi_uphi0=0.020241,

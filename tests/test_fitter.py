@@ -327,8 +327,8 @@ def test_fit_config_rejects_bad_values(overrides):
 
 
 def test_narrow_core_curve_loads_no_integrator_or_optimizer():
-    # the narrow relaxation core has its mass in closed form, so a curve
-    # at the grid clamp needs neither scipy.integrate nor scipy.optimize
+    # the narrow relaxation core is pinned in closed form, so its curve
+    # needs neither scipy.integrate nor scipy.optimize
     code = (
         "import sys, numpy as np\n"
         "from mrtfit import MrtParams, simulate_curve\n"

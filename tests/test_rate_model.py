@@ -1,4 +1,6 @@
+import contextlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,7 @@ from mrtfit import (
 )
 import mrtfit.rate_model as rate_model
 from mrtfit.envelopes import HighFreqBroadening, g_high
-from mrtfit.errors import DomainError, ValidationError
+from mrtfit.errors import DomainError, ModelValidityWarning, ValidationError
 from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
 
 import oracles
@@ -341,9 +343,25 @@ def test_diagnostics_report_grid_and_short_cuts(ref_params):
     d = LineShapes(ref_params, -500.0, 3000.0).diagnostics
     assert d["step"] <= d["step_wanted"]
     assert not d["clamped"] and not d["relax_renorm"] and not d["gaussian_as_delta"]
+    # a narrow relaxation core is pinned, not resolved: it costs at most
+    # halving the step its zeta = 0 build takes
     d = LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42).diagnostics
-    assert d["n"] == rate_model.GRID_MAX_POINTS and d["step"] > d["step_wanted"]
-    assert d["clamped"] and d["relax_renorm"]
+    bare = LineShapes(make_params(**dict(NARROW_CORE, zeta_phi_uphi0=0.0)),
+                      -720.09, 3480.42).diagnostics
+    assert not d["clamped"] and d["relax_renorm"]
+    assert d["n"] <= 2 * bare["n"]
+
+
+def test_grid_clamp_warns():
+    with pytest.warns(ModelValidityWarning,
+                      match=rf"clamped to {rate_model.GRID_MAX_POINTS} nodes: "
+                      r"the step W/16 = .* wants \d+ nodes"):
+        shapes = LineShapes(make_params(w_phi_uphi0=0.03, delta01_ghz=1e-5), -500.0, 3000.0)
+    assert shapes.diagnostics["clamped"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ModelValidityWarning)
+        LineShapes(make_params(), -500.0, 3000.0)
+        LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42)
 
 
 def test_simulate_curve_validation(ref_params):
@@ -403,33 +421,58 @@ def test_narrow_relaxation_core_gives_finite_positive_rates():
     assert np.all(curve.rate > 0)
 
 
-def test_nonpositive_relaxation_core_mass_raises(monkeypatch):
-    monkeypatch.setattr(rate_model, "_relax_mass", lambda *args: (-1e-6, 0.0))
+def test_nonpositive_pinned_core_node_raises(monkeypatch):
+    # a zero node that takes twice the sampled core node away
+    monkeypatch.setattr(rate_model, "_core_pin", lambda grid, h: (
+        np.array([0.0, -2.0 / (math.pi * h), 0.0]), np.zeros(3)))
     with pytest.raises(DomainError, match="zeta"):
         LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42)
+
+
+@pytest.mark.parametrize("zeta", [0.001, 0.01, 0.1])
+def test_pinned_core_mass_and_second_moment_match_closed_form(zeta):
+    from mrtfit.envelopes import g_relax
+
+    for form in ("standard", "half_width"):
+        shapes = LineShapes(make_params(zeta_phi_uphi0=zeta), -500.0, 3000.0,
+                            gr_form=form)
+        assert shapes.diagnostics["relax_renorm"]
+        nu, iz, step = shapes.grid.values, shapes.grid.index_of_zero, shapes.grid.step
+        h = shapes._relax_c * shapes._width0
+        lorentz = (h / math.pi) / (nu * nu + h * h)
+        # the pinned table less its sampled remainder g_relax - L_h
+        core = shapes._relax_table() - g_relax(nu, shapes._rx, form=form) + lorentz
+        mass = (math.atan(nu[-1] / h) - math.atan(nu[0] / h)) / math.pi
+        assert float(np.sum(core)) * step == pytest.approx(mass, rel=1e-12, abs=0.0), form
+        # second moment over the +-K nodes about zero, on the trapezoid rule
+        k = rate_model._CORE_MOMENT_NODES
+        x2 = (nu * nu * core)[iz - k: iz + k + 1]
+        moment = (float(np.sum(x2)) - 0.5 * (x2[0] + x2[-1])) * step
+        a = k * step
+        expect = (h / math.pi) * (2.0 * a - 2.0 * h * math.atan(a / h))
+        assert moment == pytest.approx(expect, rel=1e-9, abs=0.0), form
 
 
 @pytest.mark.parametrize("overrides, window", [
     (NARROW_CORE, (-720.09, 3480.42)),
     ({"zeta_phi_uphi0": 0.001}, (-500.0, 3000.0)),
     ({"zeta_phi_uphi0": 0.01}, (-500.0, 3000.0)),
-    ({"zeta_phi_uphi0": 0.1}, (-500.0, 3000.0)),
-], ids=["narrow core", "zeta 0.001", "zeta 0.01", "zeta 0.1"])
-def test_closed_form_relaxation_mass_matches_quadrature(overrides, window):
-    from scipy.integrate import quad
-
-    from mrtfit.envelopes import g_relax, relax_width
-
-    shapes = LineShapes(make_params(**overrides), *window)
-    rx, nu = shapes._rx, shapes.grid.values
-    width0 = float(relax_width(rx.omega31_ghz, rx))
-    points = [x for x in (0.0, -rx.omega31_ghz, -width0, width0,
-                          -50.0 * width0, 50.0 * width0) if nu[0] < x < nu[-1]]
-    for form, c in (("standard", 1.0), ("half_width", 0.5)):
-        mass, _ = rate_model._relax_mass(g_relax(nu, rx, form=form), nu, c * width0)
-        expect, _ = quad(lambda x: float(g_relax(x, rx, form=form)), nu[0], nu[-1],
-                         points=points, limit=400, epsabs=1e-13, epsrel=1e-13)
-        assert abs(mass - expect) < 1e-9, form
+    ({"zeta_phi_uphi0": 0.05}, (-500.0, 3000.0)),
+    ({"zeta_phi_uphi0": 0.2}, (-500.0, 3000.0)),
+], ids=["narrow core", "zeta 0.001", "zeta 0.01", "zeta 0.05", "zeta 0.2"])
+def test_narrow_core_total_rate_matches_quadrature_oracle(overrides, window):
+    # the sampled wing carries no aliasing error of the core, so pinning the
+    # core must leave the rate below and at the first peak at quadrature
+    p = make_params(**overrides)
+    shapes = LineShapes(p, *window)
+    phi31 = p.phi31_uphi0
+    first_peak = phi31 + energy_to_flux(shapes._lf.shift_ghz, p.ip_a)
+    for phi in (0.3 * phi31, 0.55 * phi31, 0.9 * phi31, first_peak):
+        expect = oracles.quad_total_rate(
+            phi, delta01=p.delta01_ghz, delta03=p.delta03_ghz,
+            phi31=phi31, w_phi=p.w_phi_uphi0, gamma_phi=p.gamma_phi_uphi0,
+            zeta_phi=p.zeta_phi_uphi0, t_k=p.temperature_k, ip_a=p.ip_a)
+        assert total(shapes, phi)[0] == pytest.approx(expect, rel=1e-6, abs=0.0), phi
 
 
 def test_incoherent_validity_warning():
@@ -524,7 +567,11 @@ def test_table_slopes_match_central_differences_on_a_fixed_grid(case, monkeypatc
     overrides = dict(SLOPE_CASES[case])
     form = overrides.pop("gr_form", "standard")
     p = make_params(**overrides)
-    base = LineShapes(p, -500.0, 3000.0, gr_form=form)
+    # a Gaussian this narrow asks for more nodes than the clamp allows
+    clamped = case == "gaussian near the grid step"
+    with (pytest.warns(ModelValidityWarning, match="clamped") if clamped
+          else contextlib.nullcontext()):
+        base = LineShapes(p, -500.0, 3000.0, gr_form=form)
     if case == "gaussian near the grid step":
         assert base.diagnostics["gaussian_as_delta"]
     d01, d03 = base._table_slopes()
