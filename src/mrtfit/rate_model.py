@@ -826,6 +826,19 @@ def total_rate(phi_x, params: MrtParams, init_well: InitWell = "L",
     return out[0] if np.isscalar(phi_x) else out
 
 
+def bias_grid(phi_grid) -> np.ndarray:
+    """``phi_grid`` as a float array, checked to be a non-empty, 1-d,
+    finite and strictly increasing sequence of flux biases."""
+    phi = np.asarray(phi_grid, dtype=float)
+    if phi.ndim != 1 or len(phi) == 0:
+        raise ValidationError("phi_grid must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("flux biases must be finite")
+    if not np.all(np.diff(phi) > 0):
+        raise ValidationError("phi_grid must be strictly increasing")
+    return phi
+
+
 def simulate_curve(phi_grid, params: MrtParams, init_well: InitWell = "L",
                    gr_form: str = "standard") -> RateCurve:
     """Tabulate the total rate over a sorted flux grid.
@@ -833,10 +846,6 @@ def simulate_curve(phi_grid, params: MrtParams, init_well: InitWell = "L",
     One line-shape tabulation is shared by all points; the model is a
     fixed shape evaluated at shifted arguments.
     """
-    phi = np.asarray(phi_grid, dtype=float)
-    if phi.ndim != 1 or len(phi) == 0:
-        raise ValidationError("phi_grid must be a non-empty 1-d sequence")
-    if len(phi) > 1 and not np.all(np.diff(phi) > 0):
-        raise ValidationError("phi_grid must be strictly increasing")
+    phi = bias_grid(phi_grid)
     r01, r03 = peak_rates(phi, params, init_well, gr_form)
     return RateCurve(phi_x=phi, rate=r01 + r03, init_well=init_well)

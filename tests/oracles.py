@@ -2,11 +2,16 @@
 
 Everything here is built from the defining formulas with plain math and
 adaptive quadrature, deliberately sharing no code with the package's
-vectorized FFT pipeline.  Constants are hardcoded (CODATA 2018).
+vectorized FFT pipeline.  Constants are hardcoded (CODATA 2018).  The one
+exception is ``per_bias_rate``, which checks only how the full model
+interpolates the level energies in the bias, and so solves the circuit
+and evaluates the line shapes with the package's own routines.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 from scipy.integrate import quad
 
 H = 6.62607015e-34
@@ -122,3 +127,27 @@ def convolve(f, g, grid):
     full = irfft(rfft(f, n_fft) * rfft(g, n_fft), n_fft)
     iz = grid.index_of_zero
     return full[iz: iz + n] * grid.step
+
+
+def per_bias_rate(circuit, mrt, phi, n_points=4096):
+    """Total rate (1/us) of the per-bias full model with both wells solved
+    at every bias in ``phi``: eps = E_L0 - E_R0 and omega31 = E_R1 - E_R0
+    enter each peak's line shape at its exact energy, ``mrt`` supplying the
+    amplitudes, widths and the linear map."""
+    from mrtfit.rate_model import LineShapes
+    from mrtfit.squid_full import _lowest_levels, effective_potential
+    from mrtfit.units import energy_to_flux
+
+    eps = np.empty(len(phi))
+    om31 = np.empty(len(phi))
+    for i, p in enumerate(phi):
+        pot = effective_potential(replace(circuit, phi_x_uphi0=float(p)), n_points)
+        u, m, dy = pot.u_ghz, pot.partition_index, pot.step
+        e_left = _lowest_levels(u[:m], dy, circuit.c_f, 2, "the left well block")
+        e_right = _lowest_levels(u[m:], dy, circuit.c_f, 2, "the right well block")
+        eps[i] = e_left[0] - e_right[0]
+        om31[i] = e_right[1] - e_right[0]
+    shapes = LineShapes(mrt, float(phi[0]), float(phi[-1]))
+    r01, _ = shapes.rates(energy_to_flux(eps, mrt.ip_a))
+    _, r03 = shapes.rates(energy_to_flux(eps - om31, mrt.ip_a) + mrt.phi31_uphi0)
+    return r01 + r03

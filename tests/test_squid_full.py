@@ -16,7 +16,8 @@ from mrtfit import (
     simulate_curve,
     solve_wells,
 )
-from mrtfit.errors import ConvergenceError, SingleWellError, ValidationError
+from mrtfit.errors import (ConvergenceError, DomainError, SingleWellError,
+                           ValidationError)
 from mrtfit.rate_model import LineShapes
 import mrtfit.squid_full as squid_full
 from mrtfit.squid_full import excited_crossing_gap, full_spectrum
@@ -230,10 +231,7 @@ def test_crossing_search_outside_its_bracket_raises(circuit, basis, factor):
                              basis.ip_a)
 
 
-@pytest.mark.parametrize("path, solves", [("fixed", 12), ("squid", 10)])
-def test_degeneracy_wells_are_solved_once(circuit, monkeypatch, path, solves):
-    # wells at zero bias 2, ground pair 1, crossing 7, and for the rate
-    # curve the wells at the resonance bias 2
+def counted_solves(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -241,12 +239,28 @@ def test_degeneracy_wells_are_solved_once(circuit, monkeypatch, path, solves):
         return eigh_tridiagonal(*args, **kwargs)
 
     monkeypatch.setattr(squid_full, "eigh_tridiagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("path, solves", [("fixed", 12), ("squid", 10),
+                                          ("per_bias_60", 46),
+                                          ("per_bias_1000", 46)])
+def test_degeneracy_wells_are_solved_once(circuit, monkeypatch, path, solves):
+    # wells at zero bias 2, ground pair 1, crossing 7, and for the rate
+    # curve the wells at the resonance bias 2; per bias, both wells at 17
+    # interpolation nodes, whatever the number of biases
+    calls = counted_solves(monkeypatch)
+    noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
+                           tan_delta_c=2.07e-3, temperature_k=7.3e-3)
     if path == "fixed":
-        noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
-                               tan_delta_c=2.07e-3, temperature_k=7.3e-3)
         full_model_rate(circuit, noise, np.linspace(0.0, 100.0, 5))
-    else:
+    elif path == "squid":
         solve_wells(effective_potential(circuit), circuit.c_f)
+    else:
+        n_biases = int(path.rsplit("_", 1)[1])
+        res = full_model_rate(circuit, noise, np.linspace(-500.0, 3000.0, n_biases),
+                              bias_mode="per_bias")
+        assert res.solver["bias_nodes"] == 17
     assert len(calls) == solves
 
 
@@ -320,7 +334,9 @@ def test_per_bias_mode_equals_the_solve_wells_reference(circuit):
     # exact energy, as the per-bias mode computes from energies alone
     noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
                            tan_delta_c=2.07e-3, temperature_k=7.3e-3)
-    phis = np.linspace(-100.0, 300.0, 4)
+    # the window ends and its centre are nodes of every interpolant, where
+    # the interpolated energies are the solved ones
+    phis = np.array([-100.0, 100.0, 300.0])
     res = full_model_rate(circuit, noise, phis, bias_mode="per_bias", n_points=1024)
     p = res.params
     shapes = LineShapes(p, phis.min(), phis.max())
@@ -334,6 +350,47 @@ def test_per_bias_mode_equals_the_solve_wells_reference(circuit):
             + oracles.rate_coef(p.delta03_ghz)
             * shapes.shape03(eps - b.omega31_ghz + p.nu31_ghz())[0])
     np.testing.assert_allclose(res.curve.rate, expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("phi_cjj_x", [-0.76, -0.755, -0.75, -0.745, -0.74, -0.735])
+def test_per_bias_interpolant_matches_the_exact_loop(phi_cjj_x):
+    # the interpolated level energies differ from a solve at every bias by
+    # the solver's rounding noise, about 1e-10 GHz at 4096 points
+    circuit = RfSquidParams(**dict(REF_CIRCUIT, phi_cjj_x=phi_cjj_x))
+    noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
+                           tan_delta_c=2.07e-3, temperature_k=7.3e-3)
+    phis = np.linspace(-500.0, 3000.0, 60)
+    res = full_model_rate(circuit, noise, phis, bias_mode="per_bias")
+    assert res.solver["bias_tail_ghz"] < 1e-10
+    np.testing.assert_allclose(res.curve.rate,
+                               oracles.per_bias_rate(circuit, res.params, phis),
+                               rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("phis, error", [
+    ([], ValidationError),
+    ([[0.0, 100.0], [200.0, 300.0]], ValidationError),
+    ([0.0, math.nan, 200.0], DomainError),
+    ([0.0, math.inf], DomainError),
+    ([300.0, 100.0], ValidationError),
+    ([100.0, 100.0], ValidationError),
+    ([150.0], None),
+], ids=["empty", "2d", "nan", "inf", "decreasing", "repeated", "one_bias"])
+def test_per_bias_biases_checked_before_any_solve(circuit, monkeypatch, phis, error):
+    noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
+                           tan_delta_c=2.07e-3, temperature_k=7.3e-3)
+    if error is not None:
+        calls = counted_solves(monkeypatch)
+        with pytest.raises(error):
+            full_model_rate(circuit, noise, phis, bias_mode="per_bias")
+        assert calls == []
+        return
+    # a single bias is a zero-width window, solved directly
+    res = full_model_rate(circuit, noise, phis, bias_mode="per_bias")
+    fixed = full_model_rate(circuit, noise, phis)
+    assert res.solver["bias_nodes"] == 1
+    assert np.all(np.isfinite(res.curve.rate))
+    np.testing.assert_allclose(res.curve.rate, fixed.curve.rate, rtol=0.1)
 
 
 def test_full_model_per_bias_mode_close_to_fixed(circuit):
