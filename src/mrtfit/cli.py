@@ -120,7 +120,7 @@ def cmd_simulate(args) -> int:
     params = cfg.model_params()
     phi = _flux_grid(cfg, "simulate")
     well = cfg.get("simulate", "well")
-    r01, r03 = peak_rates(phi, params, well, cfg.get("model", "gr_form"))
+    r01, r03 = peak_rates(phi, params, well)
     curves = {"total": RateCurve(phi_x=phi, rate=r01 + r03, init_well=well),
               "peak0": RateCurve(phi_x=phi, rate=r01, init_well=well)}
     if params.delta03_ghz > 0 and np.all(r03 > 0):
@@ -140,8 +140,7 @@ def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else cfg.getint("gen", "seed")
     phi = _flux_grid(cfg, "gen")
     well, qubit_id = cfg.get("gen", "well"), cfg.get("gen", "qubit_id")
-    curve = simulate_curve(phi, params, init_well=well,
-                           gr_form=cfg.get("model", "gr_form"))
+    curve = simulate_curve(phi, params, init_well=well)
     noise_rel = cfg.getfloat("gen", "noise_rel")
     rng = np.random.default_rng(seed)
     noisy = curve.rate * np.exp(noise_rel * rng.standard_normal(len(phi)))
@@ -176,8 +175,7 @@ def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
     # residual table on the data grid (skipped when biases repeat, since a
     # curve table needs a strictly increasing axis)
     if np.all(np.diff(dataset.phi_x) > 0):
-        r01, r03 = peak_rates(dataset.folded_phi(), result.params,
-                              gr_form=fit_cfg.gr_form)
+        r01, r03 = peak_rates(dataset.folded_phi(), result.params)
         model = RateCurve(phi_x=np.asarray(dataset.phi_x), rate=r01 + r03,
                           init_well="L")
         dataio.write_curve_table(out_dir / f"{stem}.residuals.csv",

@@ -19,7 +19,7 @@ Run configuration is INI-style with sections [model], [fit], [squid],
 sections and keys are errors, so a typo cannot silently fall back; a
 numeric value that does not parse is an error naming its key.  The
 [model] keys are the report labels of ``rate_model.FIT_PARAMS`` plus
-``ip_ua`` and ``gr_form``.
+``ip_ua``.
 
 All numeric output is fixed scientific notation with nine significant
 digits, which makes regenerated files byte-comparable across platforms.
@@ -204,7 +204,6 @@ CONFIG_DEFAULTS = {
         "zeta_phi_uphi0": "4.53",
         "temperature_mk": "7.3",
         "ip_ua": "1.37",
-        "gr_form": "standard",
     },
     "fit": {
         "free": "delta01,delta03,phi31,w_phi,gamma_phi,zeta_phi,temperature",
@@ -286,7 +285,6 @@ class RunConfig:
             free=free, ftol=f("ftol"), xtol=f("xtol"), gtol=f("gtol"),
             max_nfev=i("max_nfev"), multistart=i("multistart"),
             jitter_rel=f("jitter_rel"), seed=i("seed"),
-            gr_form=self.get("model", "gr_form"),
             inductance_h=f("inductance_ph") * 1e-12)
 
     def sha256(self) -> str:

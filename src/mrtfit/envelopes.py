@@ -220,29 +220,21 @@ def intrawell_rate(nu, p: IntrawellBroadening):
     return 2.0 * math.pi * 1e3 * relax_width(nu, p)
 
 
-def g_relax(nu, p: IntrawellBroadening, form: str = "standard"):
+def g_relax(nu, p: IntrawellBroadening):
     """Relaxation envelope for tunneling into the excited target state.
 
     Peaked near nu = 0 (resonance with the excited state); the width is
     the relaxation rate evaluated at nu + omega31, which is what makes
-    the envelope obey detailed balance instead of being symmetric.
-
-    ``form`` selects the line-shape variant: "standard" uses
-    2 Gamma / (nu^2 + Gamma^2); "half_width" uses the alternative
-    Gamma / (nu^2 + (Gamma/2)^2), which is also normalized but half as
-    wide at half maximum.  Both are exposed for sensitivity analysis;
-    fits default to "standard".
+    the envelope obey detailed balance instead of being symmetric.  It is
+    the normalized Lorentzian Gamma / pi (nu^2 + Gamma^2) of half-width
+    Gamma = relax_width(nu + omega31).
     """
     if p.zeta_ghz == 0:
         raise DomainError("g_relax requires zeta > 0; use the delta-function "
                           "path for zeta = 0")
     nu = np.asarray(nu, dtype=float)
     gw = relax_width(nu + p.omega31_ghz, p)
-    if form == "standard":
-        return gw / (math.pi * (nu * nu + gw * gw))
-    if form == "half_width":
-        return gw / (2.0 * math.pi * (nu * nu + (gw / 2.0) ** 2))
-    raise DomainError(f"unknown relaxation envelope form {form!r}")
+    return gw / (math.pi * (nu * nu + gw * gw))
 
 
 def normalization_domain(p) -> tuple[float, float]:

@@ -120,13 +120,14 @@ class FitConfig:
     multistart: int = 5
     jitter_rel: float = 0.2
     seed: int = 0
-    gr_form: str = "standard"
     inductance_h: float = 250e-12    # used only for derived noise metrics
 
     def __post_init__(self):
         unknown = set(self.free) - set(PARAM_NAMES)
         if unknown:
             raise ValidationError(f"unknown free parameters: {sorted(unknown)}")
+        if not self.free or len(set(self.free)) < len(self.free):
+            raise ValidationError(f"free must list distinct parameters: {list(self.free)}")
         # written so that NaN fails every check
         for name in ("ftol", "xtol", "gtol"):
             value = getattr(self, name)
@@ -146,6 +147,9 @@ class FitConfig:
                 raise ValidationError(f"bounds for {name} must be finite: ({lo}, {hi})")
             if not lo < hi:
                 raise ValidationError(f"empty bounds for {name}: ({lo}, {hi})")
+            if _PARAM[name].log and not lo > 0:
+                raise ValidationError(
+                    f"log-space bounds for {name} must be positive: ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -352,7 +356,7 @@ def _x_bounds(free: Sequence[str], bounds: dict) -> tuple:
         q = _PARAM[name]
         b_lo, b_hi = bounds.get(name, q.bounds)
         if q.log:
-            b_lo, b_hi = math.log(b_lo if b_lo > 0 else q.bounds[0]), math.log(b_hi)
+            b_lo, b_hi = math.log(b_lo), math.log(b_hi)
         lo.append(b_lo)
         hi.append(b_hi)
     return np.array(lo), np.array(hi)
@@ -372,7 +376,7 @@ class _Objective:
     sensitivities from that build.
     """
 
-    def __init__(self, dataset: RateDataset, free, fixed, gr_form):
+    def __init__(self, dataset: RateDataset, free, fixed):
         order = np.argsort(dataset.folded_phi())
         self.phi = dataset.folded_phi()[order]
         self.log_rate = np.log(dataset.rate[order])
@@ -383,7 +387,6 @@ class _Objective:
         self.ip = dataset.ip_a
         self.free = tuple(free)
         self.fixed = dict(fixed)
-        self.gr_form = gr_form
         self.n_eval = 0
         self.eps = flux_to_energy(self.phi, self.ip)
         self._shape_key = self._shapes = None
@@ -394,8 +397,7 @@ class _Objective:
         params = MrtParams.from_names(values, self.ip)
         key = tuple(getattr(params, f) for f in SHAPE_FIELDS)
         if key != self._shape_key:
-            self._shapes = LineShapes(params, float(self.phi.min()),
-                                      float(self.phi.max()), gr_form=self.gr_form)
+            self._shapes = LineShapes(params, float(self.phi.min()), float(self.phi.max()))
             self._shape_key = key
         return self._shapes.rates(self.phi, params)
 
@@ -485,6 +487,8 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
         # degenerate single-peak start: the first peak carries no signal
         free = [n for n in free if n not in ("delta03", "zeta_phi")]
         values0["zeta_phi"] = 0.0
+        if not free:
+            raise ValidationError("a single-peak start leaves none of the free parameters")
     fixed = {n: v for n, v in values0.items() if n not in free}
 
     lo, hi = _x_bounds(free, config.bounds)
@@ -494,7 +498,7 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
     elif np.any(x0 < lo) or np.any(x0 > hi):
         raise ValidationError("initial guess lies outside the configured bounds")
 
-    objective = _Objective(dataset, free, fixed, config.gr_form)
+    objective = _Objective(dataset, free, fixed)
     r0 = objective(x0)
     cost_initial = float(r0 @ r0)
 

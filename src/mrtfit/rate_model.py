@@ -34,11 +34,11 @@ No grid step therefore has to resolve gamma: with s = min(W/16, 2T/3),
 from the local cubic's (step/W)^4 log error and the thermal scale, the
 step is min(s, max(width0/3, s/2)) for the relaxation width width0 at
 resonance.  A relaxation core narrower than three steps is pinned, not
-resolved: g_relax is a Lorentzian L_h of half-width h = c width0 (c = 1
-"standard", 1/2 "half_width") plus a remainder smooth on the grid, and
-three nodes at zero give the sampled L_h its closed-form mass and second
-moment.  Only a tiny W or a wide window reaches the GRID_MAX_POINTS
-clamp, which warns.  ``LineShapes.diagnostics`` records what applied.
+resolved: g_relax is a Lorentzian L_h of half-width h = width0 plus a
+remainder smooth on the grid, and three nodes at zero give the sampled
+L_h its closed-form mass and second moment.  Only a tiny W or a wide
+window reaches the GRID_MAX_POINTS clamp, which warns.
+``LineShapes.diagnostics`` records what applied.
 
 A build also keeps what the parameter derivatives need, so the fitter
 gets exact sensitivities of the tabulated line shapes from a few more
@@ -240,12 +240,12 @@ class FrequencyGrid:
 
     @classmethod
     def build(cls, lo: float, hi: float, step_want: float,
-              n_min: int = GRID_MIN_POINTS, n_max: int = GRID_MAX_POINTS):
+              n_min: int = GRID_MIN_POINTS):
         if not lo < 0 < hi:
             lo = min(lo, -abs(step_want))
             hi = max(hi, abs(step_want))
         n = int(math.ceil((hi - lo) / step_want)) + 1
-        n = max(n_min, min(n_max, n))
+        n = max(n_min, min(GRID_MAX_POINTS, n))
         step = (hi - lo) / (n - 1)
         iz = int(round(-lo / step))
         values = (np.arange(n) - iz) * step
@@ -430,13 +430,10 @@ class LineShapes:
     """
 
     def __init__(self, params: MrtParams, phi_lo: float, phi_hi: float,
-                 gr_form: str = "standard", n_min: int = GRID_MIN_POINTS):
+                 n_min: int = GRID_MIN_POINTS):
         if phi_lo > phi_hi:
             phi_lo, phi_hi = phi_hi, phi_lo
         self.params = params
-        self.gr_form = gr_form
-        # half-width of the relaxation Lorentzian in units of its width gw
-        self._relax_c = 1.0 if gr_form == "standard" else 0.5
         w = params.w_ghz()
         gam = params.gamma_ghz()
         zet = params.zeta_ghz()
@@ -520,12 +517,12 @@ class LineShapes:
 
     def _relax_table(self) -> np.ndarray:
         nu = self.grid.values
-        tab = g_relax(nu, self._rx, form=self.gr_form)
+        tab = g_relax(nu, self._rx)
         if self._width0 < 3.0 * self.grid.step:
             # narrow core: the table keeps its samples, and three nodes at
             # zero restore the core's closed-form mass and second moment
             iz = self.grid.index_of_zero
-            pin, self._core_slopes = _core_pin(self.grid, self._relax_c * self._width0)
+            pin, self._core_slopes = _core_pin(self.grid, self._width0)
             self.diagnostics["relax_renorm"] = True
             tab[iz - 1: iz + 2] += pin
             if not tab[iz - 1: iz + 2].min() > 0:
@@ -617,24 +614,23 @@ class LineShapes:
     def _relax_table_slopes(self) -> tuple:
         """Derivatives of :meth:`_relax_table` in (nu31, zeta, T).
 
-        g_relax is the Lorentzian h / pi (nu^2 + h^2) of half-width h = c gw,
-        with gw = zeta b((nu + nu31) / T) and c = 1 ("standard") or 1/2
-        ("half_width").  Pinned core nodes add their slope in h at zero."""
+        g_relax is the Lorentzian gw / pi (nu^2 + gw^2) of half-width
+        gw = zeta b((nu + nu31) / T).  Pinned core nodes add their slope in
+        gw at zero."""
         nu = self.grid.values
-        rx, c = self._rx, self._relax_c
+        rx = self._rx
         z, t = rx.zeta_ghz, rx.temperature_ghz
         y = (nu + rx.omega31_ghz) / t
         gw = z * balance_factor(y)
-        h2 = (c * gw) ** 2
-        d_gw = c * (nu * nu - h2) / (math.pi * (nu * nu + h2) ** 2)
+        d_gw = (nu * nu - gw ** 2) / (math.pi * (nu * nu + gw ** 2) ** 2)
         gw_nu31 = z * balance_factor_slope(y) / t
         slopes = (d_gw * gw_nu31, d_gw * gw / z, -d_gw * gw_nu31 * y)
         if self._core_slopes is not None:
-            # the pinned core nodes move with its half-width c gw(0)
+            # the pinned core nodes move with its half-width gw(0)
             y0 = rx.omega31_ghz / t
-            h_nu31 = c * z * float(balance_factor_slope(y0)) / t
+            h_nu31 = z * float(balance_factor_slope(y0)) / t
             iz = self.grid.index_of_zero
-            for d, dh in zip(slopes, (h_nu31, c * float(balance_factor(y0)), -h_nu31 * y0)):
+            for d, dh in zip(slopes, (h_nu31, float(balance_factor(y0)), -h_nu31 * y0)):
                 d[iz - 1: iz + 2] += self._core_slopes * dh
         return slopes
 
@@ -784,8 +780,7 @@ class LineShapes:
         return r01, _rate_coef(p.delta03_ghz) * self.shape03(eps)
 
 
-def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L",
-               gr_form: str = "standard") -> tuple:
+def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L") -> tuple:
     """Peak rates (r01, r03) in 1/us at flux biases ``phi_x`` (uPhi0), from
     one build over their folded window; right-well initialization is the
     mirror image of the left."""
@@ -795,8 +790,7 @@ def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L",
     if not np.all(np.isfinite(phi)):
         raise DomainError("flux biases must be finite")
     folded = -phi if _check_well(init_well) == "R" else phi
-    shapes = LineShapes(params, float(folded.min()), float(folded.max()),
-                        gr_form=gr_form)
+    shapes = LineShapes(params, float(folded.min()), float(folded.max()))
     if not shapes._table01.max() > 0:
         centre = energy_to_flux(shapes._lf.shift_ghz, params.ip_a)
         raise DomainError(
@@ -806,22 +800,21 @@ def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L",
     return shapes.rates(folded)
 
 
-def rate_01(phi_x, params: MrtParams, gr_form: str = "standard"):
+def rate_01(phi_x, params: MrtParams):
     """Zeroth-peak rate (1/us) at flux bias ``phi_x`` (uPhi0), left init."""
-    out = peak_rates(phi_x, params, "L", gr_form)[0]
+    out = peak_rates(phi_x, params)[0]
     return out[0] if np.isscalar(phi_x) else out
 
 
-def rate_03(phi_x, params: MrtParams, gr_form: str = "standard"):
+def rate_03(phi_x, params: MrtParams):
     """First-peak rate (1/us) at flux bias ``phi_x`` (uPhi0), left init."""
-    out = peak_rates(phi_x, params, "L", gr_form)[1]
+    out = peak_rates(phi_x, params)[1]
     return out[0] if np.isscalar(phi_x) else out
 
 
-def total_rate(phi_x, params: MrtParams, init_well: InitWell = "L",
-               gr_form: str = "standard"):
+def total_rate(phi_x, params: MrtParams, init_well: InitWell = "L"):
     """Total escape rate (1/us) for either initialization well."""
-    r01, r03 = peak_rates(phi_x, params, init_well, gr_form)
+    r01, r03 = peak_rates(phi_x, params, init_well)
     out = r01 + r03
     return out[0] if np.isscalar(phi_x) else out
 
@@ -839,13 +832,12 @@ def bias_grid(phi_grid) -> np.ndarray:
     return phi
 
 
-def simulate_curve(phi_grid, params: MrtParams, init_well: InitWell = "L",
-                   gr_form: str = "standard") -> RateCurve:
+def simulate_curve(phi_grid, params: MrtParams, init_well: InitWell = "L") -> RateCurve:
     """Tabulate the total rate over a sorted flux grid.
 
     One line-shape tabulation is shared by all points; the model is a
     fixed shape evaluated at shifted arguments.
     """
     phi = bias_grid(phi_grid)
-    r01, r03 = peak_rates(phi, params, init_well, gr_form)
+    r01, r03 = peak_rates(phi, params, init_well)
     return RateCurve(phi_x=phi, rate=r01 + r03, init_well=init_well)

@@ -446,8 +446,7 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
                     overrides: Optional[dict] = None,
                     bias_mode: str = "fixed",
                     n_points: int = DEFAULT_GRID_POINTS,
-                    half_span: float = DEFAULT_HALF_SPAN,
-                    gr_form: str = "standard") -> FullModelResult:
+                    half_span: float = DEFAULT_HALF_SPAN) -> FullModelResult:
     """Rate curve with circuit quantities taken from the Hamiltonian.
 
     Solves the circuit at the degeneracy bias (ground-pair amplitude,
@@ -513,11 +512,11 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     }
 
     if bias_mode == "fixed":
-        curve = simulate_curve(phi, mrt, gr_form=gr_form)
+        curve = simulate_curve(phi, mrt)
         return FullModelResult(curve=curve, params=mrt, solver=solver_info)
 
     eps, om31, nodes, tail = bias_energies(params, phi, n_points, half_span)
-    shapes = LineShapes(mrt, float(phi[0]), float(phi[-1]), gr_form=gr_form)
+    shapes = LineShapes(mrt, float(phi[0]), float(phi[-1]))
     # each peak at its interpolated energy, passed as the bias of equal
     # linear energy
     r01, _ = shapes.rates(energy_to_flux(eps, mrt.ip_a))

@@ -64,6 +64,13 @@ def o_g_relax(nu, z, t, nu31):
     return gw / (math.pi * (nu * nu + gw * gw))
 
 
+def o_g_relax_half_width(nu, z, t, nu31):
+    """The half-width convention Gamma / 2 pi (nu^2 + (Gamma/2)^2) of the
+    relaxation envelope, with Gamma = zeta b((nu + nu31) / T)."""
+    gw = z * o_balance((nu + nu31) / t)
+    return gw / (2.0 * math.pi * (nu * nu + (gw / 2.0) ** 2))
+
+
 def quad_g01(eps, w, g, t):
     """Single convolution of the Gaussian and ohmic envelopes by adaptive
     quadrature, evaluated at energy bias eps (all in GHz)."""

@@ -164,10 +164,12 @@ def test_exit_code_missing_file(capsys):
 
 
 def test_exit_code_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[model]\nbogus = 1\n")
-    code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
-    assert code == 2
-    assert "MRTFIT-ERROR" in capsys.readouterr().err
+    # an unknown key is a parse error
+    for body in ("[model]\nbogus = 1\n", "[model]\ngr_form = standard\n"):
+        cfg = write_config(tmp_path, body)
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, body
+        assert capsys.readouterr().err.startswith("MRTFIT-ERROR class=parse"), body
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
@@ -186,6 +188,15 @@ def test_bad_fit_config_value_is_a_validation_error(tmp_path, capsys):
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("MRTFIT-ERROR class=validation") and "jitter_rel" in err
+    # an empty or repeated free list fails before any fit starts
+    data = tmp_path / "d.csv"
+    data.write_text("# ip_uA = 1.37\nphi_x_uPhi0,rate_per_us\n0.0,0.5\n")
+    for free in ("", "w_phi,w_phi"):
+        cfg = write_config(tmp_path, f"[fit]\nfree = {free}\n")
+        assert run(["fit", "--config", cfg, "--data", str(data),
+                    "--out", str(tmp_path)]) == 3, free
+        err = capsys.readouterr().err
+        assert err.startswith("MRTFIT-ERROR class=validation") and "free" in err, free
 
 
 def _is_number(text):

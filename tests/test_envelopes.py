@@ -9,7 +9,7 @@ from mrtfit import envelopes as env
 from mrtfit.errors import DomainError, ModelValidityWarning, ValidationError
 from mrtfit.units import flux_to_energy, kelvin_to_ghz
 
-from oracles import o_balance, o_g_low, o_g_relax, o_theta
+from oracles import o_balance, o_g_low, o_g_relax, o_g_relax_half_width, o_theta
 
 T_REF = kelvin_to_ghz(7.3e-3)
 W_REF = flux_to_energy(37.2, 1.37e-6)       # 318 MHz
@@ -248,15 +248,11 @@ def test_g_relax_matches_oracle():
             o_g_relax(nu, Z_REF, T_REF, NU31_REF), rel=1e-10)
 
 
-def test_g_relax_half_width_variant():
-    p = rx(nu31=50 * T_REF)
-    std = env.g_relax(0.0, p, form="standard")
-    alt = env.g_relax(0.0, p, form="half_width")
-    # alternative form is half as wide, hence twice as tall at center
-    assert alt == pytest.approx(2 * std, rel=1e-6)
-    lo, hi = env.normalization_domain(p)
-    val, _ = quad(lambda x: float(env.g_relax(x, p, form="half_width")), lo, hi,
-                  points=[0.0], limit=600)
-    assert abs(val - 1.0) < 0.03
-    with pytest.raises(DomainError):
-        env.g_relax(0.0, p, form="bogus")
+def test_half_width_convention_is_g_relax_at_half_zeta():
+    # a half-width result is the standard model at zeta / 2, so its zeta
+    # and tan_delta_c are twice the reported values
+    nu = np.linspace(-3.0 * NU31_REF, 3.0 * NU31_REF, 2001)
+    for z in (0.01, Z_REF, 0.3, 2.0):
+        expect = [o_g_relax_half_width(x, z, T_REF, NU31_REF) for x in nu]
+        np.testing.assert_allclose(env.g_relax(nu, rx(z=z / 2.0)), expect,
+                                   rtol=1e-12, atol=0.0, err_msg=f"zeta = {z}")

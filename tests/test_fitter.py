@@ -116,6 +116,14 @@ def test_initial_guess_truncated_dataset_flags_single_peak(ref_params):
     assert guess.params.zeta_phi_uphi0 == 0.0
 
 
+def test_single_peak_start_with_only_first_peak_parameters_free_is_rejected(ref_params):
+    # the single-peak start fixes delta03 and zeta_phi, leaving nothing to fit
+    phi = np.linspace(-200.0, 1200.0, 90)
+    ds = RateDataset(phi_x=phi, rate=simulate_curve(phi, ref_params).rate, ip_a=IP)
+    with pytest.raises(ValidationError, match="single-peak"):
+        fit(ds, FitConfig(free=("delta03", "zeta_phi")))
+
+
 # ---------------------------------------------------------------------------
 # fitting
 
@@ -151,9 +159,9 @@ def test_objective_amplitude_only_step_matches_fresh_build(ref_params):
     x = _to_x(ref_params.by_name(), PARAM_NAMES)
     moved = x.copy()
     moved[[PARAM_NAMES.index("delta01"), PARAM_NAMES.index("delta03")]] += (1e-4, -3e-4)
-    objective = _Objective(ds, PARAM_NAMES, {}, "standard")
+    objective = _Objective(ds, PARAM_NAMES, {})
     objective(x)
-    fresh = _Objective(ds, PARAM_NAMES, {}, "standard")
+    fresh = _Objective(ds, PARAM_NAMES, {})
     np.testing.assert_array_equal(objective(moved), fresh(moved))
     assert objective.n_eval == 2
 
@@ -212,7 +220,7 @@ def test_jacobian_matches_central_differences(ref_params, case):
         ds = synth_dataset(params, seed=3)
         if case == "mirrored":
             ds = ds.mirrored()
-    objective = _Objective(ds, PARAM_NAMES, {}, "standard")
+    objective = _Objective(ds, PARAM_NAMES, {})
     x = _to_x(params.by_name(), PARAM_NAMES)
     objective(x)
     jac = objective.jac(x)
@@ -230,7 +238,7 @@ def test_jacobian_matches_central_differences(ref_params, case):
 
 def test_jacobian_at_the_evaluated_point_builds_nothing(ref_params, monkeypatch):
     ds = synth_dataset(ref_params, seed=9)
-    objective = _Objective(ds, PARAM_NAMES, {}, "standard")
+    objective = _Objective(ds, PARAM_NAMES, {})
     x = _to_x(ref_params.by_name(), PARAM_NAMES)
     objective(x)
     builds = []
@@ -319,8 +327,13 @@ def test_fit_requires_enough_points(ref_params):
     {"bounds": {**FitConfig().bounds, "gamma_phi": (1e-4, math.inf)}},
     {"jitter_rel": 1.5},
     {"jitter_rel": -0.1},
+    {"bounds": {**FitConfig().bounds, "gamma_phi": (-2.0, -1.0)}},
+    {"bounds": {**FitConfig().bounds, "delta01": (0.0, 1.0)}},
+    {"free": ()},
+    {"free": ("w_phi", "w_phi")},
 ], ids=["nan ftol", "zero gtol", "multistart 0", "max_nfev 0", "nan bound",
-        "infinite bound", "jitter 1.5", "negative jitter"])
+        "infinite bound", "jitter 1.5", "negative jitter", "negative log bound",
+        "zero log bound", "no free parameters", "repeated free parameter"])
 def test_fit_config_rejects_bad_values(overrides):
     with pytest.raises(ValidationError):
         FitConfig(**overrides)

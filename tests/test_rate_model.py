@@ -433,24 +433,22 @@ def test_nonpositive_pinned_core_node_raises(monkeypatch):
 def test_pinned_core_mass_and_second_moment_match_closed_form(zeta):
     from mrtfit.envelopes import g_relax
 
-    for form in ("standard", "half_width"):
-        shapes = LineShapes(make_params(zeta_phi_uphi0=zeta), -500.0, 3000.0,
-                            gr_form=form)
-        assert shapes.diagnostics["relax_renorm"]
-        nu, iz, step = shapes.grid.values, shapes.grid.index_of_zero, shapes.grid.step
-        h = shapes._relax_c * shapes._width0
-        lorentz = (h / math.pi) / (nu * nu + h * h)
-        # the pinned table less its sampled remainder g_relax - L_h
-        core = shapes._relax_table() - g_relax(nu, shapes._rx, form=form) + lorentz
-        mass = (math.atan(nu[-1] / h) - math.atan(nu[0] / h)) / math.pi
-        assert float(np.sum(core)) * step == pytest.approx(mass, rel=1e-12, abs=0.0), form
-        # second moment over the +-K nodes about zero, on the trapezoid rule
-        k = rate_model._CORE_MOMENT_NODES
-        x2 = (nu * nu * core)[iz - k: iz + k + 1]
-        moment = (float(np.sum(x2)) - 0.5 * (x2[0] + x2[-1])) * step
-        a = k * step
-        expect = (h / math.pi) * (2.0 * a - 2.0 * h * math.atan(a / h))
-        assert moment == pytest.approx(expect, rel=1e-9, abs=0.0), form
+    shapes = LineShapes(make_params(zeta_phi_uphi0=zeta), -500.0, 3000.0)
+    assert shapes.diagnostics["relax_renorm"]
+    nu, iz, step = shapes.grid.values, shapes.grid.index_of_zero, shapes.grid.step
+    h = shapes._width0
+    lorentz = (h / math.pi) / (nu * nu + h * h)
+    # the pinned table less its sampled remainder g_relax - L_h
+    core = shapes._relax_table() - g_relax(nu, shapes._rx) + lorentz
+    mass = (math.atan(nu[-1] / h) - math.atan(nu[0] / h)) / math.pi
+    assert float(np.sum(core)) * step == pytest.approx(mass, rel=1e-12, abs=0.0)
+    # second moment over the +-K nodes about zero, on the trapezoid rule
+    k = rate_model._CORE_MOMENT_NODES
+    x2 = (nu * nu * core)[iz - k: iz + k + 1]
+    moment = (float(np.sum(x2)) - 0.5 * (x2[0] + x2[-1])) * step
+    a = k * step
+    expect = (h / math.pi) * (2.0 * a - 2.0 * h * math.atan(a / h))
+    assert moment == pytest.approx(expect, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("overrides, window", [
@@ -485,18 +483,6 @@ def test_zero_delta03_gives_pure_zeroth_curve(ref_params):
     phis = np.linspace(-200.0, 400.0, 31)
     np.testing.assert_allclose(total_rate(phis, p), rate_01(phis, p) + 0.0,
                                rtol=1e-12)
-
-
-def test_relaxation_variant_switch_changes_first_peak_only(ref_params):
-    phis = np.linspace(800.0, 2400.0, 25)
-    std = rate_03(phis, ref_params, gr_form="standard")
-    alt = rate_03(phis, ref_params, gr_form="half_width")
-    assert np.all(alt > 0)
-    # the narrower variant concentrates weight near resonance: lower valley
-    i_val = np.argmin(np.abs(phis - 1100.0))
-    assert alt[i_val] < std[i_val]
-    np.testing.assert_allclose(rate_01(phis, ref_params, gr_form="half_width"),
-                               rate_01(phis, ref_params), rtol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["delta03_ghz", "gamma_phi_uphi0",
@@ -553,7 +539,6 @@ def test_window_above_zero_keeps_the_relaxation_wing():
 
 SLOPE_CASES = {
     "ref": {},
-    "half_width": {"gr_form": "half_width"},
     "gamma=0": {"gamma_phi_uphi0": 0.0},
     "zeta=0": {"zeta_phi_uphi0": 0.0},
     "small gamma": {"gamma_phi_uphi0": 0.05},
@@ -564,14 +549,12 @@ SLOPE_CASES = {
 
 @pytest.mark.parametrize("case", SLOPE_CASES)
 def test_table_slopes_match_central_differences_on_a_fixed_grid(case, monkeypatch):
-    overrides = dict(SLOPE_CASES[case])
-    form = overrides.pop("gr_form", "standard")
-    p = make_params(**overrides)
+    p = make_params(**SLOPE_CASES[case])
     # a Gaussian this narrow asks for more nodes than the clamp allows
     clamped = case == "gaussian near the grid step"
     with (pytest.warns(ModelValidityWarning, match="clamped") if clamped
           else contextlib.nullcontext()):
-        base = LineShapes(p, -500.0, 3000.0, gr_form=form)
+        base = LineShapes(p, -500.0, 3000.0)
     if case == "gaussian near the grid step":
         assert base.diagnostics["gaussian_as_delta"]
     d01, d03 = base._table_slopes()
@@ -586,8 +569,8 @@ def test_table_slopes_match_central_differences_on_a_fixed_grid(case, monkeypatc
         if value == 0.0:
             continue
         h = 1e-5 * value
-        up = LineShapes(replace(p, **{name: value + h}), -500.0, 3000.0, gr_form=form)
-        down = LineShapes(replace(p, **{name: value - h}), -500.0, 3000.0, gr_form=form)
+        up = LineShapes(replace(p, **{name: value + h}), -500.0, 3000.0)
+        down = LineShapes(replace(p, **{name: value - h}), -500.0, 3000.0)
         for slopes, attr, rows in ((d01, "_table01", slice(None)),
                                    (d03, "_table03", in_window)):
             if slopes is None:
