@@ -24,6 +24,12 @@ the grid-converged equivalent (splitting at degeneracy for the ground
 pair, minimal gap at the excited-state resonance for the first peak).
 The minimal gap is the vertex of gap^2, a parabola in the bias near the
 crossing, found from seven solves without an iterative search.
+
+Every eigen-solve goes through ``_lowest_levels``: inverse iteration from
+the levels of a coarse copy of the block, Rayleigh-Ritz, and a
+certificate from the residuals and two Sturm-type counts, with LAPACK
+bisection for anything the certificate rejects.  The grid has 64 to
+MAX_GRID_POINTS points, checked before any solve.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dpttrf, dstebz, dstein
 
 from .errors import ConvergenceError, SingleWellError, ValidationError
 from .units import (
@@ -51,6 +58,7 @@ if TYPE_CHECKING:
 _GHZ = 1e9
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_HALF_SPAN = 0.5      # in flux quanta, each side of the partition
+MAX_GRID_POINTS = 65536
 
 
 @dataclass(frozen=True)
@@ -70,10 +78,14 @@ class RfSquidParams:
 
     def __post_init__(self):
         for name in ("ic_a", "l_h", "c_f"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if abs(self.phi_cjj_x) > 1.0:
-            raise ValidationError("|phi_cjj_x| must not exceed 1 flux quantum")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
+        if not abs(self.phi_cjj_x) <= 1.0:
+            raise ValidationError("|phi_cjj_x| must not exceed 1 flux quantum, "
+                                  f"got {self.phi_cjj_x}")
+        if not math.isfinite(self.phi_x_uphi0):
+            raise ValidationError(f"phi_x_uphi0 must be finite, got {self.phi_x_uphi0}")
 
     @property
     def ej_joule(self) -> float:
@@ -116,6 +128,11 @@ def _potential_ghz(params: RfSquidParams, y: np.ndarray) -> np.ndarray:
 
 def _flux_axis(params: RfSquidParams, n_points: int, half_span: float) -> np.ndarray:
     """Uniform grid of y = Phi/Phi0, staggered about the partition point."""
+    if not 64 <= n_points <= MAX_GRID_POINTS or n_points % 2:
+        raise ValidationError(
+            f"n_points must be even and within 64..{MAX_GRID_POINTS}, got {n_points}")
+    if not 0 < half_span < math.inf:
+        raise ValidationError(f"half_span must be positive and finite, got {half_span}")
     dy = 2.0 * half_span / n_points
     y_part = params.phi_x_uphi0 * 1e-6 - 0.5
     return y_part + (np.arange(n_points) + 0.5 - n_points / 2) * dy
@@ -135,8 +152,6 @@ def effective_potential(params: RfSquidParams,
             f"beta_eff = {params.beta_eff:.4f} <= 1: the junction term cannot "
             "form a barrier; no double well exists at this compound-junction "
             "bias")
-    if n_points < 64 or n_points % 2:
-        raise ValidationError("n_points must be even and at least 64")
     y = _flux_axis(params, n_points, half_span)
     u = _potential_ghz(params, y)
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
@@ -157,12 +172,145 @@ def _kinetic_coef_ghz(c_f: float) -> float:
     return CONSTANTS.hbar**2 / (2.0 * c_f * CONSTANTS.Phi0**2) / CONSTANTS.h / _GHZ
 
 
+# The certified solver behind _lowest_levels.  Shifts and start vectors come
+# from the block averaged onto about _COARSE_NODES cells, bisected to
+# _COARSE_TOL of the coarse kinetic norm.  Residuals must fall within
+# _RESIDUAL_UNITS rounding units eps 4a/dy^2 of the kinetic norm: measured
+# residuals grow about as the square root of the grid size, to 1.5 units at
+# 1024 points, 2.6 at 4096 and 6.3 at 16384.  The Sturm counts get
+# _COUNT_UNITS of slack beyond the residual norm.
+_COARSE_NODES = 256
+_COARSE_TOL = 1e-6
+_RESIDUAL_UNITS = 16.0
+_COUNT_UNITS = 4.0
+_MAX_SWEEPS = 8
+
+
+def _coarse_levels(u: np.ndarray, a: float, dy: float, k: int):
+    """Lowest ``k`` eigenvalues and eigenvectors of the block ``u`` averaged
+    over cells of s = len(u) // _COARSE_NODES nodes, the vectors repeated
+    back onto the nodes (zero past the last whole cell), or None when LAPACK
+    reports a failure."""
+    s = max(1, len(u) // _COARSE_NODES)
+    m = len(u) // s
+    if k > m:
+        return None
+    c = a / (s * dy) ** 2
+    d = u[:m * s].reshape(m, s).mean(axis=1) + 2.0 * c
+    e = np.full(m - 1, -c)
+    # the raw wrapper's range code 2 selects il..iu by index (LAPACK's 'I')
+    found, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, k,
+                                            _COARSE_TOL * 4.0 * c, "B")
+    if info or found != k:
+        return None
+    z, info = dstein(d, e, w[:k], iblock, isplit)
+    if info:
+        return None
+    x = np.zeros((k, len(u)))
+    x[:, :m * s] = np.repeat(z.T, s, axis=1)
+    return w[:k], x
+
+
+def _inverse_sweep(d: np.ndarray, e: np.ndarray, shifts: np.ndarray,
+                   x: np.ndarray):
+    """One inverse-iteration step for each row of ``x`` at its own shift, or
+    None if a factorization meets an exact zero pivot."""
+    out = np.empty_like(x)
+    for j, shift in enumerate(shifts):
+        *_, sol, info = dgtsv(e, d - shift, e, x[j][:, None], overwrite_d=True)
+        if info:
+            return None
+        out[j] = sol[:, 0]
+    return out
+
+
+def _gram(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # einsum, because BLAS takes about twice as long for k x n times n x k
+    # with k = 2 or 3
+    return np.einsum("in,jn->ij", p, q)
+
+
+def _rayleigh_ritz(x: np.ndarray, u: np.ndarray, c: float) -> tuple:
+    """Ritz values and orthonormal Ritz vectors of the rows of ``x``, with
+    the vectors' differences including the zero ends.  The energy is
+    sum u x^2 + c sum (dx)^2: the kinetic term as squared differences,
+    so that nothing cancels against the 2c on the diagonal."""
+    f = np.empty((len(x), x.shape[1] + 1))
+    f[:, 0], f[:, -1] = x[:, 0], -x[:, -1]
+    np.subtract(x[:, 1:], x[:, :-1], out=f[:, 1:-1])
+    h = _gram(x * u, x) + c * _gram(f, f)
+    li = np.linalg.inv(np.linalg.cholesky(_gram(x, x)))
+    theta, w = np.linalg.eigh(li @ h @ li.T)
+    coef = w.T @ li
+    return theta, coef @ x, coef @ f
+
+
+def _certified_levels(u: np.ndarray, a: float, dy: float, k: int):
+    """The lowest ``k`` levels and their vectors (rows), or None when they
+    cannot be certified.  See ``_lowest_levels``."""
+    c = a / dy**2
+    d = u + 2.0 * c
+    e = np.full(len(u) - 1, -c)
+    start = _coarse_levels(u, a, dy, k)
+    if start is None:
+        return None
+    theta, x = start
+    unit = np.finfo(float).eps * 4.0 * c
+    for _ in range(_MAX_SWEEPS):
+        x = _inverse_sweep(d, e, theta, x)
+        if x is None:
+            return None
+        try:
+            theta, x, f = _rayleigh_ritz(x, u, c)
+        except np.linalg.LinAlgError:
+            return None
+        r = (u - theta[:, None]) * x + c * (f[:, :-1] - f[:, 1:])
+        res = np.sqrt(np.einsum("in,in->i", r, r))
+        if res.max() <= _RESIDUAL_UNITS * unit:
+            break
+    else:
+        return None
+    # each Ritz value lies within the residual norm of its own eigenvalue
+    # (Kahan); none below lo and exactly k in (lo, hi] makes them the lowest
+    delta = math.sqrt(res @ res) + _COUNT_UNITS * unit
+    lo, hi = theta[0] - delta, theta[-1] + delta
+    if dpttrf(d - lo, e)[2]:
+        return None
+    # range code 1 selects (lo, hi] (LAPACK's 'V'); a tolerance of the whole
+    # window stops the bisection at the count
+    found, *_, info = dstebz(d, e, 1, lo, hi, 0, 0, hi - lo, "B")
+    if info or found != k:
+        return None
+    return theta, x
+
+
 def _lowest_levels(u: np.ndarray, dy: float, c_f: float, n_levels: int,
                    where: str, vectors: bool = False):
     """Lowest ``n_levels`` of the finite-difference Hamiltonian (GHz) for the
     potential ``u`` on a grid of step ``dy``: the energies, and with
-    ``vectors`` also the eigenvectors, as ``eigh_tridiagonal`` gives them."""
+    ``vectors`` also the orthonormal eigenvectors as columns.
+
+    The levels of the block averaged onto about 256 cells give shifts and
+    start vectors.  Inverse iteration on the full block (one LAPACK
+    ``dgtsv`` solve per level), each sweep followed by Rayleigh-Ritz with
+    the kinetic energy written as squared differences, refines them until
+    every residual |T x - theta x| is within 16 rounding units
+    eps 4a/dy^2 of the kinetic norm; two sweeps suffice except next to an
+    avoided crossing, and after eight the solve gives up.  The levels are
+    then certified: each Ritz value lies within the residual norm of its
+    own eigenvalue, T - (theta_0 - delta) is positive definite (``dpttrf``),
+    and a Sturm count (``dstebz``) finds exactly ``n_levels`` eigenvalues in
+    (theta_0 - delta, theta_last + delta], delta being the residual norm
+    plus 4 units (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+    ch. 4 and 11).  Whatever is not certified is solved by bisection and
+    inverse iteration (``eigh_tridiagonal``) instead.  No state is kept
+    between calls, so the result depends on the arguments alone.
+    """
     a = _kinetic_coef_ghz(c_f)
+    certified = _certified_levels(u, a, dy, n_levels)
+    if certified is not None:
+        theta, x = certified
+        return (theta, x.T) if vectors else theta
     try:
         return eigh_tridiagonal(u + 2.0 * a / dy**2, np.full(len(u) - 1, -a / dy**2),
                                 eigvals_only=not vectors, select="i",
@@ -217,11 +365,12 @@ def solve_wells(pot: EffectivePotential, c_f: float, n_levels: int = 2,
     basis's level spacing and persistent current, the degeneracy values
     when ``pot`` is at zero bias.
     """
-    if n_levels < 2:
-        raise ValidationError("need at least two levels per well")
     y, u, dy = pot.y, pot.u_ghz, pot.step
     n = len(y)
     m = pot.partition_index
+    if not 2 <= n_levels <= m:
+        raise ValidationError(
+            f"n_levels must be within 2..{m}, the size of a well block, got {n_levels}")
     e_left, v_left = _lowest_levels(u[:m], dy, c_f, n_levels,
                                     "the left well block", vectors=True)
     e_right, v_right = _lowest_levels(u[m:], dy, c_f, n_levels,
@@ -376,12 +525,13 @@ def bias_energies(params: RfSquidParams, phi: np.ndarray,
 
     The wells are solved at 9 Chebyshev-Lobatto nodes of the window, then
     at 17 and at 33, each set reusing the solves of the one before, until
-    the last three Chebyshev coefficients of both functions fall below the
-    solver's rounding noise.  That bound is one rounding unit of the
-    kinetic term's matrix norm, 4 hbar^2 / (2 C Phi0^2 dy^2): 2.6e-10 GHz
-    at 4096 grid points, growing as the square of the grid size; the
-    noise coefficients measured from 1024 to 8192 points stay below 0.4
-    of it.  The barycentric formula evaluates the interpolant, and returns
+    the last three Chebyshev coefficients of both functions fall below one
+    rounding unit of the kinetic term's matrix norm,
+    eps 4 hbar^2 / (2 C Phi0^2 dy^2): 2.6e-10 GHz at 4096 grid points,
+    growing as the square of the grid size.  That is how closely the
+    certified levels agree with bisection (see ``_lowest_levels``); their
+    own noise, the trailing coefficients at 33 nodes, stays below 0.02 of
+    a unit from 1024 to 8192 points.  The barycentric formula evaluates the interpolant, and returns
     the solved values exactly at biases that are nodes, the window ends
     among them.  A single bias is solved directly.
 
@@ -463,9 +613,10 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     level differences eps = E_L0 - E_R0 and omega31 = E_R1 - E_R0 at every
     requested bias, interpolated from wells solved at 9, 17 or 33
     Chebyshev-Lobatto nodes of the bias window (see ``bias_energies``).
-    The interpolant agrees with a solve at every bias to the solver's own
-    rounding, about 1e-10 GHz at 4096 grid points, and its cost does not
-    depend on the number of biases.
+    At 4096 grid points the interpolant agrees with a certified solve at
+    every bias to 1.1e-11 GHz, and with bisection to 3e-10 GHz, the
+    rounding of bisection itself (six circuits, 60 biases each); its cost
+    does not depend on the number of biases.
     """
     # the eigensolver alone (the ``squid`` subcommand) needs no rate model
     from .rate_model import (LineShapes, MrtParams, RateCurve, bias_grid,

@@ -3,9 +3,10 @@
 Everything here is built from the defining formulas with plain math and
 adaptive quadrature, deliberately sharing no code with the package's
 vectorized FFT pipeline.  Constants are hardcoded (CODATA 2018).  The one
-exception is ``per_bias_rate``, which checks only how the full model
-interpolates the level energies in the bias, and so solves the circuit
-and evaluates the line shapes with the package's own routines.
+exception is ``per_bias_rate``, which checks how the full model solves and
+interpolates the level energies in the bias: it takes the potential and
+the line shapes from the package, but solves every well block by LAPACK
+bisection.
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 H = 6.62607015e-34
 E_CH = 1.602176634e-19
@@ -136,13 +138,21 @@ def convolve(f, g, grid):
     return full[iz: iz + n] * grid.step
 
 
+def well_levels(u, dy, c_f, k):
+    """Lowest k levels (GHz) of the finite-difference Hamiltonian of the
+    well block ``u`` on a grid of step ``dy`` (flux quanta), by bisection."""
+    t = HBAR**2 / (2.0 * c_f * PHI0**2) / H / 1e9 / dy**2
+    return eigh_tridiagonal(u + 2.0 * t, np.full(len(u) - 1, -t), eigvals_only=True,
+                            select="i", select_range=(0, k - 1))
+
+
 def per_bias_rate(circuit, mrt, phi, n_points=4096):
     """Total rate (1/us) of the per-bias full model with both wells solved
     at every bias in ``phi``: eps = E_L0 - E_R0 and omega31 = E_R1 - E_R0
     enter each peak's line shape at its exact energy, ``mrt`` supplying the
     amplitudes, widths and the linear map."""
     from mrtfit.rate_model import LineShapes
-    from mrtfit.squid_full import _lowest_levels, effective_potential
+    from mrtfit.squid_full import effective_potential
     from mrtfit.units import energy_to_flux
 
     eps = np.empty(len(phi))
@@ -150,8 +160,8 @@ def per_bias_rate(circuit, mrt, phi, n_points=4096):
     for i, p in enumerate(phi):
         pot = effective_potential(replace(circuit, phi_x_uphi0=float(p)), n_points)
         u, m, dy = pot.u_ghz, pot.partition_index, pot.step
-        e_left = _lowest_levels(u[:m], dy, circuit.c_f, 2, "the left well block")
-        e_right = _lowest_levels(u[m:], dy, circuit.c_f, 2, "the right well block")
+        e_left = well_levels(u[:m], dy, circuit.c_f, 1)
+        e_right = well_levels(u[m:], dy, circuit.c_f, 2)
         eps[i] = e_left[0] - e_right[0]
         om31[i] = e_right[1] - e_right[0]
     shapes = LineShapes(mrt, float(phi[0]), float(phi[-1]))

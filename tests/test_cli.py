@@ -232,6 +232,25 @@ def test_exit_code_single_well(tmp_path, capsys):
     assert "class=validation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, says", [
+    ("ic_ua = nan", "ic_a"), ("l_ph = inf", "l_h"), ("c_ff = inf", "c_f"),
+    ("phi_cjj_x = nan", "phi_cjj_x"),
+    ("n_levels = 3000", "n_levels"), ("half_span = -0.5", "half_span"),
+    ("half_span = inf", "half_span"), ("grid_points = 131072", "n_points"),
+], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "n_levels", "half_span_negative",
+        "half_span_inf", "grid_points"])
+def test_squid_config_checked_before_any_solve(tmp_path, capsys, monkeypatch, body, says):
+    import mrtfit.squid_full as squid_full
+
+    solves = []
+    monkeypatch.setattr(squid_full, "_lowest_levels", lambda *a, **k: solves.append(a))
+    cfg = write_config(tmp_path, f"[squid]\n{body}\n")
+    assert run(["squid", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("MRTFIT-ERROR class=validation") and says in err
+    assert solves == []
+
+
 def test_config_from_environment(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "[simulate]\nn_points = 12\n")
     monkeypatch.setenv("MRTFIT_CONFIG", cfg)

@@ -56,10 +56,12 @@ def test_potential_symmetric_at_degeneracy(circuit):
 
 
 def test_rf_squid_params_validation():
-    with pytest.raises(ValidationError):
-        replace(RfSquidParams(**REF_CIRCUIT), ic_a=-1e-6)
-    with pytest.raises(ValidationError):
-        replace(RfSquidParams(**REF_CIRCUIT), phi_cjj_x=-1.5)
+    for field, value in [("ic_a", -1e-6), ("ic_a", math.nan), ("l_h", math.inf),
+                         ("c_f", math.inf), ("c_f", math.nan), ("phi_cjj_x", -1.5),
+                         ("phi_cjj_x", math.nan), ("phi_x_uphi0", math.inf),
+                         ("phi_x_uphi0", math.nan)]:
+        with pytest.raises(ValidationError, match=field):
+            replace(RfSquidParams(**REF_CIRCUIT), **{field: value})
 
 
 def test_single_well_regimes_rejected():
@@ -231,15 +233,21 @@ def test_crossing_search_outside_its_bracket_raises(circuit, basis, factor):
                              basis.ip_a)
 
 
-def counted_solves(monkeypatch):
+def counted(monkeypatch, name):
+    """Record the calls of the ``squid_full`` global ``name``."""
     calls = []
+    original = getattr(squid_full, name)
 
-    def counted(*args, **kwargs):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return eigh_tridiagonal(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(squid_full, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(squid_full, name, wrapper)
     return calls
+
+
+def counted_solves(monkeypatch):
+    return counted(monkeypatch, "_lowest_levels")
 
 
 @pytest.mark.parametrize("path, solves", [("fixed", 12), ("squid", 10),
@@ -262,6 +270,94 @@ def test_degeneracy_wells_are_solved_once(circuit, monkeypatch, path, solves):
                               bias_mode="per_bias")
         assert res.solver["bias_nodes"] == 17
     assert len(calls) == solves
+
+
+# ---------------------------------------------------------------------------
+# the certified eigensolver against LAPACK bisection
+
+BENCH_CJJ = [-0.76, -0.755, -0.75, -0.745, -0.74, -0.735]
+
+
+@pytest.fixture(scope="module")
+def resonance_biases():
+    out = {}
+    for phi_cjj_x in BENCH_CJJ:
+        circuit = RfSquidParams(**dict(REF_CIRCUIT, phi_cjj_x=phi_cjj_x))
+        b = solve_wells(effective_potential(circuit), circuit.c_f,
+                        compute_amplitudes=False)
+        out[phi_cjj_x] = excited_crossing_gap(circuit, circuit.c_f, b.omega31_ghz,
+                                              b.ip_a)[1]
+    return out
+
+
+def rounding_unit(c_f, dy):
+    """One rounding unit of the kinetic matrix norm, eps 4a/dy^2, in GHz."""
+    return np.finfo(float).eps * 4.0 * squid_full._kinetic_coef_ghz(c_f) / dy**2
+
+
+def solver_blocks(circuit, phi, n_points):
+    """(name, block potential, levels asked) as the package solves them."""
+    pot = effective_potential(replace(circuit, phi_x_uphi0=float(phi)), n_points)
+    u, m = pot.u_ghz, pot.partition_index
+    return pot.step, [("left", u[:m], 1), ("left", u[:m], 2), ("right", u[m:], 2),
+                      ("full", u, 2), ("full", u, 3)]
+
+
+@pytest.mark.parametrize("n_points", [1024, 4096, 16384])
+@pytest.mark.parametrize("phi_cjj_x", BENCH_CJJ)
+def test_certified_levels_match_bisection_without_fallback(
+        phi_cjj_x, n_points, resonance_biases, monkeypatch):
+    circuit = RfSquidParams(**dict(REF_CIRCUIT, phi_cjj_x=phi_cjj_x))
+    fallbacks = counted(monkeypatch, "eigh_tridiagonal")
+    for phi in (-500.0, 0.0, resonance_biases[phi_cjj_x], 3000.0):
+        dy, blocks = solver_blocks(circuit, phi, n_points)
+        bound = 2.0 * rounding_unit(circuit.c_f, dy)
+        for name, u, k in blocks:
+            got = squid_full._lowest_levels(u, dy, circuit.c_f, k, name)
+            want = oracles.well_levels(u, dy, circuit.c_f, k)
+            assert np.max(np.abs(got - want)) <= bound, (phi, name, k)
+    assert fallbacks == []
+
+
+def test_certified_levels_match_the_dense_spectrum():
+    # an independent algorithm, Householder reduction and QR of the dense
+    # matrix, whose own rounding reaches 3.7 units on these blocks
+    circuit = RfSquidParams(**REF_CIRCUIT)
+    for phi in (-500.0, 0.0, 2212.0, 3000.0):
+        dy, blocks = solver_blocks(circuit, phi, 256)
+        t = squid_full._kinetic_coef_ghz(circuit.c_f) / dy**2
+        for name, u, k in blocks:
+            dense = (np.diag(u + 2.0 * t) - t * np.eye(len(u), k=1)
+                     - t * np.eye(len(u), k=-1))
+            want = np.linalg.eigvalsh(dense)[:k]
+            got = squid_full._lowest_levels(u, dy, circuit.c_f, k, name)
+            assert np.max(np.abs(got - want)) <= 8.0 * rounding_unit(circuit.c_f, dy)
+
+
+@pytest.mark.parametrize("skip", [0, 1], ids=["level_below", "level_between"])
+def test_uncertified_levels_fall_back_to_bisection(circuit, monkeypatch, skip):
+    # shifts and start vectors that skip one of the lowest k + 1 levels:
+    # inverse iteration converges to the others with small residuals, and
+    # the missed level fails the positive-definite test (level 0) or the
+    # Sturm count (level 1), so bisection answers
+    coarse = squid_full._coarse_levels
+
+    def skipping(u, a, dy, k):
+        shifts, x = coarse(u, a, dy, k + 1)
+        keep = np.arange(k + 1) != skip
+        return shifts[keep], x[keep]
+
+    monkeypatch.setattr(squid_full, "_coarse_levels", skipping)
+    fallbacks = counted(monkeypatch, "eigh_tridiagonal")
+    pot = effective_potential(circuit)
+    u, m, dy = pot.u_ghz, pot.partition_index, pot.step
+    t = squid_full._kinetic_coef_ghz(circuit.c_f) / dy**2
+    for block, k in ((u[m:], 2), (u, 3)):
+        got = squid_full._lowest_levels(block, dy, circuit.c_f, k, "", vectors=True)
+        want = eigh_tridiagonal(block + 2.0 * t, np.full(len(block) - 1, -t),
+                                select="i", select_range=(0, k - 1))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(fallbacks) == 2
 
 
 def test_grid_convergence_energies_and_splitting(circuit):
