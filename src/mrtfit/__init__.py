@@ -27,10 +27,10 @@ _EXPORTS = {
         "ModelValidityWarning", "MrtfitError", "ReportError", "SingleWellError",
         "ValidationError"),
     "fitter": (
-        "BatchResult", "FitConfig", "FitResult", "InitialGuess", "RateDataset",
-        "batch_fit", "fit", "initial_guess"),
+        "BatchResult", "FitConfig", "FitResult", "InitialGuess", "batch_fit",
+        "fit", "initial_guess"),
     "rate_model": (
-        "FrequencyGrid", "LineShapes", "MrtParams", "RateCurve", "peak_rates",
+        "FrequencyGrid", "LineShapes", "MrtParams", "RateDataset", "peak_rates",
         "rate_01", "rate_03", "simulate_curve", "total_rate"),
     "squid_full": (
         "EffectivePotential", "FullModelNoise", "FullModelResult",

@@ -114,17 +114,17 @@ def _flux_grid(cfg: dataio.RunConfig, section: str) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    from .rate_model import RateCurve, peak_rates
+    from .rate_model import RateDataset, peak_rates
 
     cfg = _load_config(args)
     params = cfg.model_params()
     phi = _flux_grid(cfg, "simulate")
     well = cfg.get("simulate", "well")
     r01, r03 = peak_rates(phi, params, well)
-    curves = {"total": RateCurve(phi_x=phi, rate=r01 + r03, init_well=well),
-              "peak0": RateCurve(phi_x=phi, rate=r01, init_well=well)}
+    column = functools.partial(RateDataset, phi_x=phi, ip_a=params.ip_a, well=well)
+    curves = {"total": column(rate=r01 + r03), "peak0": column(rate=r01)}
     if params.delta03_ghz > 0 and np.all(r03 > 0):
-        curves["peak1"] = RateCurve(phi_x=phi, rate=r03, init_well=well)
+        curves["peak1"] = column(rate=r03)
     out = _out_dir(args) / "model_curve.csv"
     dataio.write_curve_table(out, curves)
     print(f"wrote {out}")
@@ -132,7 +132,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .fitter import RateDataset
     from .rate_model import simulate_curve
 
     cfg = _load_config(args)
@@ -144,9 +143,8 @@ def cmd_gen(args) -> int:
     noise_rel = cfg.getfloat("gen", "noise_rel")
     rng = np.random.default_rng(seed)
     noisy = curve.rate * np.exp(noise_rel * rng.standard_normal(len(phi)))
-    dataset = RateDataset(
-        phi_x=phi, rate=noisy, ip_a=params.ip_a,
-        sigma_rel=np.full(len(phi), noise_rel), well=well, qubit_id=qubit_id)
+    dataset = dataclasses.replace(curve, rate=noisy, qubit_id=qubit_id,
+                                  sigma_rel=np.full(len(phi), noise_rel))
     out = _out_dir(args) / f"{qubit_id}.csv"
     dataio.save_dataset(out, dataset, extra_meta={
         "seed": seed, "noise_rel": noise_rel,
@@ -158,7 +156,7 @@ def cmd_gen(args) -> int:
 
 def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
     from .fitter import fit, initial_guess
-    from .rate_model import RateCurve, peak_rates
+    from .rate_model import peak_rates
 
     fit_cfg = cfg.fit_config()
     guess = initial_guess(dataset)
@@ -172,12 +170,12 @@ def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
     dataio.save_report(report_path, report)
     (out_dir / f"{stem}.report.txt").write_text(
         dataio.render_report_text(report), encoding="utf-8")
-    # residual table on the data grid (skipped when biases repeat, since a
-    # curve table needs a strictly increasing axis)
+    # residual table on the data grid, its model column the dataset with the
+    # fitted rates (skipped unless the biases strictly increase, as a plotted
+    # flux axis must)
     if np.all(np.diff(dataset.phi_x) > 0):
         r01, r03 = peak_rates(dataset.folded_phi(), result.params)
-        model = RateCurve(phi_x=np.asarray(dataset.phi_x), rate=r01 + r03,
-                          init_well="L")
+        model = dataclasses.replace(dataset, rate=r01 + r03, sigma_rel=None)
         dataio.write_curve_table(out_dir / f"{stem}.residuals.csv",
                                  {"model": model}, dataset)
     else:
@@ -255,12 +253,11 @@ def cmd_squid(args) -> int:
 
     cfg = _load_config(args)
     f = functools.partial(cfg.getfloat, "squid")
-    n_levels = cfg.getint("squid", "n_levels")
     params = RfSquidParams(ic_a=f("ic_ua") * 1e-6, l_h=f("l_ph") * 1e-12,
                            c_f=f("c_ff") * 1e-15, phi_cjj_x=f("phi_cjj_x"))
     pot = effective_potential(params, n_points=cfg.getint("squid", "grid_points"),
                               half_span=f("half_span"))
-    basis = solve_wells(pot, params.c_f, n_levels=n_levels)
+    basis = solve_wells(pot, params.c_f)
     ip = persistent_current(basis)
     omega31 = basis.omega31_ghz
     v31 = basis.voltage_v[1, 3]
@@ -274,8 +271,8 @@ def cmd_squid(args) -> int:
         "v31_harmonic_uv": dataio.fmt(
             harmonic_v31(2 * math.pi * omega31 * 1e9, params.c_f) * 1e6),
     }
-    for n in range(2 * n_levels):
-        rows[f"energy_{n}_ghz"] = dataio.fmt(basis.energies_ghz[n])
+    for n, energy in enumerate(basis.energies_ghz):
+        rows[f"energy_{n}_ghz"] = dataio.fmt(energy)
     _print_or_json(args, rows, "rf-SQUID well summary")
     if args.out:
         out = _out_dir(args) / "squid_summary.json"

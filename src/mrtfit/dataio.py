@@ -45,8 +45,8 @@ from .errors import ConfigError, DatasetFormatError, ReportError, ValidationErro
 from .units import noise_summary
 
 if TYPE_CHECKING:
-    from .fitter import FitConfig, FitResult, RateDataset
-    from .rate_model import MrtParams
+    from .fitter import FitConfig, FitResult
+    from .rate_model import MrtParams, RateDataset
 
 DATASET_TAG = "mrtfit-dataset v1"
 REPORT_TAG = "mrtfit-report-v1"
@@ -70,7 +70,7 @@ def load_dataset(path) -> RateDataset:
     Raises DatasetFormatError with a line number for malformed rows or
     invariant violations (for example a non-positive rate).
     """
-    from .fitter import RateDataset
+    from .rate_model import RateDataset
 
     path = Path(path)
     meta = {}
@@ -223,7 +223,6 @@ CONFIG_DEFAULTS = {
         "phi_cjj_x": "-0.74",
         "grid_points": "4096",
         "half_span": "0.5",
-        "n_levels": "2",
     },
     "gen": {
         "n_points": "200",
@@ -443,8 +442,8 @@ def input_sha256(path) -> str:
 def write_curve_table(path, curves: dict, dataset: Optional[RateDataset] = None):
     """Aligned table of model curves and (optionally) data with residuals.
 
-    ``curves`` maps column label to RateCurve; all curves must share one
-    flux grid.  The residual column is log10(data / first model column),
+    ``curves`` maps column label to RateDataset; all curves must share
+    one flux grid.  The residual column is log10(data / first model column),
     the natural quantity to inspect for a log-space fit.  Rates are
     strictly positive by construction so the table is safe to plot on a
     log axis.

@@ -9,7 +9,8 @@ space; the peak separation, Gaussian width and temperature stay linear.
 The fluctuation-dissipation tie between the Gaussian width and its shift
 holds at every iterate because the shift is recomputed from (W, T)
 inside the model.  Names, log flags, default bounds and step-scale
-floors all come from ``rate_model.FIT_PARAMS``.
+floors all come from ``rate_model.FIT_PARAMS``.  The data is a
+``rate_model.RateDataset``, measured or simulated alike.
 
 The line shapes do not depend on the tunneling amplitudes, which only
 scale the two peaks.  The objective keeps the line shapes of its last
@@ -36,75 +37,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import units
 from .errors import ConvergenceError, ValidationError
-from .rate_model import FIT_PARAMS, SHAPE_FIELDS, LineShapes, MrtParams, _rate_coef
+from .rate_model import (FIT_PARAMS, SHAPE_FIELDS, LineShapes, MrtParams,
+                         RateDataset, _rate_coef)
 from .units import NoiseSummary, flux_to_energy, ghz_to_kelvin, kelvin_to_ghz
 
 PARAM_NAMES = tuple(q.name for q in FIT_PARAMS)
 _PARAM = {q.name: q for q in FIT_PARAMS}
-
-
-@dataclass(frozen=True, eq=False)
-class RateDataset:
-    """Measured (or synthetic) rate-versus-flux data for one qubit.
-
-    ``well`` is either a single 'L'/'R' for the whole dataset or an array
-    of per-point labels.  The persistent current is an independently
-    measured input, never fitted.
-    """
-
-    phi_x: np.ndarray
-    rate: np.ndarray
-    ip_a: float
-    sigma_rel: Optional[np.ndarray] = None
-    well: object = "L"
-    qubit_id: Optional[str] = None
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi_x, dtype=float)
-        rate = np.asarray(self.rate, dtype=float)
-        object.__setattr__(self, "phi_x", phi)
-        object.__setattr__(self, "rate", rate)
-        if phi.ndim != 1 or phi.shape != rate.shape or len(phi) == 0:
-            raise ValidationError("phi_x and rate must be non-empty 1-d arrays "
-                                  "of equal length")
-        if not np.all(np.isfinite(phi)):
-            raise ValidationError("phi_x must be finite")
-        if not np.all(np.isfinite(rate) & (rate > 0)):
-            raise ValidationError("all rates must be positive and finite")
-        if self.ip_a <= 0:
-            raise ValidationError(f"ip_a must be positive, got {self.ip_a}")
-        if self.sigma_rel is not None:
-            sig = np.asarray(self.sigma_rel, dtype=float)
-            object.__setattr__(self, "sigma_rel", sig)
-            if sig.shape != phi.shape or not np.all(np.isfinite(sig) & (sig > 0)):
-                raise ValidationError("sigma_rel must be positive, finite and "
-                                      "match phi_x")
-        wells = self.well_labels()
-        if not np.all(np.isin(wells, ("L", "R"))):
-            raise ValidationError("well labels must be 'L' or 'R'")
-
-    def __len__(self):
-        return len(self.phi_x)
-
-    def well_labels(self) -> np.ndarray:
-        if isinstance(self.well, str):
-            return np.full(len(self.phi_x), self.well)
-        return np.asarray(self.well)
-
-    def folded_phi(self) -> np.ndarray:
-        """Flux biases mapped to the left-initialization orientation."""
-        phi = self.phi_x.copy()
-        phi[self.well_labels() == "R"] *= -1.0
-        return phi
-
-    def mirrored(self) -> "RateDataset":
-        """The same data relabeled as seen from the opposite well."""
-        wells = self.well_labels()
-        flipped = np.where(wells == "L", "R", "L")
-        return RateDataset(phi_x=-self.phi_x, rate=self.rate.copy(),
-                           ip_a=self.ip_a, sigma_rel=None if self.sigma_rel is None
-                           else self.sigma_rel.copy(), well=flipped,
-                           qubit_id=self.qubit_id)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,9 @@ amplitudes to the line shapes at folded biases.  ``peak_rates``, and
 through it ``rate_01``, ``rate_03``, ``total_rate`` and ``simulate_curve``,
 builds on the folded window of its own biases.  ``FIT_PARAMS`` is the one
 table of the seven fit parameters: names, fields, labels, units, log
-flags and bounds.
+flags and bounds.  ``RateDataset`` is the one rate-versus-flux record:
+``simulate_curve`` returns one, so a simulated curve can be saved,
+mirrored and fitted as measured data is.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -93,14 +95,6 @@ _TILT_REACH = 14.0
 # nodes either side of zero over which a pinned core keeps its second moment
 _CORE_MOMENT_NODES = 64
 
-InitWell = str  # "L" or "R"
-
-
-def _check_well(init_well: str) -> str:
-    if init_well not in ("L", "R"):
-        raise ValidationError(f"init_well must be 'L' or 'R', got {init_well!r}")
-    return init_well
-
 
 @dataclass(frozen=True)
 class MrtParams:
@@ -130,14 +124,15 @@ class MrtParams:
             "ip_a": self.ip_a,
         }
         for name, value in positive.items():
-            if not value > 0:
-                raise ValidationError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
         # delta03 = 0 is the degenerate single-peak model (first peak absent)
         for name, value in (("delta03_ghz", self.delta03_ghz),
                             ("gamma_phi_uphi0", self.gamma_phi_uphi0),
                             ("zeta_phi_uphi0", self.zeta_phi_uphi0)):
-            if not value >= 0:
-                raise ValidationError(f"{name} must be non-negative, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValidationError(
+                    f"{name} must be non-negative and finite, got {value}")
         w_ghz = flux_to_energy(self.w_phi_uphi0, self.ip_a)
         if self.delta01_ghz > _INCOHERENT_WARN_RATIO * w_ghz:
             warnings.warn(
@@ -206,28 +201,67 @@ _NU31, _W, _GAM, _ZET, _T = range(len(SHAPE_FIELDS))
 
 
 @dataclass(frozen=True, eq=False)
-class RateCurve:
-    """Sampled rate-versus-flux curve for one initialization well."""
+class RateDataset:
+    """Measured (or synthetic) rate-versus-flux data for one qubit.
+
+    ``well`` is either a single 'L'/'R' for the whole dataset or an array
+    of per-point labels.  The persistent current is an independently
+    measured input, never fitted.
+    """
 
     phi_x: np.ndarray
     rate: np.ndarray
-    init_well: InitWell = "L"
+    ip_a: float
+    sigma_rel: Optional[np.ndarray] = None
+    well: object = "L"
+    qubit_id: Optional[str] = None
 
     def __post_init__(self):
         phi = np.asarray(self.phi_x, dtype=float)
         rate = np.asarray(self.rate, dtype=float)
         object.__setattr__(self, "phi_x", phi)
         object.__setattr__(self, "rate", rate)
-        _check_well(self.init_well)
-        if phi.ndim != 1 or phi.shape != rate.shape:
-            raise ValidationError("phi_x and rate must be 1-d arrays of equal length")
-        if len(phi) > 1 and not np.all(np.diff(phi) > 0):
-            raise ValidationError("phi_x must be strictly increasing")
-        if not np.all(rate > 0):
-            raise ValidationError("rates must be positive everywhere")
+        if phi.ndim != 1 or phi.shape != rate.shape or len(phi) == 0:
+            raise ValidationError("phi_x and rate must be non-empty 1-d arrays "
+                                  "of equal length")
+        if not np.all(np.isfinite(phi)):
+            raise ValidationError("phi_x must be finite")
+        if not np.all(np.isfinite(rate) & (rate > 0)):
+            raise ValidationError("all rates must be positive and finite")
+        if self.ip_a <= 0:
+            raise ValidationError(f"ip_a must be positive, got {self.ip_a}")
+        if self.sigma_rel is not None:
+            sig = np.asarray(self.sigma_rel, dtype=float)
+            object.__setattr__(self, "sigma_rel", sig)
+            if sig.shape != phi.shape or not np.all(np.isfinite(sig) & (sig > 0)):
+                raise ValidationError("sigma_rel must be positive, finite and "
+                                      "match phi_x")
+        wells = self.well_labels()
+        if not np.all(np.isin(wells, ("L", "R"))):
+            raise ValidationError("well labels must be 'L' or 'R'")
 
     def __len__(self):
         return len(self.phi_x)
+
+    def well_labels(self) -> np.ndarray:
+        if isinstance(self.well, str):
+            return np.full(len(self.phi_x), self.well)
+        return np.asarray(self.well)
+
+    def folded_phi(self) -> np.ndarray:
+        """Flux biases mapped to the left-initialization orientation."""
+        phi = self.phi_x.copy()
+        phi[self.well_labels() == "R"] *= -1.0
+        return phi
+
+    def mirrored(self) -> "RateDataset":
+        """The same data relabeled as seen from the opposite well."""
+        wells = self.well_labels()
+        flipped = np.where(wells == "L", "R", "L")
+        return RateDataset(phi_x=-self.phi_x, rate=self.rate.copy(),
+                           ip_a=self.ip_a, sigma_rel=None if self.sigma_rel is None
+                           else self.sigma_rel.copy(), well=flipped,
+                           qubit_id=self.qubit_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -780,7 +814,7 @@ class LineShapes:
         return r01, _rate_coef(p.delta03_ghz) * self.shape03(eps)
 
 
-def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L") -> tuple:
+def peak_rates(phi_x, params: MrtParams, init_well: str = "L") -> tuple:
     """Peak rates (r01, r03) in 1/us at flux biases ``phi_x`` (uPhi0), from
     one build over their folded window; right-well initialization is the
     mirror image of the left."""
@@ -789,7 +823,9 @@ def peak_rates(phi_x, params: MrtParams, init_well: InitWell = "L") -> tuple:
         raise ValidationError("no flux biases given")
     if not np.all(np.isfinite(phi)):
         raise DomainError("flux biases must be finite")
-    folded = -phi if _check_well(init_well) == "R" else phi
+    if init_well not in ("L", "R"):
+        raise ValidationError(f"init_well must be 'L' or 'R', got {init_well!r}")
+    folded = -phi if init_well == "R" else phi
     shapes = LineShapes(params, float(folded.min()), float(folded.max()))
     if not shapes._table01.max() > 0:
         centre = energy_to_flux(shapes._lf.shift_ghz, params.ip_a)
@@ -812,7 +848,7 @@ def rate_03(phi_x, params: MrtParams):
     return out[0] if np.isscalar(phi_x) else out
 
 
-def total_rate(phi_x, params: MrtParams, init_well: InitWell = "L"):
+def total_rate(phi_x, params: MrtParams, init_well: str = "L"):
     """Total escape rate (1/us) for either initialization well."""
     r01, r03 = peak_rates(phi_x, params, init_well)
     out = r01 + r03
@@ -832,12 +868,13 @@ def bias_grid(phi_grid) -> np.ndarray:
     return phi
 
 
-def simulate_curve(phi_grid, params: MrtParams, init_well: InitWell = "L") -> RateCurve:
-    """Tabulate the total rate over a sorted flux grid.
+def simulate_curve(phi_grid, params: MrtParams, init_well: str = "L") -> RateDataset:
+    """Tabulate the total rate over a sorted flux grid, as a dataset with
+    the params' persistent current and ``init_well`` as its well.
 
     One line-shape tabulation is shared by all points; the model is a
     fixed shape evaluated at shifted arguments.
     """
     phi = bias_grid(phi_grid)
     r01, r03 = peak_rates(phi, params, init_well)
-    return RateCurve(phi_x=phi, rate=r01 + r03, init_well=init_well)
+    return RateDataset(phi_x=phi, rate=r01 + r03, ip_a=params.ip_a, well=init_well)

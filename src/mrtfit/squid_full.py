@@ -53,7 +53,7 @@ from .units import (
 )
 
 if TYPE_CHECKING:
-    from .rate_model import MrtParams, RateCurve
+    from .rate_model import MrtParams, RateDataset
 
 _GHZ = 1e9
 DEFAULT_GRID_POINTS = 4096
@@ -325,23 +325,21 @@ def _lowest_levels(u: np.ndarray, dy: float, c_f: float, n_levels: int,
 class WellBasis:
     """Per-well metastable states and their matrix elements.
 
-    States are numbered with even integers in the left well and odd in
-    the right, interleaved by energy order within each well: 0, 2, 4...
-    left; 1, 3, 5... right.  ``wavefunctions[n]`` lives on the full grid
-    (zero outside its well).  ``current_a`` is the loop-current matrix in
-    ampere (zero between opposite wells by construction), ``voltage_v``
-    the magnitude of the junction-voltage matrix element in volt (the
-    operator is antihermitian in the real position basis, so only the
-    magnitude is physical here), ``delta_ghz`` the tunneling amplitudes
-    for the pairs used by the two-peak model.
+    The two lowest states of each well are numbered in energy order, 0
+    and 2 in the left well, 1 and 3 in the right.  ``wavefunctions[n]``
+    lives on the full grid (zero outside its well).  ``current_a`` is the
+    loop-current matrix in ampere (zero between opposite wells by
+    construction), ``voltage_v`` the magnitude of the junction-voltage
+    matrix element in volt (the operator is antihermitian in the real
+    position basis, so only the magnitude is physical here), ``delta_ghz``
+    the tunneling amplitudes for the pairs used by the two-peak model.
     """
 
     potential: EffectivePotential
-    n_levels: int
     energies_ghz: np.ndarray          # index = state number, interleaved
-    wavefunctions: np.ndarray         # shape (2 n_levels, n_grid)
-    current_a: np.ndarray             # (2 n, 2 n)
-    voltage_v: np.ndarray             # (2 n, 2 n), magnitudes
+    wavefunctions: np.ndarray         # shape (4, n_grid)
+    current_a: np.ndarray             # (4, 4)
+    voltage_v: np.ndarray             # (4, 4), magnitudes
     delta_ghz: dict                   # {(0,1): ..., (0,3): ...}
 
     @property
@@ -354,35 +352,31 @@ class WellBasis:
         return persistent_current(self)
 
 
-def solve_wells(pot: EffectivePotential, c_f: float, n_levels: int = 2,
+def solve_wells(pot: EffectivePotential, c_f: float,
                 compute_amplitudes: bool = True) -> WellBasis:
     """Diagonalize the Hamiltonian blocks on each side of the partition.
 
-    Returns the lowest ``n_levels`` states per well with energies,
-    current and voltage matrix elements, and (optionally) the tunneling
-    amplitudes for the (0,1) and (0,3) pairs from avoided-crossing gaps
-    of the untruncated spectrum.  The (0,3) crossing is sought from this
+    Returns the lowest two states per well with energies, current and
+    voltage matrix elements, and (optionally) the tunneling amplitudes for
+    the (0,1) and (0,3) pairs from avoided-crossing gaps of the
+    untruncated spectrum.  The (0,3) crossing is sought from this
     basis's level spacing and persistent current, the degeneracy values
     when ``pot`` is at zero bias.
     """
     y, u, dy = pot.y, pot.u_ghz, pot.step
     n = len(y)
     m = pot.partition_index
-    if not 2 <= n_levels <= m:
-        raise ValidationError(
-            f"n_levels must be within 2..{m}, the size of a well block, got {n_levels}")
-    e_left, v_left = _lowest_levels(u[:m], dy, c_f, n_levels,
+    e_left, v_left = _lowest_levels(u[:m], dy, c_f, 2,
                                     "the left well block", vectors=True)
-    e_right, v_right = _lowest_levels(u[m:], dy, c_f, n_levels,
+    e_right, v_right = _lowest_levels(u[m:], dy, c_f, 2,
                                       "the right well block", vectors=True)
 
     # interleave by well, each wavefunction positive next to the partition
-    n_states = 2 * n_levels
     energies = np.column_stack([e_left, e_right]).ravel()
-    psi = np.zeros((n_states, n))
+    psi = np.zeros((4, n))
     psi[0::2, :m] = (v_left * np.where(v_left[-1] > 0, 1.0, -1.0)).T
     psi[1::2, m:] = (v_right * np.where(v_right[0] > 0, 1.0, -1.0)).T
-    parity = np.arange(n_states) % 2
+    parity = np.arange(4) % 2
     same_well = parity[:, None] == parity[None, :]
 
     # current operator is diagonal in flux: I = (Phi - Phi^x + Phi0/2)/L;
@@ -396,11 +390,11 @@ def solve_wells(pot: EffectivePotential, c_f: float, n_levels: int = 2,
     # the partition, so opposite wells are masked rather than zero.
     dpsi = np.zeros_like(psi)
     dpsi[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * dy)
-    voltage = np.where(same_well & ~np.eye(n_states, dtype=bool),
+    voltage = np.where(same_well & ~np.eye(4, dtype=bool),
                        CONSTANTS.hbar / (c_f * CONSTANTS.Phi0) * np.abs(psi @ dpsi.T),
                        0.0)
 
-    basis = WellBasis(potential=pot, n_levels=n_levels, energies_ghz=energies,
+    basis = WellBasis(potential=pot, energies_ghz=energies,
                       wavefunctions=psi, current_a=current, voltage_v=voltage,
                       delta_ghz={})
     if compute_amplitudes:
@@ -587,7 +581,7 @@ class FullModelNoise:
 
 @dataclass(frozen=True, eq=False)
 class FullModelResult:
-    curve: RateCurve
+    curve: RateDataset
     params: MrtParams
     solver: dict
 
@@ -619,7 +613,7 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     does not depend on the number of biases.
     """
     # the eigensolver alone (the ``squid`` subcommand) needs no rate model
-    from .rate_model import (LineShapes, MrtParams, RateCurve, bias_grid,
+    from .rate_model import (LineShapes, MrtParams, RateDataset, bias_grid,
                              simulate_curve)
 
     if bias_mode not in ("fixed", "per_bias"):
@@ -627,7 +621,7 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     phi = bias_grid(phi_grid)
     pot0 = effective_potential(dc_replace(params, phi_x_uphi0=0.0),
                                n_points, half_span)
-    basis0 = solve_wells(pot0, params.c_f, n_levels=2, compute_amplitudes=False)
+    basis0 = solve_wells(pot0, params.c_f, compute_amplitudes=False)
     ip = persistent_current(basis0)
     delta01 = ground_pair_splitting(params, params.c_f, n_points, half_span)
     omega31_0 = basis0.omega31_ghz
@@ -637,8 +631,7 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     # resonance-bias basis for the intrawell quantities
     pot_res = effective_potential(dc_replace(params, phi_x_uphi0=phi31),
                                   n_points, half_span)
-    basis_res = solve_wells(pot_res, params.c_f, n_levels=2,
-                            compute_amplitudes=False)
+    basis_res = solve_wells(pot_res, params.c_f, compute_amplitudes=False)
     v31 = float(basis_res.voltage_v[1, 3])
     omega31_res = basis_res.omega31_ghz
 
@@ -672,6 +665,6 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     # linear energy
     r01, _ = shapes.rates(energy_to_flux(eps, mrt.ip_a))
     _, r03 = shapes.rates(energy_to_flux(eps - om31, mrt.ip_a) + mrt.phi31_uphi0)
-    curve = RateCurve(phi_x=phi, rate=r01 + r03, init_well="L")
+    curve = RateDataset(phi_x=phi, rate=r01 + r03, ip_a=mrt.ip_a)
     solver_info.update(bias_mode="per_bias", bias_nodes=nodes, bias_tail_ghz=tail)
     return FullModelResult(curve=curve, params=mrt, solver=solver_info)

@@ -21,7 +21,6 @@ from mrtfit import (
     FullModelNoise,
     LineShapes,
     MrtParams,
-    RateCurve,
     RateDataset,
     RfSquidParams,
     dataio,
@@ -292,13 +291,12 @@ def test_criterion_6_solver_quantities(capsys):
     t0 = time.perf_counter()
     circuit = RfSquidParams(**REF_CIRCUIT)
     pot = effective_potential(circuit)
-    basis = solve_wells(pot, circuit.c_f, n_levels=2)
+    basis = solve_wells(pot, circuit.c_f)
     ip = persistent_current(basis)
     omega31 = float(basis.omega31_ghz)
     d01 = basis.delta_ghz[(0, 1)]
     pot_res = effective_potential(replace(circuit, phi_x_uphi0=2153.6))
-    basis_res = solve_wells(pot_res, circuit.c_f, n_levels=2,
-                            compute_amplitudes=False)
+    basis_res = solve_wells(pot_res, circuit.c_f, compute_amplitudes=False)
     v_num = basis_res.voltage_v[1, 3]
     v_harm = harmonic_v31(2 * math.pi * basis_res.omega31_ghz * 1e9,
                           circuit.c_f)
@@ -410,7 +408,7 @@ def test_criterion_7_family_tables(tmp_path, capsys):
                       zeta_phi_uphi0=1.0)
         phis = np.linspace(-200.0, 250.0, 901)
         shapes = LineShapes(p, -200.0, 250.0)
-        curve0 = RateCurve(phi_x=phis, rate=shapes.rates(phis)[0], init_well="L")
+        curve0 = RateDataset(phi_x=phis, rate=shapes.rates(phis)[0], ip_a=p.ip_a)
         path = tmp_path / f"fig_a_w{w:.0f}.csv"
         dataio.write_curve_table(path, {"peak0": curve0})
         fwhm[w] = _fwhm_from_table(path, "rate_peak0_per_us")

@@ -108,6 +108,26 @@ def test_squid_summary(tmp_path, capsys):
     assert float(out["delta01_mhz"]) == pytest.approx(13.39, abs=0.05)
 
 
+def test_squid_default_output_is_pinned(capsys, monkeypatch):
+    # the default summary must stay byte-identical; a change that moves it
+    # has to update these values and say why
+    monkeypatch.delenv("MRTFIT_CONFIG", raising=False)
+    assert run(["squid", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "beta_eff": "1.196012",
+        "delta01_mhz": "1.33861711e+01",
+        "delta03_mhz": "1.09812136e+02",
+        "energy_0_ghz": "7.58301793e+02",
+        "energy_1_ghz": "7.58301793e+02",
+        "energy_2_ghz": "7.74655766e+02",
+        "energy_3_ghz": "7.74655766e+02",
+        "ip_ua": "1.26243579e+00",
+        "omega31_ghz": "1.63539733e+01",
+        "v31_harmonic_uv": "7.01824163e+00",
+        "v31_uv": "6.85937076e+00",
+    }
+
+
 def test_batch_over_directory(tmp_path, capsys):
     cfg = write_config(tmp_path, "[gen]\nn_points = 140\n")
     data_dir = tmp_path / "data"
@@ -165,9 +185,11 @@ def test_exit_code_missing_file(capsys):
 
 def test_exit_code_config_error(tmp_path, capsys):
     # an unknown key is a parse error
-    for body in ("[model]\nbogus = 1\n", "[model]\ngr_form = standard\n"):
+    for command, body in (("simulate", "[model]\nbogus = 1\n"),
+                          ("simulate", "[model]\ngr_form = standard\n"),
+                          ("squid", "[squid]\nn_levels = 3000\n")):
         cfg = write_config(tmp_path, body)
-        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        code = run([command, "--config", cfg, "--out", str(tmp_path)])
         assert code == 2, body
         assert capsys.readouterr().err.startswith("MRTFIT-ERROR class=parse"), body
 
@@ -225,6 +247,16 @@ def test_every_numeric_config_key_is_read_and_checked(tmp_path, capsys, section,
     assert err.startswith("MRTFIT-ERROR class=parse") and f"[{section}] {key} " in err
 
 
+@pytest.mark.parametrize("key", list(dataio.CONFIG_DEFAULTS["model"]))
+def test_infinite_model_value_is_a_validation_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, f"[model]\n{key} = inf\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1
+    assert err.startswith("MRTFIT-ERROR class=validation") and "finite" in err
+    assert not (tmp_path / "model_curve.csv").exists()
+
+
 def test_exit_code_single_well(tmp_path, capsys):
     cfg = write_config(tmp_path, "[squid]\nphi_cjj_x = 0.5\n")
     code = run(["squid", "--config", cfg])
@@ -235,9 +267,9 @@ def test_exit_code_single_well(tmp_path, capsys):
 @pytest.mark.parametrize("body, says", [
     ("ic_ua = nan", "ic_a"), ("l_ph = inf", "l_h"), ("c_ff = inf", "c_f"),
     ("phi_cjj_x = nan", "phi_cjj_x"),
-    ("n_levels = 3000", "n_levels"), ("half_span = -0.5", "half_span"),
+    ("half_span = -0.5", "half_span"),
     ("half_span = inf", "half_span"), ("grid_points = 131072", "n_points"),
-], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "n_levels", "half_span_negative",
+], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "half_span_negative",
         "half_span_inf", "grid_points"])
 def test_squid_config_checked_before_any_solve(tmp_path, capsys, monkeypatch, body, says):
     import mrtfit.squid_full as squid_full

@@ -139,6 +139,19 @@ def test_config_overrides_apply(tmp_path):
     assert cfg.getfloat("model", "w_phi_uphi0") == pytest.approx(37.2)
 
 
+def test_simulated_curve_round_trip(tmp_path):
+    params = MrtParams(**REF)
+    curve = simulate_curve(np.linspace(-500.0, 3000.0, 50), params, init_well="R")
+    path = tmp_path / "sim.csv"
+    dataio.save_dataset(path, curve)
+    back = dataio.load_dataset(path)
+    np.testing.assert_allclose(back.phi_x, curve.phi_x, rtol=1e-8)
+    np.testing.assert_allclose(back.rate, curve.rate, rtol=1e-8)
+    assert back.ip_a == pytest.approx(params.ip_a, rel=1e-12)
+    assert back.sigma_rel is None
+    assert np.all(back.well_labels() == "R")
+
+
 # ---------------------------------------------------------------------------
 # fit reports
 

@@ -106,6 +106,21 @@ def test_initial_guess_mirror_invariant(ref_params):
         assert getattr(g_l.params, field) == getattr(g_r.params, field)
 
 
+def test_simulated_curve_fits_as_it_is(ref_params):
+    # a simulated curve with noisy rates fits bit for bit as the dataset
+    # built from its columns
+    phi = np.linspace(-500.0, 3000.0, 120)
+    curve = simulate_curve(phi, ref_params, init_well="R")
+    rng = np.random.default_rng(11)
+    noisy = curve.rate * np.exp(0.05 * rng.standard_normal(len(phi)))
+    sigma = np.full(len(phi), 0.05)
+    direct = fit(replace(curve, rate=noisy, sigma_rel=sigma))
+    built = fit(RateDataset(phi_x=phi, rate=noisy, ip_a=ref_params.ip_a,
+                            sigma_rel=sigma, well="R"))
+    assert direct.params == built.params
+    assert direct.chi2 == built.chi2 and direct.n_eval == built.n_eval
+
+
 def test_initial_guess_truncated_dataset_flags_single_peak(ref_params):
     phi = np.linspace(-200.0, 1200.0, 90)      # stops before the first peak
     curve = simulate_curve(phi, ref_params)

@@ -11,12 +11,14 @@ from mrtfit import (
     FrequencyGrid,
     LineShapes,
     MrtParams,
+    RateDataset,
     peak_rates,
     rate_01,
     rate_03,
     simulate_curve,
     total_rate,
 )
+import mrtfit
 import mrtfit.rate_model as rate_model
 from mrtfit.envelopes import HighFreqBroadening, g_high
 from mrtfit.errors import DomainError, ModelValidityWarning, ValidationError
@@ -364,6 +366,23 @@ def test_grid_clamp_warns():
         LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42)
 
 
+def test_simulated_curve_is_a_dataset(ref_params):
+    phis = np.linspace(-500.0, 3000.0, 40)
+    curve = simulate_curve(phis, ref_params, init_well="R")
+    assert type(curve) is RateDataset
+    assert curve.ip_a == ref_params.ip_a and curve.well == "R"
+    assert curve.sigma_rel is None and curve.qubit_id is None
+    np.testing.assert_array_equal(curve.rate, total_rate(phis, ref_params, "R"))
+    mirrored = curve.mirrored()
+    np.testing.assert_array_equal(mirrored.folded_phi(), curve.folded_phi())
+
+
+def test_rate_curve_is_gone():
+    with pytest.raises(AttributeError):
+        mrtfit.RateCurve
+    assert not hasattr(rate_model, "RateCurve")
+
+
 def test_simulate_curve_validation(ref_params):
     with pytest.raises(ValidationError):
         simulate_curve(np.array([2.0, 1.0]), ref_params)
@@ -490,6 +509,14 @@ def test_zero_delta03_gives_pure_zeroth_curve(ref_params):
 def test_nan_non_negative_parameter_rejected(name):
     with pytest.raises(ValidationError, match=name):
         make_params(**{name: math.nan})
+
+
+@pytest.mark.parametrize("name", list(REF))
+def test_infinite_parameter_rejected(name):
+    # an infinite width or temperature once overflowed the grid size, and an
+    # infinite delta03 wrote inf rates
+    with pytest.raises(ValidationError, match=f"{name} must be .*finite, got inf"):
+        make_params(**{name: math.inf})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from mrtfit import (
     FullModelNoise,
+    RateDataset,
     RfSquidParams,
     effective_potential,
     full_model_rate,
@@ -36,7 +37,7 @@ def circuit():
 @pytest.fixture(scope="module")
 def basis(circuit):
     pot = effective_potential(circuit)
-    return solve_wells(pot, circuit.c_f, n_levels=2)
+    return solve_wells(pot, circuit.c_f)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +389,7 @@ def test_harmonic_v31_arithmetic():
 def test_harmonic_v31_matches_numerical_matrix_element(circuit, basis):
     d03, phi31 = excited_crossing_gap(circuit, circuit.c_f, 16.354, basis.ip_a)
     pot = effective_potential(replace(circuit, phi_x_uphi0=phi31))
-    b = solve_wells(pot, circuit.c_f, n_levels=2, compute_amplitudes=False)
+    b = solve_wells(pot, circuit.c_f, compute_amplitudes=False)
     v_num = b.voltage_v[1, 3]
     v_harm = harmonic_v31(2 * math.pi * b.omega31_ghz * 1e9, circuit.c_f)
     assert abs(v_harm - v_num) / v_num < 0.20
@@ -413,6 +414,18 @@ def test_full_model_delegation_identity(circuit, ref_params):
     np.testing.assert_allclose(res.curve.rate, simple.rate, rtol=1e-12)
     with pytest.raises(ValidationError):
         full_model_rate(circuit, noise, phis, overrides={"bogus": 1.0})
+
+
+@pytest.mark.parametrize("bias_mode", ["fixed", "per_bias"])
+def test_full_model_curve_is_a_dataset(circuit, bias_mode):
+    noise = FullModelNoise(w_phi_uphi0=REF["w_phi_uphi0"],
+                           gamma_phi_uphi0=REF["gamma_phi_uphi0"],
+                           tan_delta_c=2.07e-3,
+                           temperature_k=REF["temperature_k"])
+    res = full_model_rate(circuit, noise, np.linspace(-400.0, 2900.0, 9),
+                          bias_mode=bias_mode)
+    assert type(res.curve) is RateDataset
+    assert res.curve.ip_a == res.params.ip_a and res.curve.well == "L"
 
 
 def test_full_model_zeta_mapping_close_to_fitted_value(circuit):
