@@ -185,11 +185,9 @@ def test_exit_code_missing_file(capsys):
 
 def test_exit_code_config_error(tmp_path, capsys):
     # an unknown key is a parse error
-    for command, body in (("simulate", "[model]\nbogus = 1\n"),
-                          ("simulate", "[model]\ngr_form = standard\n"),
-                          ("squid", "[squid]\nn_levels = 3000\n")):
+    for body in ("[model]\nbogus = 1\n", "[model]\ngr_form = standard\n"):
         cfg = write_config(tmp_path, body)
-        code = run([command, "--config", cfg, "--out", str(tmp_path)])
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
         assert code == 2, body
         assert capsys.readouterr().err.startswith("MRTFIT-ERROR class=parse"), body
 
@@ -264,22 +262,26 @@ def test_exit_code_single_well(tmp_path, capsys):
     assert "class=validation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body, says", [
-    ("ic_ua = nan", "ic_a"), ("l_ph = inf", "l_h"), ("c_ff = inf", "c_f"),
-    ("phi_cjj_x = nan", "phi_cjj_x"),
-    ("half_span = -0.5", "half_span"),
-    ("half_span = inf", "half_span"), ("grid_points = 131072", "n_points"),
-], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "half_span_negative",
+@pytest.mark.parametrize("body, says, code, cls", [
+    ("ic_ua = nan", "ic_a", 3, "validation"), ("l_ph = inf", "l_h", 3, "validation"),
+    ("c_ff = inf", "c_f", 3, "validation"), ("phi_cjj_x = nan", "phi_cjj_x", 3, "validation"),
+    # n_levels is no longer a key: an unknown key is a parse error
+    ("n_levels = 3000", "n_levels", 2, "parse"),
+    ("half_span = -0.5", "half_span", 3, "validation"),
+    ("half_span = inf", "half_span", 3, "validation"),
+    ("grid_points = 131072", "n_points", 3, "validation"),
+], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "n_levels", "half_span_negative",
         "half_span_inf", "grid_points"])
-def test_squid_config_checked_before_any_solve(tmp_path, capsys, monkeypatch, body, says):
+def test_squid_config_checked_before_any_solve(tmp_path, capsys, monkeypatch, body, says,
+                                               code, cls):
     import mrtfit.squid_full as squid_full
 
     solves = []
     monkeypatch.setattr(squid_full, "_lowest_levels", lambda *a, **k: solves.append(a))
     cfg = write_config(tmp_path, f"[squid]\n{body}\n")
-    assert run(["squid", "--config", cfg]) == 3
+    assert run(["squid", "--config", cfg]) == code
     err = capsys.readouterr().err
-    assert err.startswith("MRTFIT-ERROR class=validation") and says in err
+    assert err.startswith(f"MRTFIT-ERROR class={cls}") and says in err
     assert solves == []
 
 
