@@ -17,9 +17,11 @@ with a warning; malformed rows, including non-finite numbers (``nan``,
 Run configuration is INI-style with sections [model], [fit], [squid],
 [gen], [simulate].  Every key has a documented default and unknown
 sections and keys are errors, so a typo cannot silently fall back; a
-numeric value that does not parse is an error naming its key.  The
-[model] keys are the report labels of ``rate_model.FIT_PARAMS`` plus
-``ip_ua``.
+numeric value that does not parse is an error naming its key.  Values
+are read literally (no ``%`` interpolation).  The [model] keys are the
+report labels of ``rate_model.FIT_PARAMS`` plus ``ip_ua``; [fit] holds
+only the free-parameter list and the loop inductance, because the solver
+policy is fixed in ``fitter``.
 
 All numeric output is fixed scientific notation with nine significant
 digits, which makes regenerated files byte-comparable across platforms.
@@ -28,7 +30,6 @@ digits, which makes regenerated files byte-comparable across platforms.
 from __future__ import annotations
 
 import configparser
-import functools
 import hashlib
 import json
 import math
@@ -207,13 +208,6 @@ CONFIG_DEFAULTS = {
     },
     "fit": {
         "free": "delta01,delta03,phi31,w_phi,gamma_phi,zeta_phi,temperature",
-        "ftol": "1e-10",
-        "xtol": "1e-10",
-        "gtol": "1e-10",
-        "max_nfev": "2000",
-        "multistart": "5",
-        "jitter_rel": "0.2",
-        "seed": "0",
         "inductance_ph": "250",
     },
     "squid": {
@@ -277,14 +271,9 @@ class RunConfig:
     def fit_config(self) -> FitConfig:
         from .fitter import FitConfig
 
-        f = functools.partial(self.getfloat, "fit")
-        i = functools.partial(self.getint, "fit")
         free = tuple(x.strip() for x in self.get("fit", "free").split(",") if x.strip())
-        return FitConfig(
-            free=free, ftol=f("ftol"), xtol=f("xtol"), gtol=f("gtol"),
-            max_nfev=i("max_nfev"), multistart=i("multistart"),
-            jitter_rel=f("jitter_rel"), seed=i("seed"),
-            inductance_h=f("inductance_ph") * 1e-12)
+        return FitConfig(free=free,
+                         inductance_h=self.getfloat("fit", "inductance_ph") * 1e-12)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
@@ -299,7 +288,7 @@ def load_config(path) -> RunConfig:
     """Read an INI run configuration, fail-closed on unknown entries."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -3,7 +3,10 @@
 Residuals are taken in log-rate space because measured curves span
 several decades; weights are inverse squared relative errors when the
 dataset carries them.  The minimizer is a damped (trust-region) least
-squares with an exact Jacobian.  Positive scale-spanning parameters
+squares with an exact Jacobian, under one fixed policy: ftol, xtol and
+gtol of 1e-10, at most 2000 evaluations per start, and up to five starts,
+the later ones jittered by +-20 % from a generator seeded with 0, stopping
+at the first start that converges.  Positive scale-spanning parameters
 (tunneling amplitudes, ohmic and charge broadenings) are optimized in log
 space; the peak separation, Gaussian width and temperature stay linear.
 The fluctuation-dissipation tie between the Gaussian width and its shift
@@ -44,20 +47,19 @@ from .units import NoiseSummary, flux_to_energy, ghz_to_kelvin, kelvin_to_ghz
 PARAM_NAMES = tuple(q.name for q in FIT_PARAMS)
 _PARAM = {q.name: q for q in FIT_PARAMS}
 
+TOL = 1e-10
+MAX_NFEV = 2000
+MULTISTART = 5
+JITTER_REL = 0.2
+JITTER_SEED = 0
+
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Free-parameter mask, bounds, tolerances, and multistart policy."""
+    """Free-parameter mask, bounds, and the main-loop inductance."""
 
     free: tuple = PARAM_NAMES
     bounds: dict = field(default_factory=lambda: {q.name: q.bounds for q in FIT_PARAMS})
-    ftol: float = 1e-10
-    xtol: float = 1e-10
-    gtol: float = 1e-10
-    max_nfev: int = 2000
-    multistart: int = 5
-    jitter_rel: float = 0.2
-    seed: int = 0
     inductance_h: float = 250e-12    # used only for derived noise metrics
 
     def __post_init__(self):
@@ -66,18 +68,9 @@ class FitConfig:
             raise ValidationError(f"unknown free parameters: {sorted(unknown)}")
         if not self.free or len(set(self.free)) < len(self.free):
             raise ValidationError(f"free must list distinct parameters: {list(self.free)}")
-        # written so that NaN fails every check
-        for name in ("ftol", "xtol", "gtol"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValidationError(f"{name} must be positive, got {value}")
-        for name in ("max_nfev", "multistart"):
-            value = getattr(self, name)
-            if not value >= 1:
-                raise ValidationError(f"{name} must be at least 1, got {value}")
-        if not 0 <= self.jitter_rel < 1:
+        if not 0 < self.inductance_h < math.inf:
             raise ValidationError(
-                f"jitter_rel must lie in [0, 1), got {self.jitter_rel}")
+                f"inductance_h must be positive and finite, got {self.inductance_h}")
         for name, (lo, hi) in self.bounds.items():
             if name not in PARAM_NAMES:
                 raise ValidationError(f"bounds given for unknown parameter {name!r}")
@@ -119,6 +112,7 @@ class FitResult:
 # initial guess
 
 _GAUSS_PEAK = 1.0 / math.sqrt(2.0 * math.pi)
+_PROVISIONAL_T_K = 0.010
 
 
 def _delta_from_peak(rate_peak: float, w_ghz: float) -> float:
@@ -133,14 +127,13 @@ def _median5(x: np.ndarray) -> np.ndarray:
     return np.median(sliding_window_view(np.pad(x, 2), 5), axis=1)
 
 
-def initial_guess(dataset: RateDataset,
-                  provisional_t_k: float = 0.010) -> InitialGuess:
+def initial_guess(dataset: RateDataset) -> InitialGuess:
     """Heuristic starting point from peak locations, heights, valley level
     and tail excess.
 
     The zeroth-peak position is read as the reorganization shift, which
     the fluctuation-dissipation relation converts to a width guess at a
-    provisional temperature.  Right-well points are folded onto the left
+    provisional 10 mK.  Right-well points are folded onto the left
     orientation first, so mirrored datasets give identical guesses.
     """
     order = np.argsort(dataset.folded_phi())
@@ -148,7 +141,7 @@ def initial_guess(dataset: RateDataset,
     rate = dataset.rate[order]
     ip = dataset.ip_a
     conv = flux_to_energy(1.0, ip)           # GHz per uPhi0
-    t_ghz = kelvin_to_ghz(provisional_t_k)
+    t_ghz = kelvin_to_ghz(_PROVISIONAL_T_K)
 
     log_rate = np.log(rate)
     smooth = _median5(log_rate) if len(rate) >= 5 else log_rate
@@ -214,7 +207,7 @@ def initial_guess(dataset: RateDataset,
         params = MrtParams.from_names({
             "delta01": delta01, "delta03": 0.0, "phi31": max(10.0 * w_phi, 100.0),
             "w_phi": w_phi, "gamma_phi": 1e-2 * w_phi, "zeta_phi": 0.0,
-            "temperature": provisional_t_k}, ip)
+            "temperature": _PROVISIONAL_T_K}, ip)
         return InitialGuess(params=params, two_peaks=False,
                             note=note or "fewer than two peaks detected")
 
@@ -223,7 +216,7 @@ def initial_guess(dataset: RateDataset,
     pos1, sigma1, height1 = refine_peak(i1)
     # prefer the measured zeroth-peak width; the shift-to-width ratio then
     # fixes the temperature through the fluctuation-dissipation tie
-    t_k = provisional_t_k
+    t_k = _PROVISIONAL_T_K
     if sigma0 > 0 and pos0 > 0:
         w_phi = sigma0
         t_ghz_est = conv * sigma0**2 / (2.0 * pos0)
@@ -399,9 +392,9 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
         guess: MrtParams | InitialGuess | None = None) -> FitResult:
     """Estimate the model parameters for one dataset.
 
-    Runs up to ``config.multistart`` trust-region starts; the first uses
-    the supplied (or automatic) guess, later ones jitter it by
-    ``jitter_rel``, and the search stops early once a start converges.
+    Runs up to MULTISTART trust-region starts; the first uses the
+    supplied (or automatic) guess, later ones jitter it by JITTER_REL, and
+    the search stops early once a start converges.
     An automatic guess (``None`` or an ``InitialGuess``) is clipped into
     the bounds; an explicit ``MrtParams`` guess outside them raises
     ValidationError.  Raises ConvergenceError, carrying the best-so-far
@@ -440,14 +433,14 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
     r0 = objective(x0)
     cost_initial = float(r0 @ r0)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(JITTER_SEED)
     best = None
     n_starts = 0
-    for attempt in range(config.multistart):
+    for attempt in range(MULTISTART):
         if attempt == 0:
             x_start = x0
         else:
-            jitter = rng.uniform(-config.jitter_rel, config.jitter_rel, len(free))
+            jitter = rng.uniform(-JITTER_REL, JITTER_REL, len(free))
             x_start = np.array([
                 xi + math.log1p(j) if _PARAM[name].log else xi * (1.0 + j)
                 for xi, j, name in zip(x0, jitter, free)])
@@ -455,8 +448,8 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
         n_starts += 1
         res = least_squares(
             objective, x_start, method="trf", jac=objective.jac, bounds=(lo, hi),
-            x_scale=_x_scale(free, x0), ftol=config.ftol, xtol=config.xtol,
-            gtol=config.gtol, max_nfev=config.max_nfev)
+            x_scale=_x_scale(free, x0), ftol=TOL, xtol=TOL, gtol=TOL,
+            max_nfev=MAX_NFEV)
         if best is None or res.cost < best.cost:
             best = res
         if res.status > 0:
@@ -481,7 +474,7 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
         cost_initial=cost_initial, n_starts=n_starts)
     if not result.converged:
         raise ConvergenceError(
-            f"no start converged within {config.max_nfev} evaluations: "
+            f"no start converged within {MAX_NFEV} evaluations: "
             f"{best.message}", best=result)
     return result
 

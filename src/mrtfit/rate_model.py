@@ -228,8 +228,14 @@ class RateDataset:
             raise ValidationError("phi_x must be finite")
         if not np.all(np.isfinite(rate) & (rate > 0)):
             raise ValidationError("all rates must be positive and finite")
-        if self.ip_a <= 0:
-            raise ValidationError(f"ip_a must be positive, got {self.ip_a}")
+        if not 0 < self.ip_a < math.inf:
+            raise ValidationError(f"ip_a must be positive and finite, got {self.ip_a}")
+        # the id names output files and a batch-summary column
+        qid = self.qubit_id
+        if qid is not None and (qid in ("", ".", "..") or not qid.isprintable()
+                                or any(c in qid for c in "/\\,")):
+            raise ValidationError("qubit_id must be a non-empty file name without "
+                                  f"'/', '\\' or ',', got {qid!r}")
         if self.sigma_rel is not None:
             sig = np.asarray(self.sigma_rel, dtype=float)
             object.__setattr__(self, "sigma_rel", sig)

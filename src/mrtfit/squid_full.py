@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -587,7 +587,6 @@ class FullModelResult:
 
 
 def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
-                    overrides: Optional[dict] = None,
                     bias_mode: str = "fixed",
                     n_points: int = DEFAULT_GRID_POINTS,
                     half_span: float = DEFAULT_HALF_SPAN) -> FullModelResult:
@@ -599,10 +598,8 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     maps the charge-noise loss tangent to the relaxation strength through
     zeta = 2 C V31^2 tan(delta_C), and delegates to the rate model.
 
-    ``overrides`` replaces any of the derived MrtParams fields before the
-    curve is computed, for sensitivity studies and for checking the
-    delegation against the simplified model directly.  ``bias_mode``
-    "fixed" evaluates circuit quantities at representative biases only;
+    ``bias_mode`` "fixed" evaluates circuit quantities at representative
+    biases only, and its curve is ``simulate_curve(phi_grid, result.params)``;
     "per_bias" additionally replaces the linear flux-to-energy map by the
     level differences eps = E_L0 - E_R0 and omega31 = E_R1 - E_R0 at every
     requested bias, interpolated from wells solved at 9, 17 or 33
@@ -642,11 +639,6 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
         delta01_ghz=delta01, delta03_ghz=delta03, phi31_uphi0=phi31,
         w_phi_uphi0=noise.w_phi_uphi0, gamma_phi_uphi0=noise.gamma_phi_uphi0,
         zeta_phi_uphi0=zeta_phi, temperature_k=noise.temperature_k, ip_a=ip)
-    if overrides:
-        unknown = set(overrides) - set(mrt.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown override fields: {sorted(unknown)}")
-        mrt = dc_replace(mrt, **overrides)
 
     solver_info = {
         "ip_a": ip, "delta01_ghz": float(delta01), "delta03_ghz": float(delta03),

@@ -106,8 +106,8 @@ def energy_to_flux(nu: FreqGHz, ip: float) -> FluxUPhi0:
 
 def derive_eta(gamma_phi: FluxUPhi0, ip: float, temperature: TempK) -> float:
     """Dimensionless ohmic coupling eta = 4 I_p gamma_Phi / k_B T."""
-    if temperature <= 0:
-        raise DomainError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise DomainError(f"temperature must be positive and finite, got {temperature}")
     return 4.0 * ip * uphi0_to_wb(gamma_phi) / (k_B * temperature)
 
 
@@ -128,21 +128,26 @@ def derive_shunt_and_inductive_loss(
     Parameters
     ----------
     gamma_phi:
-        Ohmic broadening parameter in micro flux quanta (>= 0).
+        Ohmic broadening parameter in micro flux quanta (finite, >= 0).
     ip, inductance, temperature:
-        Persistent current (A), main-loop inductance (H), temperature (K).
+        Persistent current (A), main-loop inductance (H), temperature (K);
+        each positive and finite.
     omegas:
-        Angular frequencies (rad/s) at which to evaluate tan delta_L.
+        Positive, finite angular frequencies (rad/s) at which to evaluate
+        tan delta_L.
 
     Returns
     -------
     (r_shunt, tan_delta_l_at):
         Shunt resistance in ohm and a tuple of (omega, tan delta_L) pairs.
     """
-    if ip <= 0 or inductance <= 0 or temperature <= 0:
-        raise DomainError("ip, inductance and temperature must be positive")
-    if gamma_phi < 0:
-        raise DomainError(f"gamma_phi must be non-negative, got {gamma_phi}")
+    if not all(0 < x < math.inf for x in (ip, inductance, temperature)):
+        raise DomainError("ip, inductance and temperature must be positive and "
+                          f"finite, got {ip}, {inductance}, {temperature}")
+    if not 0 <= gamma_phi < math.inf:
+        raise DomainError(f"gamma_phi must be non-negative and finite, got {gamma_phi}")
+    if not all(0 < w < math.inf for w in omegas):
+        raise DomainError(f"loss frequencies must be positive and finite, got {omegas}")
     if gamma_phi == 0:
         return math.inf, tuple((w, 0.0) for w in omegas)
     r_shunt = (2.0 * ip * inductance**2 * k_B * temperature
@@ -153,10 +158,10 @@ def derive_shunt_and_inductive_loss(
 
 def derive_tan_delta_c(zeta_phi: FluxUPhi0, phi31: FluxUPhi0) -> float:
     """Capacitive loss tangent tan delta_C = zeta_Phi / Phi^x_31."""
-    if phi31 <= 0:
-        raise DomainError(f"phi31 must be positive, got {phi31}")
-    if zeta_phi < 0:
-        raise DomainError(f"zeta_phi must be non-negative, got {zeta_phi}")
+    if not 0 < phi31 < math.inf:
+        raise DomainError(f"phi31 must be positive and finite, got {phi31}")
+    if not 0 <= zeta_phi < math.inf:
+        raise DomainError(f"zeta_phi must be non-negative and finite, got {zeta_phi}")
     return zeta_phi / phi31
 
 

@@ -204,10 +204,6 @@ def test_exit_code_validation_error(tmp_path, capsys):
 
 
 def test_bad_fit_config_value_is_a_validation_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[fit]\njitter_rel = 1.5\n")
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("MRTFIT-ERROR class=validation") and "jitter_rel" in err
     # an empty or repeated free list fails before any fit starts
     data = tmp_path / "d.csv"
     data.write_text("# ip_uA = 1.37\nphi_x_uPhi0,rate_per_us\n0.0,0.5\n")
@@ -217,6 +213,93 @@ def test_bad_fit_config_value_is_a_validation_error(tmp_path, capsys):
                     "--out", str(tmp_path)]) == 3, free
         err = capsys.readouterr().err
         assert err.startswith("MRTFIT-ERROR class=validation") and "free" in err, free
+
+
+def _gen_dataset(tmp_path) -> Path:
+    """A fittable seeded dataset, ``synthetic.csv`` in ``tmp_path/data``."""
+    cfg = write_config(tmp_path, "[gen]\nn_points = 120\n")
+    assert run(["gen", "--config", cfg, "--seed", "3",
+                "--out", str(tmp_path / "data")]) == 0
+    return tmp_path / "data" / "synthetic.csv"
+
+
+def _files(root) -> list:
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-250"])
+def test_bad_inductance_fails_before_the_fit(tmp_path, capsys, monkeypatch, value):
+    import mrtfit.fitter as fitter
+
+    data = _gen_dataset(tmp_path)
+    starts = []
+    monkeypatch.setattr(fitter, "least_squares", lambda *a, **k: starts.append(a))
+    cfg = write_config(tmp_path, f"[fit]\ninductance_ph = {value}\n")
+    out = tmp_path / "out"
+    assert run(["fit", "--config", cfg, "--data", str(data), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1
+    assert err.startswith("MRTFIT-ERROR class=validation") and "inductance" in err
+    assert starts == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--l-ph", "nan"), ("--t-mk", "inf"), ("--ip-ua", "nan"),
+    ("--gamma-phi", "inf"), ("--zeta-phi", "nan"), ("--phi31", "inf"),
+    ("--loss-freq-ghz", "nan"),
+])
+def test_derive_rejects_non_finite_input(capsys, flag, value):
+    argv = DERIVE_ARGS + ["--loss-freq-ghz", "1"]
+    argv[argv.index(flag) + 1] = value
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("MRTFIT-ERROR") == 1
+    assert captured.err.startswith("MRTFIT-ERROR class=validation")
+
+
+@pytest.mark.parametrize("ip", ["inf", "nan", "-inf"])
+def test_non_finite_persistent_current_is_a_parse_error(tmp_path, capsys, ip):
+    data = tmp_path / "d.csv"
+    data.write_text(f"# ip_uA = {ip}\nphi_x_uPhi0,rate_per_us\n0.0,0.5\n")
+    out = tmp_path / "out"
+    assert run(["fit", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1
+    assert err.startswith("MRTFIT-ERROR class=parse") and "ip_a must" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qubit_id", ["../escaped", "a/b", "a\\b", "a,b", ".", "..", ""])
+def test_dataset_qubit_id_cannot_name_a_path(tmp_path, capsys, qubit_id):
+    # the id names the report files, and batch writes it into a CSV column
+    data = _gen_dataset(tmp_path)
+    data.write_text(data.read_text().replace("# qubit_id = synthetic",
+                                             f"# qubit_id = {qubit_id}"))
+    before = _files(tmp_path)
+    out = tmp_path / "out" / "deep"
+    for argv in (["fit", "--data", str(data)], ["batch", "--data-dir", str(data.parent)]):
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("MRTFIT-ERROR") == 1
+        assert err.startswith("MRTFIT-ERROR class=parse") and "qubit_id must" in err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("qubit_id", ["../../x", "a,b"])
+def test_gen_qubit_id_cannot_name_a_path(tmp_path, capsys, qubit_id):
+    cfg = write_config(tmp_path, f"[gen]\nn_points = 40\nqubit_id = {qubit_id}\n")
+    assert run(["gen", "--config", cfg, "--out", str(tmp_path / "a" / "b")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1
+    assert err.startswith("MRTFIT-ERROR class=validation") and "qubit_id must" in err
+    assert _files(tmp_path) == ["run.ini"]
+
+
+def test_percent_in_a_config_value_is_literal(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[gen]\nn_points = 40\nqubit_id = q%1\n")
+    assert run(["gen", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "q%1.csv").exists()
 
 
 def _is_number(text):
@@ -243,6 +326,21 @@ def test_every_numeric_config_key_is_read_and_checked(tmp_path, capsys, section,
     err = capsys.readouterr().err
     assert err.count("MRTFIT-ERROR") == 1
     assert err.startswith("MRTFIT-ERROR class=parse") and f"[{section}] {key} " in err
+
+
+DELETED_FIT_KEYS = {"ftol": "1e-10", "xtol": "1e-10", "gtol": "1e-10",
+                    "max_nfev": "2000", "multistart": "5", "jitter_rel": "0.2",
+                    "seed": "0"}
+
+
+@pytest.mark.parametrize("key", list(DELETED_FIT_KEYS))
+def test_deleted_fit_key_is_a_parse_error(tmp_path, capsys, key):
+    # the solver policy is fixed: even the former default value is refused
+    cfg = write_config(tmp_path, f"[fit]\n{key} = {DELETED_FIT_KEYS[key]}\n")
+    assert run(READER["fit"] + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1
+    assert err.startswith("MRTFIT-ERROR class=parse") and f"unknown key '{key}'" in err
 
 
 @pytest.mark.parametrize("key", list(dataio.CONFIG_DEFAULTS["model"]))

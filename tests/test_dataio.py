@@ -1,10 +1,13 @@
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mrtfit import dataio
-from mrtfit.errors import ConfigError, DatasetFormatError, ReportError
+from mrtfit.errors import ConfigError, DatasetFormatError, ReportError, ValidationError
 from mrtfit.fitter import FitConfig, RateDataset, fit
 from mrtfit.rate_model import MrtParams, simulate_curve
 
@@ -91,6 +94,18 @@ def test_unknown_column_warns(tmp_path):
     assert len(ds) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"ip_a": math.nan}, {"ip_a": math.inf}, {"ip_a": 0.0}, {"qubit_id": "../q"},
+    {"qubit_id": "a/b"}, {"qubit_id": "a\\b"}, {"qubit_id": "a,b"},
+    {"qubit_id": "."}, {"qubit_id": ".."}, {"qubit_id": ""}, {"qubit_id": "q\n1"},
+], ids=["nan ip", "infinite ip", "zero ip", "parent id", "slash id", "backslash id",
+        "comma id", "dot id", "dot-dot id", "empty id", "newline id"])
+def test_dataset_rejects_bad_current_or_id(bad):
+    (name,) = bad
+    with pytest.raises(ValidationError, match=name):
+        replace(small_dataset(), **bad)
+
+
 def test_missing_ip_metadata_is_an_error(tmp_path):
     path = tmp_path / "noip.csv"
     path.write_text("phi_x_uPhi0,rate_per_us\n1.0,0.5\n")
@@ -127,6 +142,15 @@ def test_config_unknown_key_fails_closed(tmp_path):
     path2.write_text("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
         dataio.load_config(path2)
+
+
+def test_readme_config_example_loads(tmp_path):
+    # fails when the README example names a key the configuration refuses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    dataio.load_config(path)
 
 
 def test_config_overrides_apply(tmp_path):

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -334,24 +334,26 @@ def test_fit_requires_enough_points(ref_params):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"ftol": math.nan},
-    {"gtol": 0.0},
-    {"multistart": 0},
-    {"max_nfev": 0},
     {"bounds": {**FitConfig().bounds, "w_phi": (math.nan, 100.0)}},
     {"bounds": {**FitConfig().bounds, "gamma_phi": (1e-4, math.inf)}},
-    {"jitter_rel": 1.5},
-    {"jitter_rel": -0.1},
     {"bounds": {**FitConfig().bounds, "gamma_phi": (-2.0, -1.0)}},
     {"bounds": {**FitConfig().bounds, "delta01": (0.0, 1.0)}},
     {"free": ()},
     {"free": ("w_phi", "w_phi")},
-], ids=["nan ftol", "zero gtol", "multistart 0", "max_nfev 0", "nan bound",
-        "infinite bound", "jitter 1.5", "negative jitter", "negative log bound",
-        "zero log bound", "no free parameters", "repeated free parameter"])
+    {"inductance_h": math.nan},
+    {"inductance_h": math.inf},
+    {"inductance_h": -250e-12},
+], ids=["nan bound", "infinite bound", "negative log bound", "zero log bound",
+        "no free parameters", "repeated free parameter", "nan inductance",
+        "infinite inductance", "negative inductance"])
 def test_fit_config_rejects_bad_values(overrides):
     with pytest.raises(ValidationError):
         FitConfig(**overrides)
+
+
+def test_fit_config_holds_no_solver_policy():
+    # tolerances, evaluation cap and multistart are constants of the fitter
+    assert [f.name for f in fields(FitConfig)] == ["free", "bounds", "inductance_h"]
 
 
 def test_narrow_core_curve_loads_no_integrator_or_optimizer():

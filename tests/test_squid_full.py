@@ -398,22 +398,18 @@ def test_harmonic_v31_matches_numerical_matrix_element(circuit, basis):
 # ---------------------------------------------------------------------------
 # full-model rate curve
 
-def test_full_model_delegation_identity(circuit, ref_params):
+def test_full_model_delegation_identity(circuit):
     noise = FullModelNoise(w_phi_uphi0=REF["w_phi_uphi0"],
                            gamma_phi_uphi0=REF["gamma_phi_uphi0"],
                            tan_delta_c=2.07e-3,
                            temperature_k=REF["temperature_k"])
     phis = np.linspace(-400.0, 2900.0, 61)
-    overrides = dict(delta01_ghz=REF["delta01_ghz"],
-                     delta03_ghz=REF["delta03_ghz"],
-                     phi31_uphi0=REF["phi31_uphi0"],
-                     zeta_phi_uphi0=REF["zeta_phi_uphi0"],
-                     ip_a=REF["ip_a"])
-    res = full_model_rate(circuit, noise, phis, overrides=overrides)
-    simple = simulate_curve(phis, ref_params)
-    np.testing.assert_allclose(res.curve.rate, simple.rate, rtol=1e-12)
-    with pytest.raises(ValidationError):
-        full_model_rate(circuit, noise, phis, overrides={"bogus": 1.0})
+    res = full_model_rate(circuit, noise, phis)
+    # the noise inputs pass through; the fixed-bias curve is the rate model's
+    assert (res.params.w_phi_uphi0, res.params.gamma_phi_uphi0,
+            res.params.temperature_k) == (noise.w_phi_uphi0, noise.gamma_phi_uphi0,
+                                          noise.temperature_k)
+    assert np.array_equal(res.curve.rate, simulate_curve(phis, res.params).rate)
 
 
 @pytest.mark.parametrize("bias_mode", ["fixed", "per_bias"])
