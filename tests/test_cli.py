@@ -99,6 +99,23 @@ def test_simulate_total_is_the_sum_of_its_peaks(tmp_path):
                                rtol=2e-8, atol=0)
 
 
+def test_simulate_default_output_is_pinned(tmp_path, monkeypatch):
+    # the default model on a 50 uPhi0 grid must stay byte-identical at the
+    # zeroth peak, the valley and the first peak; a change that moves these
+    # rows has to update them and say why
+    monkeypatch.delenv("MRTFIT_CONFIG", raising=False)
+    cfg = write_config(tmp_path, "[simulate]\nn_points = 71\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "model_curve.csv").read_text().splitlines()[2:]
+    assert len(rows) == 71
+    assert rows[11] == ("5.00000000e+01,8.75744167e-02,8.73003020e-02,"
+                        "2.74114780e-04")
+    assert rows[19] == ("4.50000000e+02,6.96964764e-04,2.02400632e-04,"
+                        "4.94564133e-04")
+    assert rows[54] == ("2.20000000e+03,9.77748221e+00,3.81930735e-05,"
+                        "9.77744402e+00")
+
+
 def test_squid_summary(tmp_path, capsys):
     cfg = write_config(tmp_path, "[squid]\ngrid_points = 2048\n")
     assert run(["squid", "--config", cfg, "--format", "json"]) == 0
