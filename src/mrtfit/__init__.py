@@ -19,9 +19,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "envelopes": (
-        "HighFreqBroadening", "IntrawellBroadening", "LowFreqBroadening",
-        "g_high", "g_low", "g_relax", "intrawell_rate", "relax_width"),
+    "envelopes": ("g_high", "g_low", "g_relax", "relax_width"),
     "errors": (
         "ConfigError", "ConvergenceError", "DatasetFormatError", "DomainError",
         "ModelValidityWarning", "MrtfitError", "ReportError", "SingleWellError",
@@ -38,7 +36,7 @@ _EXPORTS = {
         "ground_pair_splitting", "harmonic_v31", "persistent_current",
         "solve_wells"),
     "units": (
-        "CONSTANTS", "NoiseSummary", "PhysicalConstants", "derive_eta",
+        "NoiseSummary", "derive_eta",
         "derive_shunt_and_inductive_loss", "derive_tan_delta_c",
         "energy_to_flux", "flux_to_energy", "ghz_to_kelvin", "kelvin_to_ghz",
         "noise_summary"),

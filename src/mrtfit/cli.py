@@ -42,6 +42,8 @@ EXIT_NONCONVERGENCE = 4
 EXIT_INTERNAL = 5
 
 CONFIG_ENV_VAR = "MRTFIT_CONFIG"
+# the most flux biases simulate and gen tabulate, 8 MB per column
+MAX_FLUX_POINTS = 10**6
 
 
 def _fail(klass: str, message: str, code: int) -> int:
@@ -103,13 +105,14 @@ def cmd_derive(args) -> int:
 
 
 def _flux_grid(cfg: dataio.RunConfig, section: str) -> np.ndarray:
-    """The flux biases (uPhi0) ``[section]`` asks for."""
+    """The flux biases (uPhi0) ``[section]`` asks for, at most
+    MAX_FLUX_POINTS of them."""
     n = cfg.getint(section, "n_points")
     lo = cfg.getfloat(section, "phi_min_uphi0")
     hi = cfg.getfloat(section, "phi_max_uphi0")
-    if not (n >= 1 and math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"[{section}] needs n_points >= 1 and finite "
-                              f"flux ends, got {n} points on {lo}..{hi}")
+    if not (1 <= n <= MAX_FLUX_POINTS and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"[{section}] needs 1 <= n_points <= {MAX_FLUX_POINTS} "
+                              f"and finite flux ends, got {n} points on {lo}..{hi}")
     return np.linspace(lo, hi, n)
 
 
@@ -197,24 +200,32 @@ def cmd_fit(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    from .fitter import batch_fit
+    from .fitter import BatchEntry, batch_fit
 
     cfg = _load_config(args)
     files = sorted(Path(args.data_dir).glob("*.csv"))
     if not files:
         raise ValidationError(f"no .csv datasets found in {args.data_dir}")
-    datasets = []
-    for f in files:
+    # a dataset without an id is named after its file; a stem that is not a
+    # valid id fails that dataset's row only, as a failed fit would
+    datasets, unnamed = [], {}
+    for i, f in enumerate(files):
         ds = dataio.load_dataset(f)
         if ds.qubit_id is None:
-            ds = dataclasses.replace(ds, qubit_id=f.stem)
+            try:
+                ds = dataclasses.replace(ds, qubit_id=f.stem)
+            except ValidationError as exc:
+                unnamed[i] = BatchEntry(f"dataset-{i}", None, f"{f.name}: {exc}")
+                continue
         datasets.append(ds)
     out_dir = _out_dir(args)
     fit_cfg = cfg.fit_config()
     result = batch_fit(datasets, fit_cfg, threads=args.threads)
+    fitted = iter(result.entries)
+    entries = [unnamed.get(i) or next(fitted) for i in range(len(files))]
     lines = ["qubit_id,status,chi2_per_dof,eta,r_shunt_ohm,tan_delta_c,"
              "tan_delta_l_1ghz"]
-    for entry, f in zip(result.entries, files):
+    for entry, f in zip(entries, files):
         if entry.result is None:
             lines.append(f"{entry.qubit_id},failed,,,,,")
             print(f"MRTFIT-WARN qubit={entry.qubit_id} error={entry.error}",
@@ -243,7 +254,7 @@ def cmd_batch(args) -> int:
         rows[metric] = (f"mean {dataio.fmt(stats['mean'])} "
                         f"std {dataio.fmt(stats['std'])} n {stats['n']}")
     _print_or_json(args, {k: str(v) for k, v in rows.items()},
-                   f"batch summary over {result.n_ok}/{len(datasets)} fits")
+                   f"batch summary over {result.n_ok}/{len(files)} fits")
     return EXIT_OK if result.n_ok else EXIT_NONCONVERGENCE
 
 

@@ -6,31 +6,31 @@ noise channels:
 * ``g_low``:  Gaussian, low-frequency flux noise, width W and a shift
   eps_p tied to W by the fluctuation-dissipation relation W^2 = 2 k_B T eps_p.
 * ``g_high``: Lorentzian core with a thermal detailed-balance factor,
-  high-frequency (ohmic) flux noise of width gamma.
+  high-frequency (ohmic) flux noise of width gamma.  The rate model
+  convolves an exact split of it instead; it stays as the reference that
+  split is tested against.
 * ``g_relax``: Lorentzian with a frequency-dependent width given by the
   intrawell relaxation rate, charge noise acting on the excited target
   state.
 
 All functions work in the package's internal units: arguments and width
-parameters are energies as equivalent frequencies in GHz, temperatures
-enter as k_B T / h in GHz, and the returned spectral weights are per GHz,
-normalized as integral over d(nu) = 1 (exactly for the Gaussian,
+parameters are plain scalars, energies as equivalent frequencies in GHz,
+temperatures as k_B T / h in GHz, and the returned spectral weights are
+per GHz, normalized as integral over d(nu) = 1 (exactly for the Gaussian,
 approximately for the other two; the residual is absorbed into the
-tunneling amplitude when fitting).
+tunneling amplitude when fitting).  The widths are the internal-unit
+views of ``rate_model.MrtParams``, which checks their ranges; the shift
+is its ``shift_ghz()``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ModelValidityWarning, ValidationError
-from .units import FreqGHz
+from .errors import DomainError
 
-_OHMIC_COUPLING_WARN = 0.3
 _SERIES_CUTOFF = 1e-6
 _EXCESS_SERIES_CUTOFF = 0.1
 _EXP_CUTOFF = 30.0
@@ -110,147 +110,49 @@ def balance_factor_slope(x):
     return u * (2.0 * u + np.copysign(1.0 - u2, -x)) / ((1.0 + u2) * (1.0 + u2))
 
 
-@dataclass(frozen=True)
-class LowFreqBroadening:
-    """Gaussian broadening from low-frequency flux noise.
-
-    The shift is not a free field: it is computed from (width,
-    temperature) at construction, which keeps the fluctuation-dissipation
-    tie exact for every instance.
-    """
-
-    width_ghz: FreqGHz
-    temperature_ghz: FreqGHz
-    shift_ghz: FreqGHz = field(init=False)
-
-    def __post_init__(self):
-        if self.width_ghz <= 0:
-            raise ValidationError(f"width must be positive, got {self.width_ghz}")
-        if self.temperature_ghz <= 0:
-            raise ValidationError(
-                f"temperature must be positive, got {self.temperature_ghz}")
-        object.__setattr__(
-            self, "shift_ghz",
-            self.width_ghz**2 / (2.0 * self.temperature_ghz))
-
-
-@dataclass(frozen=True)
-class HighFreqBroadening:
-    """Ohmic (high-frequency flux noise) broadening of half-width gamma."""
-
-    gamma_ghz: FreqGHz
-    temperature_ghz: FreqGHz
-
-    def __post_init__(self):
-        if self.gamma_ghz < 0:
-            raise ValidationError(f"gamma must be non-negative, got {self.gamma_ghz}")
-        if self.temperature_ghz <= 0:
-            raise ValidationError(
-                f"temperature must be positive, got {self.temperature_ghz}")
-        eta = 2.0 * self.gamma_ghz / self.temperature_ghz
-        if eta > _OHMIC_COUPLING_WARN:
-            warnings.warn(
-                f"ohmic coupling eta = 2*gamma/k_BT = {eta:.3g} is not small; "
-                "the weak-coupling line shape is unreliable here",
-                ModelValidityWarning, stacklevel=3)
-
-
-@dataclass(frozen=True)
-class IntrawellBroadening:
-    """Charge-noise broadening of the excited target state.
-
-    zeta is the relaxation strength in energy units, omega31 the level
-    spacing between the target well's first excited and ground states.
-    """
-
-    zeta_ghz: FreqGHz
-    omega31_ghz: FreqGHz
-    temperature_ghz: FreqGHz
-
-    def __post_init__(self):
-        if self.zeta_ghz < 0:
-            raise ValidationError(f"zeta must be non-negative, got {self.zeta_ghz}")
-        if self.omega31_ghz <= 0:
-            raise ValidationError(
-                f"omega31 must be positive, got {self.omega31_ghz}")
-        if self.temperature_ghz <= 0:
-            raise ValidationError(
-                f"temperature must be positive, got {self.temperature_ghz}")
-
-
-def g_low(nu, p: LowFreqBroadening):
+def g_low(nu, w, shift):
     """Gaussian envelope, unit normalized, peaked at the reorganization
-    shift eps_p with standard deviation W."""
+    shift eps_p = W^2 / 2T with standard deviation W."""
     nu = np.asarray(nu, dtype=float)
-    w = p.width_ghz
-    return np.exp(-((nu - p.shift_ghz) ** 2) / (2.0 * w * w)) / (math.sqrt(2.0 * math.pi) * w)
+    return np.exp(-((nu - shift) ** 2) / (2.0 * w * w)) / (math.sqrt(2.0 * math.pi) * w)
 
 
-def g_high(nu, p: HighFreqBroadening):
+def g_high(nu, gamma, t):
     """Ohmic envelope: Lorentzian of half-width gamma times the thermal
     enhancement factor, which skews weight to positive frequencies.
 
     Rejects gamma = 0; that limit is a delta function and is handled by
     the analytic pass-through in the rate model.
     """
-    if p.gamma_ghz == 0:
+    if gamma == 0:
         raise DomainError("g_high requires gamma > 0; use the delta-function "
                           "path for gamma = 0")
     nu = np.asarray(nu, dtype=float)
-    g = p.gamma_ghz
-    lorentz = (g / math.pi) / (nu * nu + g * g)
-    return lorentz * thermal_enhancement(nu / p.temperature_ghz)
+    lorentz = (gamma / math.pi) / (nu * nu + gamma * gamma)
+    return lorentz * thermal_enhancement(nu / t)
 
 
-def relax_width(nu, p: IntrawellBroadening):
+def relax_width(nu, zeta, t):
     """Intrawell relaxation rate expressed as a frequency width in GHz.
 
     This is Gamma31(nu) / 2pi, the quantity that enters the relaxation
     envelope denominator on the ordinary-frequency axis.
     """
-    return p.zeta_ghz * balance_factor(np.asarray(nu, dtype=float) / p.temperature_ghz)
+    return zeta * balance_factor(np.asarray(nu, dtype=float) / t)
 
 
-def intrawell_rate(nu, p: IntrawellBroadening):
-    """Intrawell relaxation rate Gamma31(nu) in inverse microseconds.
-
-    Satisfies detailed balance Gamma31(-nu) = exp(-nu/T) Gamma31(nu)
-    exactly and tends to zeta/hbar (converted to 1/us) for nu >> T.
-    """
-    return 2.0 * math.pi * 1e3 * relax_width(nu, p)
-
-
-def g_relax(nu, p: IntrawellBroadening):
+def g_relax(nu, zeta, nu31, t):
     """Relaxation envelope for tunneling into the excited target state.
 
     Peaked near nu = 0 (resonance with the excited state); the width is
-    the relaxation rate evaluated at nu + omega31, which is what makes
-    the envelope obey detailed balance instead of being symmetric.  It is
-    the normalized Lorentzian Gamma / pi (nu^2 + Gamma^2) of half-width
-    Gamma = relax_width(nu + omega31).
+    the relaxation rate evaluated at nu + nu31, which is what makes the
+    envelope obey detailed balance instead of being symmetric.  It is the
+    normalized Lorentzian Gamma / pi (nu^2 + Gamma^2) of half-width
+    Gamma = relax_width(nu + nu31).
     """
-    if p.zeta_ghz == 0:
+    if zeta == 0:
         raise DomainError("g_relax requires zeta > 0; use the delta-function "
                           "path for zeta = 0")
     nu = np.asarray(nu, dtype=float)
-    gw = relax_width(nu + p.omega31_ghz, p)
+    gw = relax_width(nu + nu31, zeta, t)
     return gw / (math.pi * (nu * nu + gw * gw))
-
-
-def normalization_domain(p) -> tuple[float, float]:
-    """Documented frequency window over which the envelope normalization
-    checks are evaluated.
-
-    The ohmic envelope has a logarithmically growing positive wing (the
-    physical cutoff frequency is far above every scale kept in the
-    model), so its normalization is only meaningful over a stated window.
-    """
-    if isinstance(p, LowFreqBroadening):
-        return (p.shift_ghz - 12.0 * p.width_ghz, p.shift_ghz + 12.0 * p.width_ghz)
-    if isinstance(p, HighFreqBroadening):
-        half = 10.0 * p.gamma_ghz + 6.0 * p.temperature_ghz
-        return (-half, half)
-    if isinstance(p, IntrawellBroadening):
-        half = 10.0 * p.zeta_ghz + 3.0 * p.omega31_ghz + 6.0 * p.temperature_ghz
-        return (-half, half)
-    raise TypeError(f"no normalization domain for {type(p).__name__}")

@@ -11,8 +11,8 @@ at the first start that converges.  Positive scale-spanning parameters
 space; the peak separation, Gaussian width and temperature stay linear.
 The fluctuation-dissipation tie between the Gaussian width and its shift
 holds at every iterate because the shift is recomputed from (W, T)
-inside the model.  Names, log flags, default bounds and step-scale
-floors all come from ``rate_model.FIT_PARAMS``.  The data is a
+inside the model.  Names, log flags, bounds and step-scale floors all
+come from ``rate_model.FIT_PARAMS``.  The data is a
 ``rate_model.RateDataset``, measured or simulated alike.
 
 The line shapes do not depend on the tunneling amplitudes, which only
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,10 +56,9 @@ JITTER_SEED = 0
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Free-parameter mask, bounds, and the main-loop inductance."""
+    """Free-parameter mask and the main-loop inductance."""
 
     free: tuple = PARAM_NAMES
-    bounds: dict = field(default_factory=lambda: {q.name: q.bounds for q in FIT_PARAMS})
     inductance_h: float = 250e-12    # used only for derived noise metrics
 
     def __post_init__(self):
@@ -71,16 +70,6 @@ class FitConfig:
         if not 0 < self.inductance_h < math.inf:
             raise ValidationError(
                 f"inductance_h must be positive and finite, got {self.inductance_h}")
-        for name, (lo, hi) in self.bounds.items():
-            if name not in PARAM_NAMES:
-                raise ValidationError(f"bounds given for unknown parameter {name!r}")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValidationError(f"bounds for {name} must be finite: ({lo}, {hi})")
-            if not lo < hi:
-                raise ValidationError(f"empty bounds for {name}: ({lo}, {hi})")
-            if _PARAM[name].log and not lo > 0:
-                raise ValidationError(
-                    f"log-space bounds for {name} must be positive: ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -281,11 +270,11 @@ def _from_x(x: np.ndarray, free: Sequence[str], fixed: dict) -> dict:
     return values
 
 
-def _x_bounds(free: Sequence[str], bounds: dict) -> tuple:
+def _x_bounds(free: Sequence[str]) -> tuple:
     lo, hi = [], []
     for name in free:
         q = _PARAM[name]
-        b_lo, b_hi = bounds.get(name, q.bounds)
+        b_lo, b_hi = q.bounds
         if q.log:
             b_lo, b_hi = math.log(b_lo), math.log(b_hi)
         lo.append(b_lo)
@@ -422,12 +411,12 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
             raise ValidationError("a single-peak start leaves none of the free parameters")
     fixed = {n: v for n, v in values0.items() if n not in free}
 
-    lo, hi = _x_bounds(free, config.bounds)
+    lo, hi = _x_bounds(free)
     x0 = _to_x(values0, free)
     if automatic:
         x0 = np.clip(x0, lo, hi)
     elif np.any(x0 < lo) or np.any(x0 > hi):
-        raise ValidationError("initial guess lies outside the configured bounds")
+        raise ValidationError("initial guess lies outside the fit-parameter bounds")
 
     objective = _Objective(dataset, free, fixed)
     r0 = objective(x0)

@@ -49,7 +49,11 @@ amplitudes to the line shapes at folded biases.  ``peak_rates``, and
 through it ``rate_01``, ``rate_03``, ``total_rate`` and ``simulate_curve``,
 builds on the folded window of its own biases.  ``FIT_PARAMS`` is the one
 table of the seven fit parameters: names, fields, labels, units, log
-flags and bounds.  ``RateDataset`` is the one rate-versus-flux record:
+flags and bounds.  ``MrtParams`` holds their values and checks their
+ranges; its internal-unit views, the shift W^2/2T included, are the plain
+GHz scalars a build hands to the envelopes, and a build warns when the
+ohmic coupling 2 gamma / k_B T is not small.  ``RateDataset`` is the one
+rate-versus-flux record:
 ``simulate_curve`` returns one, so a simulated curve can be saved,
 mirrored and fitted as measured data is.
 """
@@ -65,17 +69,8 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import wofz
 
-from .envelopes import (
-    HighFreqBroadening,
-    IntrawellBroadening,
-    LowFreqBroadening,
-    balance_factor,
-    balance_factor_slope,
-    g_low,
-    g_relax,
-    relax_width,
-    thermal_excess,
-)
+from .envelopes import (balance_factor, balance_factor_slope, g_low, g_relax,
+                        relax_width, thermal_excess)
 from .errors import DomainError, ModelValidityWarning, ValidationError
 from .units import (FluxUPhi0, FreqGHz, TempK, energy_to_flux, flux_to_energy,
                     kelvin_to_ghz)
@@ -84,6 +79,7 @@ GRID_MIN_POINTS = 2**8 + 1
 GRID_MAX_POINTS = 2**18 + 1
 TABLE_FLOOR = 1e-14
 _INCOHERENT_WARN_RATIO = 0.3
+_OHMIC_COUPLING_WARN = 0.3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -157,6 +153,11 @@ class MrtParams:
     def temperature_ghz(self) -> FreqGHz:
         return kelvin_to_ghz(self.temperature_k)
 
+    def shift_ghz(self) -> FreqGHz:
+        """The Gaussian's reorganization shift eps_p, tied to its width by
+        the fluctuation-dissipation relation W^2 = 2 k_B T eps_p."""
+        return self.w_ghz() ** 2 / (2.0 * self.temperature_ghz())
+
     # views by fit-parameter name (see FIT_PARAMS)
     def by_name(self) -> dict:
         return {q.name: getattr(self, q.field) for q in FIT_PARAMS}
@@ -170,7 +171,7 @@ class FitParam(NamedTuple):
     """One fit parameter: its name (as in ``[fit] free``), its MrtParams
     field, its report label (also its ``[model]`` config key), the factor
     from field to label units, whether the fitter moves it in log space,
-    its default bounds (field units) and, for a linear parameter, the
+    its bounds (field units) and, for a linear parameter, the
     floor of its step scale."""
 
     name: str
@@ -474,16 +475,18 @@ class LineShapes:
         if phi_lo > phi_hi:
             phi_lo, phi_hi = phi_hi, phi_lo
         self.params = params
-        w = params.w_ghz()
-        gam = params.gamma_ghz()
-        zet = params.zeta_ghz()
-        t = params.temperature_ghz()
-        nu31 = params.nu31_ghz()
-        self._lf = LowFreqBroadening(width_ghz=w, temperature_ghz=t)
-        self._hf = HighFreqBroadening(gamma_ghz=gam, temperature_ghz=t) if gam > 0 else None
-        self._rx = (IntrawellBroadening(zeta_ghz=zet, omega31_ghz=nu31,
-                                        temperature_ghz=t) if zet > 0 else None)
-        self._nu31 = nu31
+        w = self._w = params.w_ghz()
+        gam = self._gam = params.gamma_ghz()
+        zet = self._zet = params.zeta_ghz()
+        t = self._t = params.temperature_ghz()
+        nu31 = self._nu31 = params.nu31_ghz()
+        self._shift = params.shift_ghz()
+        eta = 2.0 * gam / t
+        if eta > _OHMIC_COUPLING_WARN:
+            warnings.warn(
+                f"ohmic coupling eta = 2*gamma/k_BT = {eta:.3g} is not small; "
+                "the weak-coupling line shape is unreliable here",
+                ModelValidityWarning, stacklevel=2)
 
         eps_lo = flux_to_energy(phi_lo, params.ip_a)
         eps_hi = flux_to_energy(phi_hi, params.ip_a)
@@ -495,8 +498,8 @@ class LineShapes:
         # the local cubic's log-space error falls as (step / W)^4; the
         # aliasing of the sampled relaxation core is exp(-2 pi width0 / step)
         step_want, term = min((w / 16.0, "W/16"), (2.0 * t / 3.0, "2T/3"))
-        if self._rx is not None:
-            self._width0 = float(relax_width(nu31, self._rx))
+        if zet > 0:
+            self._width0 = float(relax_width(nu31, zet, t))
             # a core below three half-steps is pinned, not resolved
             step_want, term = min((step_want, term), max(
                 (self._width0 / 3.0, "width0/3"), (step_want / 2.0, term + "/2")))
@@ -525,23 +528,20 @@ class LineShapes:
         The sampled Gaussian's mass is exact to 1e-19 at W >= 1.5 steps."""
         grid = self.grid
         nu = grid.values
-        lf, hf = self._lf, self._hf
-        self._gauss = g_low(nu, lf)
-        if hf is None:
+        w, g, t, sh = self._w, self._gam, self._t, self._shift
+        self._gauss = g_low(nu, w, sh)
+        if g == 0:
             return self._gauss
-        g = hf.gamma_ghz
-        t = hf.temperature_ghz
-        w = lf.width_ghz
         # Voigt core (A Re w(z) + B Im w(z)) / (W sqrt(2 pi)) from the
         # Faddeeva function: the Gaussian convolved with A L_gamma + B D_gamma
         a, b, _ = _ohmic_core_weights(g, t)
-        self._faddeeva = wofz((nu - lf.shift_ghz + 1j * g) / (math.sqrt(2.0) * w))
+        self._faddeeva = wofz((nu - sh + 1j * g) / (math.sqrt(2.0) * w))
         core = (a * self._faddeeva.real + b * self._faddeeva.imag) / (_SQRT_2PI * w)
         self.diagnostics["gaussian_as_delta"] = w < 1.5 * grid.step
         if not self.diagnostics["gaussian_as_delta"]:
             # every node draws on the remainder over the Gaussian's whole
             # reach, so the remainder is tabulated that far below the grid
-            ext = int(math.ceil((lf.shift_ghz + _GAUSS_REACH * w) / grid.step))
+            ext = int(math.ceil((sh + _GAUSS_REACH * w) / grid.step))
             self._conv01 = _Convolution(grid, ext)
             self._nu_ext = (np.arange(-ext, len(grid)) - grid.index_of_zero) * grid.step
             self._rem_spec = self._conv01.spectrum(_ohmic_remainder(self._nu_ext, g, t))
@@ -550,14 +550,14 @@ class LineShapes:
         else:
             # Gaussian narrower than the grid: treat it as a delta at the
             # reorganization shift (its width already lives in the Voigt term)
-            corr = _ohmic_remainder(nu - lf.shift_ghz, g, t)
+            corr = _ohmic_remainder(nu - sh, g, t)
         raw = core + corr
         self._clipped01 = raw < 0.0
         return np.maximum(raw, 0.0)
 
     def _relax_table(self) -> np.ndarray:
         nu = self.grid.values
-        tab = g_relax(nu, self._rx)
+        tab = g_relax(nu, self._zet, self._nu31, self._t)
         if self._width0 < 3.0 * self.grid.step:
             # narrow core: the table keeps its samples, and three nodes at
             # zero restore the core's closed-form mass and second moment
@@ -571,7 +571,7 @@ class LineShapes:
         return tab
 
     def _build_first(self) -> np.ndarray | None:
-        if self._rx is None:
+        if self._zet == 0:
             return None
         conv = self._conv03 = _Convolution(self.grid, tilt=self._first_tilt())
         self._spec01 = conv.spectrum(self._table01)
@@ -588,10 +588,10 @@ class LineShapes:
         on the positive side it amplifies the rounding, on the negative
         side the rounding residue of G_01's far tail.
         """
-        rx = self._rx
+        nu31 = self._nu31
         reach = max(-self.grid.lo, self.grid.hi)
-        return min(0.5 / rx.temperature_ghz,
-                   2.0 * math.log(max(rx.omega31_ghz / self._width0, 1.0)) / rx.omega31_ghz,
+        return min(0.5 / self._t,
+                   2.0 * math.log(max(nu31 / self._width0, 1.0)) / nu31,
                    _TILT_REACH / reach)
 
     @staticmethod
@@ -611,16 +611,14 @@ class LineShapes:
     def _zeroth_slopes(self) -> np.ndarray:
         """d G_01 / d(nu31, W, gamma, zeta, T) on the grid."""
         nu = self.grid.values
-        lf, hf = self._lf, self._hf
-        w, t, sh = lf.width_ghz, lf.temperature_ghz, lf.shift_ghz
+        w, g, t, sh = self._w, self._gam, self._t, self._shift
         sh_w, sh_t = w / t, -sh / t
         out = np.zeros((len(SHAPE_FIELDS), len(nu)))
         d_sh, d_w = _gauss_slopes(self._gauss, nu - sh, w)
-        if hf is None:
+        if g == 0:
             out[_W] = d_w + sh_w * d_sh
             out[_T] = sh_t * d_sh
             return out
-        g = hf.gamma_ghz
         # Voigt core Re(k w(z)) / (W sqrt(2 pi)) with k = A - iB, through
         # w'(z) = -2 z w(z) + 2i / sqrt(pi): slopes in the bias, in gamma
         # and in W at fixed bias; A and B move with gamma / T
@@ -658,16 +656,15 @@ class LineShapes:
         gw = zeta b((nu + nu31) / T).  Pinned core nodes add their slope in
         gw at zero."""
         nu = self.grid.values
-        rx = self._rx
-        z, t = rx.zeta_ghz, rx.temperature_ghz
-        y = (nu + rx.omega31_ghz) / t
+        z, t = self._zet, self._t
+        y = (nu + self._nu31) / t
         gw = z * balance_factor(y)
         d_gw = (nu * nu - gw ** 2) / (math.pi * (nu * nu + gw ** 2) ** 2)
         gw_nu31 = z * balance_factor_slope(y) / t
         slopes = (d_gw * gw_nu31, d_gw * gw / z, -d_gw * gw_nu31 * y)
         if self._core_slopes is not None:
             # the pinned core nodes move with its half-width gw(0)
-            y0 = rx.omega31_ghz / t
+            y0 = self._nu31 / t
             h_nu31 = z * float(balance_factor_slope(y0)) / t
             iz = self.grid.index_of_zero
             for d, dh in zip(slopes, (h_nu31, float(balance_factor(y0)), -h_nu31 * y0)):
@@ -693,9 +690,9 @@ class LineShapes:
         is not built), computed on first use."""
         if self._slope_tables is None:
             d01 = d03 = None
-            if self._hf is not None or self._rx is not None:
+            if self._gam > 0 or self._zet > 0:
                 d01 = self._zeroth_slopes()
-            if self._rx is not None:
+            if self._zet > 0:
                 d03 = self._first_slopes(d01)
             self._slope_tables = (d01, d03)
         return self._slope_tables
@@ -731,8 +728,8 @@ class LineShapes:
     def shape01(self, eps_ghz) -> np.ndarray:
         """G_01 (per GHz) at energy bias eps (GHz)."""
         eps = np.atleast_1d(np.asarray(eps_ghz, dtype=float))
-        if self._hf is None:
-            return g_low(eps, self._lf)
+        if self._gam == 0:
+            return g_low(eps, self._w, self._shift)
         self._check_span(eps)
         return np.exp(self._local_cubic(self._log01, eps))
 
@@ -741,7 +738,7 @@ class LineShapes:
         resonance shift is applied internally."""
         eps = np.atleast_1d(np.asarray(eps_ghz, dtype=float))
         om = eps - self._nu31
-        if self._rx is None:
+        if self._zet == 0:
             return self.shape01(om)
         self._check_span(om)
         return np.exp(self._local_cubic(self._log03, om))
@@ -767,11 +764,10 @@ class LineShapes:
     def _zeroth_log_grads(self, x: np.ndarray) -> tuple:
         """Rows d log G_01(x) / d(nu31, W, gamma, zeta, T) and the slope
         d log G_01 / dx."""
-        lf = self._lf
-        if self._hf is None:
+        if self._gam == 0:
             # log g_low = -u^2 / 2W^2 - log W + const with u = x - W^2 / 2T
-            w, t = lf.width_ghz, lf.temperature_ghz
-            u = x - lf.shift_ghz
+            w, t = self._w, self._t
+            u = x - self._shift
             grads = np.zeros((len(SHAPE_FIELDS), len(x)))
             grads[_W] = (u * u / (w * w) - 1.0) / w + u / (w * t)
             grads[_T] = -u / (2.0 * t * t)
@@ -792,7 +788,7 @@ class LineShapes:
         eps = np.atleast_1d(np.asarray(eps_ghz, dtype=float))
         om = eps - self._nu31
         d01, _ = self._zeroth_log_grads(eps)
-        if self._rx is None:
+        if self._zet == 0:
             d03, slope = self._zeroth_log_grads(om)
         else:
             d03, slope = self._log_grads(self._table03, self._log03,
@@ -834,7 +830,7 @@ def peak_rates(phi_x, params: MrtParams, init_well: str = "L") -> tuple:
     folded = -phi if init_well == "R" else phi
     shapes = LineShapes(params, float(folded.min()), float(folded.max()))
     if not shapes._table01.max() > 0:
-        centre = energy_to_flux(shapes._lf.shift_ghz, params.ip_a)
+        centre = energy_to_flux(params.shift_ghz(), params.ip_a)
         raise DomainError(
             f"every zeroth-peak node is clipped: its centre W^2/2T = {centre:.6g} uPhi0 "
             f"(W = {params.w_phi_uphi0:.6g} uPhi0, T = {params.temperature_k:.6g} K) lies "

@@ -44,11 +44,13 @@ from scipy.linalg.lapack import dgtsv, dpttrf, dstebz, dstein
 
 from .errors import ConvergenceError, SingleWellError, ValidationError
 from .units import (
-    CONSTANTS,
     FluxUPhi0,
     FreqGHz,
+    Phi0,
     TempK,
     energy_to_flux,
+    h,
+    hbar,
     wb_to_uphi0,
 )
 
@@ -89,7 +91,7 @@ class RfSquidParams:
 
     @property
     def ej_joule(self) -> float:
-        return self.ic_a * CONSTANTS.Phi0 / (2.0 * math.pi)
+        return self.ic_a * Phi0 / (2.0 * math.pi)
 
     @property
     def ej_eff_joule(self) -> float:
@@ -99,7 +101,7 @@ class RfSquidParams:
     def beta_eff(self) -> float:
         """Screening parameter; a double well requires beta_eff > 1."""
         return (2.0 * math.pi * self.l_h * self.ic_a
-                * abs(math.cos(math.pi * self.phi_cjj_x)) / CONSTANTS.Phi0)
+                * abs(math.cos(math.pi * self.phi_cjj_x)) / Phi0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +120,8 @@ class EffectivePotential:
 
 
 def _potential_ghz(params: RfSquidParams, y: np.ndarray) -> np.ndarray:
-    h = CONSTANTS.h
     yx = params.phi_x_uphi0 * 1e-6
-    quad_term = (CONSTANTS.Phi0**2 / (2.0 * params.l_h) / h / _GHZ
+    quad_term = (Phi0**2 / (2.0 * params.l_h) / h / _GHZ
                  * (y - yx + 0.5) ** 2)
     jj_term = params.ej_eff_joule / h / _GHZ * np.cos(2.0 * math.pi * y)
     return quad_term - jj_term
@@ -169,7 +170,7 @@ def effective_potential(params: RfSquidParams,
 
 def _kinetic_coef_ghz(c_f: float) -> float:
     """hbar^2 / (2 C Phi0^2), as GHz per d^2/dy^2."""
-    return CONSTANTS.hbar**2 / (2.0 * c_f * CONSTANTS.Phi0**2) / CONSTANTS.h / _GHZ
+    return hbar**2 / (2.0 * c_f * Phi0**2) / h / _GHZ
 
 
 # The certified solver behind _lowest_levels.  Shifts and start vectors come
@@ -382,7 +383,7 @@ def solve_wells(pot: EffectivePotential, c_f: float,
     # current operator is diagonal in flux: I = (Phi - Phi^x + Phi0/2)/L;
     # opposite wells vanish exactly
     yx = pot.params.phi_x_uphi0 * 1e-6
-    i_diag = CONSTANTS.Phi0 * (y - yx + 0.5) / pot.params.l_h
+    i_diag = Phi0 * (y - yx + 0.5) / pot.params.l_h
     current = np.where(same_well, (psi * i_diag) @ psi.T, 0.0)
 
     # voltage operator q/C = -i hbar/C d/dPhi; central differences give an
@@ -391,7 +392,7 @@ def solve_wells(pot: EffectivePotential, c_f: float,
     dpsi = np.zeros_like(psi)
     dpsi[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * dy)
     voltage = np.where(same_well & ~np.eye(4, dtype=bool),
-                       CONSTANTS.hbar / (c_f * CONSTANTS.Phi0) * np.abs(psi @ dpsi.T),
+                       hbar / (c_f * Phi0) * np.abs(psi @ dpsi.T),
                        0.0)
 
     basis = WellBasis(potential=pot, energies_ghz=energies,
@@ -474,7 +475,7 @@ def harmonic_v31(omega31_rad_s: float, c_f: float) -> float:
     sqrt(hbar omega31 / 2 C), in volt."""
     if omega31_rad_s <= 0 or c_f <= 0:
         raise ValidationError("omega31 and capacitance must be positive")
-    return math.sqrt(CONSTANTS.hbar * omega31_rad_s / (2.0 * c_f))
+    return math.sqrt(hbar * omega31_rad_s / (2.0 * c_f))
 
 
 # interval counts of the nested Chebyshev-Lobatto node sets of the per-bias

@@ -4,7 +4,9 @@ Internal convention used throughout the package: energies are carried as
 equivalent ordinary frequencies E/h in GHz, magnetic flux in micro flux
 quanta, temperatures in kelvin at API boundaries, tunneling rates in
 inverse microseconds.  Conversions to and from SI happen here and only
-here, with CODATA 2018 constants (h, e, k_B are exact in the 2019 SI).
+here, with CODATA 2018 constants (h, e, k_B are exact in the 2019 SI),
+which are the module constants ``h``, ``e``, ``k_B``, ``hbar`` and
+``Phi0``.
 
 The scalar quantity kinds that are easy to mix up carry distinct static
 types (``NewType``), so a flux cannot silently be passed where an energy
@@ -14,7 +16,7 @@ is expected in type-checked code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NewType, Sequence
 
 from .errors import DomainError
@@ -29,28 +31,12 @@ TempK = NewType("TempK", float)
 """Thermodynamic temperature in kelvin."""
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 constants; hbar and Phi0 are derived exactly."""
-
-    h: float = 6.62607015e-34          # J s, exact
-    e: float = 1.602176634e-19         # C, exact
-    k_B: float = 1.380649e-23          # J/K, exact
-    hbar: float = field(init=False)
-    Phi0: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "hbar", self.h / (2.0 * math.pi))
-        object.__setattr__(self, "Phi0", self.h / (2.0 * self.e))
-
-
-CONSTANTS = PhysicalConstants()
-
-h = CONSTANTS.h
-hbar = CONSTANTS.hbar
-e = CONSTANTS.e
-k_B = CONSTANTS.k_B
-Phi0 = CONSTANTS.Phi0
+# CODATA 2018 constants; hbar and Phi0 are derived exactly
+h = 6.62607015e-34          # J s, exact
+e = 1.602176634e-19         # C, exact
+k_B = 1.380649e-23          # J/K, exact
+hbar = h / (2.0 * math.pi)
+Phi0 = h / (2.0 * e)
 
 _UPHI0_WB = Phi0 * 1e-6          # one micro flux quantum in weber
 _GHZ = 1e9

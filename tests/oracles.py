@@ -2,11 +2,12 @@
 
 Everything here is built from the defining formulas with plain math and
 adaptive quadrature, deliberately sharing no code with the package's
-vectorized FFT pipeline.  Constants are hardcoded (CODATA 2018).  The one
-exception is ``per_bias_rate``, which checks how the full model solves and
-interpolates the level energies in the bias: it takes the potential and
-the line shapes from the package, but solves every well block by LAPACK
-bisection.
+vectorized FFT pipeline.  Constants are hardcoded (CODATA 2018).  The
+exceptions are ``per_bias_rate``, which checks how the full model solves
+and interpolates the level energies in the bias: it takes the potential
+and the line shapes from the package, but solves every well block by
+LAPACK bisection; and ``intrawell_rate``, the package's relaxation width
+in 1/us, whose detailed balance the envelope tests check.
 """
 
 import math
@@ -71,6 +72,40 @@ def o_g_relax_half_width(nu, z, t, nu31):
     relaxation envelope, with Gamma = zeta b((nu + nu31) / T)."""
     gw = z * o_balance((nu + nu31) / t)
     return gw / (2.0 * math.pi * (nu * nu + (gw / 2.0) ** 2))
+
+
+def normalization_domain(envelope, *args) -> tuple:
+    """Documented frequency window over which the normalization check of
+    ``envelope`` (``g_low``, ``g_high`` or ``g_relax``, called with
+    ``args`` after the frequency) is evaluated.
+
+    The ohmic envelope has a logarithmically growing positive wing (the
+    physical cutoff frequency is far above every scale kept in the
+    model), so its normalization is only meaningful over a stated window.
+    """
+    if envelope.__name__ == "g_low":
+        w, shift = args
+        return (shift - 12.0 * w, shift + 12.0 * w)
+    if envelope.__name__ == "g_high":
+        g, t = args
+        half = 10.0 * g + 6.0 * t
+        return (-half, half)
+    if envelope.__name__ == "g_relax":
+        z, nu31, t = args
+        half = 10.0 * z + 3.0 * nu31 + 6.0 * t
+        return (-half, half)
+    raise TypeError(f"no normalization domain for {envelope.__name__}")
+
+
+def intrawell_rate(nu, z, t):
+    """Intrawell relaxation rate Gamma31(nu) in inverse microseconds.
+
+    Satisfies detailed balance Gamma31(-nu) = exp(-nu/T) Gamma31(nu)
+    exactly and tends to zeta/hbar (converted to 1/us) for nu >> T.
+    """
+    from mrtfit.envelopes import relax_width
+
+    return 2.0 * math.pi * 1e3 * relax_width(nu, z, t)
 
 
 def quad_g01(eps, w, g, t):

@@ -228,39 +228,37 @@ def test_criterion_5_property_suites(capsys):
     t = kelvin_to_ghz(REF["temperature_k"])
     details = []
 
-    hf = envelopes.HighFreqBroadening(
-        gamma_ghz=flux_to_energy(0.54, REF["ip_a"]), temperature_ghz=t)
+    hf = (flux_to_energy(0.54, REF["ip_a"]), t)
     nus = np.linspace(1e-4, 20.0, 401) * t
-    db_h = np.max(np.abs(envelopes.g_high(nus, hf) * np.exp(-nus / t)
-                         / envelopes.g_high(-nus, hf) - 1.0))
-    rx = envelopes.IntrawellBroadening(
-        zeta_ghz=flux_to_energy(4.53, REF["ip_a"]),
-        omega31_ghz=flux_to_energy(2153.6, REF["ip_a"]), temperature_ghz=t)
-    db_r = np.max(np.abs(envelopes.intrawell_rate(nus, rx) * np.exp(-nus / t)
-                         / envelopes.intrawell_rate(-nus, rx) - 1.0))
+    db_h = np.max(np.abs(envelopes.g_high(nus, *hf) * np.exp(-nus / t)
+                         / envelopes.g_high(-nus, *hf) - 1.0))
+    zeta = flux_to_energy(4.53, REF["ip_a"])
+    nu31 = flux_to_energy(2153.6, REF["ip_a"])
+    db_r = np.max(np.abs(oracles.intrawell_rate(nus, zeta, t) * np.exp(-nus / t)
+                         / oracles.intrawell_rate(-nus, zeta, t) - 1.0))
     ok_db = db_h < 1e-12 and db_r < 1e-12
     details.append(f"detailed balance {max(db_h, db_r):.1e}")
 
-    lf = envelopes.LowFreqBroadening(width_ghz=flux_to_energy(37.2, REF["ip_a"]),
-                                     temperature_ghz=t)
-    fdt = abs(lf.width_ghz**2 - 2.0 * t * lf.shift_ghz) / lf.width_ghz**2
+    p = ref_params()
+    w, shift = p.w_ghz(), p.shift_ghz()
+    fdt = abs(w**2 - 2.0 * t * shift) / w**2
     ok_fdt = fdt < 1e-12
     details.append(f"FDT {fdt:.1e}")
 
-    lo, hi = envelopes.normalization_domain(lf)
-    n_low = quad(lambda x: float(envelopes.g_low(x, lf)), lo, hi, limit=200)[0]
-    lo, hi = envelopes.normalization_domain(hf)
-    n_high = quad(lambda x: float(envelopes.g_high(x, hf)), lo, hi,
+    lf, rx = (w, shift), (zeta, nu31, t)
+    lo, hi = oracles.normalization_domain(envelopes.g_low, *lf)
+    n_low = quad(lambda x: float(envelopes.g_low(x, *lf)), lo, hi, limit=200)[0]
+    lo, hi = oracles.normalization_domain(envelopes.g_high, *hf)
+    n_high = quad(lambda x: float(envelopes.g_high(x, *hf)), lo, hi,
                   points=[0.0], limit=400)[0]
-    lo, hi = envelopes.normalization_domain(rx)
-    n_rel = quad(lambda x: float(envelopes.g_relax(x, rx)), lo, hi,
-                 points=[0.0, -rx.omega31_ghz], limit=600)[0]
+    lo, hi = oracles.normalization_domain(envelopes.g_relax, *rx)
+    n_rel = quad(lambda x: float(envelopes.g_relax(x, *rx)), lo, hi,
+                 points=[0.0, -nu31], limit=600)[0]
     ok_norm = (abs(n_low - 1) < 1e-9 and abs(n_high - 1) <= 0.03
                and abs(n_rel - 1) <= 0.03)
     details.append(f"norms gauss={n_low - 1:.1e} ohmic={n_high - 1:+.3f} "
                    f"relax={n_rel - 1:+.4f}")
 
-    p = ref_params()
     phis = np.linspace(-2500.0, 2500.0, 101)
     mirror = np.max(np.abs(total_rate(phis, p, "R")
                            / total_rate(-phis, p, "L") - 1.0))

@@ -163,6 +163,27 @@ def test_batch_over_directory(tmp_path, capsys):
     assert (out_dir / "q1.report.json").exists()
 
 
+def test_batch_fails_only_the_dataset_whose_file_stem_is_no_id(tmp_path, capsys):
+    # a dataset without an id is named after its file; the stem "a,b" is no
+    # valid id, so that row fails and the other datasets are still fitted
+    data_dir = tmp_path / "data"
+    for k, seed in enumerate((31, 32)):
+        sub = write_config(tmp_path, f"[gen]\nn_points = 140\nqubit_id = q{k}\n")
+        assert run(["gen", "--config", sub, "--seed", str(seed),
+                    "--out", str(data_dir)]) == 0
+    text = (data_dir / "q0.csv").read_text()
+    (data_dir / "a,b.csv").write_text(text.replace("# qubit_id = q0\n", ""))
+    out_dir = tmp_path / "out"
+    assert run(["batch", "--config", write_config(tmp_path, ""),
+                "--data-dir", str(data_dir), "--out", str(out_dir)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-WARN") == 1 and "a,b.csv" in err
+    rows = (out_dir / "batch_summary.csv").read_text().splitlines()[1:]
+    assert [len(r.split(",")) for r in rows] == [7, 7, 7]
+    assert [r.split(",")[1] for r in rows] == ["failed", "ok", "ok"]
+    assert (out_dir / "q0.report.json").exists() and (out_dir / "q1.report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # failure classes and exit codes
 
@@ -398,6 +419,20 @@ def test_squid_config_checked_before_any_solve(tmp_path, capsys, monkeypatch, bo
     err = capsys.readouterr().err
     assert err.startswith(f"MRTFIT-ERROR class={cls}") and says in err
     assert solves == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen"])
+def test_flux_grid_over_the_bound_is_rejected_before_allocation(tmp_path, capsys,
+                                                                monkeypatch, command):
+    # one point over the 10^6 bound fails before any grid is allocated
+    grids = []
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: grids.append(a))
+    cfg = write_config(tmp_path, f"[{command}]\nn_points = 1000001\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("MRTFIT-ERROR class=validation") and "n_points" in err
+    assert grids == [] and not out.exists()
 
 
 def test_config_from_environment(tmp_path, capsys, monkeypatch):

@@ -6,29 +6,20 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from mrtfit import envelopes as env
-from mrtfit.errors import DomainError, ModelValidityWarning, ValidationError
-from mrtfit.units import flux_to_energy, kelvin_to_ghz
+from mrtfit.errors import DomainError, ModelValidityWarning
+from mrtfit.rate_model import LineShapes, MrtParams
+from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
 
-from oracles import o_balance, o_g_low, o_g_relax, o_g_relax_half_width, o_theta
+from conftest import REF
+from oracles import (intrawell_rate, normalization_domain, o_balance, o_g_low,
+                     o_g_relax, o_g_relax_half_width, o_theta)
 
 T_REF = kelvin_to_ghz(7.3e-3)
 W_REF = flux_to_energy(37.2, 1.37e-6)       # 318 MHz
+SHIFT_REF = W_REF**2 / (2.0 * T_REF)
 G_REF = flux_to_energy(0.54, 1.37e-6)
 Z_REF = flux_to_energy(4.53, 1.37e-6)
 NU31_REF = flux_to_energy(2153.6, 1.37e-6)
-
-
-def lf(w=W_REF, t=T_REF):
-    return env.LowFreqBroadening(width_ghz=w, temperature_ghz=t)
-
-
-def hf(g=G_REF, t=T_REF):
-    return env.HighFreqBroadening(gamma_ghz=g, temperature_ghz=t)
-
-
-def rx(z=Z_REF, nu31=NU31_REF, t=T_REF):
-    return env.IntrawellBroadening(zeta_ghz=z, omega31_ghz=nu31,
-                                   temperature_ghz=t)
 
 
 # ---------------------------------------------------------------------------
@@ -88,50 +79,42 @@ def test_thermal_excess_and_slope_across_the_series_cut():
 # ---------------------------------------------------------------------------
 # construction invariants
 
-@given(st.floats(1e-4, 10.0), st.floats(1e-3, 10.0))
-def test_fdt_tie_enforced_at_construction(w, t):
-    p = env.LowFreqBroadening(width_ghz=w, temperature_ghz=t)
-    assert p.shift_ghz * 2.0 * t == pytest.approx(w * w, rel=1e-12)
-
-
-def test_invalid_broadening_parameters_rejected():
-    with pytest.raises(ValidationError):
-        env.LowFreqBroadening(width_ghz=0.0, temperature_ghz=T_REF)
-    with pytest.raises(ValidationError):
-        env.HighFreqBroadening(gamma_ghz=-1e-3, temperature_ghz=T_REF)
-    with pytest.raises(ValidationError):
-        env.IntrawellBroadening(zeta_ghz=0.1, omega31_ghz=0.0,
-                                temperature_ghz=T_REF)
+@given(st.floats(0.5, 5e3), st.floats(5e-4, 0.2))
+def test_fdt_tie_enforced_at_construction(w_phi, t_k):
+    # the Gaussian's shift is a view of (W, T), never a free value
+    p = MrtParams(**dict(REF, w_phi_uphi0=w_phi, temperature_k=t_k,
+                         delta01_ghz=1e-9))
+    w, t = p.w_ghz(), p.temperature_ghz()
+    assert p.shift_ghz() * 2.0 * t == pytest.approx(w * w, rel=1e-12)
 
 
 def test_strong_ohmic_coupling_warns():
-    with pytest.warns(ModelValidityWarning):
-        env.HighFreqBroadening(gamma_ghz=T_REF, temperature_ghz=T_REF)
+    # 2 gamma / k_B T = 2, far past the 0.3 limit of the weak-coupling shape
+    p = MrtParams(**dict(REF, gamma_phi_uphi0=energy_to_flux(T_REF, REF["ip_a"])))
+    with pytest.warns(ModelValidityWarning, match="ohmic coupling eta"):
+        LineShapes(p, -500.0, 3000.0)
 
 
 # ---------------------------------------------------------------------------
 # low-frequency Gaussian
 
 def test_g_low_peak_value_and_one_sigma():
-    p = lf()
-    peak = env.g_low(p.shift_ghz, p)
-    assert peak == pytest.approx(1.0 / (math.sqrt(2 * math.pi) * p.width_ghz),
+    peak = env.g_low(SHIFT_REF, W_REF, SHIFT_REF)
+    assert peak == pytest.approx(1.0 / (math.sqrt(2 * math.pi) * W_REF),
                                  rel=1e-12)
-    one_sigma = env.g_low(p.shift_ghz + p.width_ghz, p)
+    one_sigma = env.g_low(SHIFT_REF + W_REF, W_REF, SHIFT_REF)
     assert one_sigma == pytest.approx(peak * math.exp(-0.5), rel=1e-12)
 
 
 def test_g_low_normalization_by_quadrature():
-    p = lf()
-    lo, hi = env.normalization_domain(p)
-    val, _ = quad(lambda x: float(env.g_low(x, p)), lo, hi, limit=200)
+    lo, hi = normalization_domain(env.g_low, W_REF, SHIFT_REF)
+    val, _ = quad(lambda x: float(env.g_low(x, W_REF, SHIFT_REF)), lo, hi, limit=200)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_g_low_matches_oracle_shape():
-    p = lf()
     for nu in (-0.5, 0.0, 0.3, 0.9):
-        assert env.g_low(nu, p) == pytest.approx(
+        assert env.g_low(nu, W_REF, SHIFT_REF) == pytest.approx(
             o_g_low(nu, W_REF, T_REF), rel=1e-12)
 
 
@@ -139,85 +122,75 @@ def test_g_low_matches_oracle_shape():
 # high-frequency (ohmic) envelope
 
 def test_g_high_zero_frequency_limit():
-    p = hf()
     # removable singularity: thermal factor evaluates to 1
-    assert env.g_high(0.0, p) == pytest.approx(1.0 / (math.pi * p.gamma_ghz),
-                                               rel=1e-9)
+    assert env.g_high(0.0, G_REF, T_REF) == pytest.approx(1.0 / (math.pi * G_REF),
+                                                          rel=1e-9)
 
 
 def test_g_high_rejects_zero_gamma():
     with pytest.raises(DomainError):
-        env.g_high(0.1, hf(g=0.0))
+        env.g_high(0.1, 0.0, T_REF)
 
 
 def test_g_high_detailed_balance():
-    p = hf()
-    nus = np.linspace(1e-4, 20.0, 211) * p.temperature_ghz
-    lhs = env.g_high(nus, p) * np.exp(-nus / p.temperature_ghz)
-    rhs = env.g_high(-nus, p)
+    nus = np.linspace(1e-4, 20.0, 211) * T_REF
+    lhs = env.g_high(nus, G_REF, T_REF) * np.exp(-nus / T_REF)
+    rhs = env.g_high(-nus, G_REF, T_REF)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_g_high_positivity_and_asymmetry():
-    p = hf()
-    nus = np.linspace(0.01, 30, 500) * p.temperature_ghz
-    assert np.all(env.g_high(nus, p) > 0)
-    assert np.all(env.g_high(-nus, p) > 0)
-    assert np.all(env.g_high(nus, p) > env.g_high(-nus, p))
+    nus = np.linspace(0.01, 30, 500) * T_REF
+    assert np.all(env.g_high(nus, G_REF, T_REF) > 0)
+    assert np.all(env.g_high(-nus, G_REF, T_REF) > 0)
+    assert np.all(env.g_high(nus, G_REF, T_REF) > env.g_high(-nus, G_REF, T_REF))
 
 
 def test_g_high_approximate_normalization():
     # the ohmic wing grows logarithmically, so normalization holds only
-    # over the documented window; deviation stays within the 3% budget
-    p = hf(g=0.1 * T_REF)
-    lo, hi = env.normalization_domain(p)
-    val, _ = quad(lambda x: float(env.g_high(x, p)), lo, hi,
-                  points=[0.0], limit=400)
-    assert abs(val - 1.0) < 0.03
-    p2 = hf()      # reference-qubit width
-    lo, hi = env.normalization_domain(p2)
-    val2, _ = quad(lambda x: float(env.g_high(x, p2)), lo, hi,
-                   points=[0.0], limit=400)
-    assert abs(val2 - 1.0) < 0.03
+    # over the documented window; deviation stays within the 3% budget;
+    # the second width is the reference qubit's
+    for g in (0.1 * T_REF, G_REF):
+        lo, hi = normalization_domain(env.g_high, g, T_REF)
+        val, _ = quad(lambda x: float(env.g_high(x, g, T_REF)), lo, hi,
+                      points=[0.0], limit=400)
+        assert abs(val - 1.0) < 0.03
 
 
 # ---------------------------------------------------------------------------
 # intrawell relaxation rate and envelope
 
 def test_intrawell_rate_limits():
-    p = rx()
-    inf_rate = 2 * math.pi * 1e3 * p.zeta_ghz          # zeta/hbar in 1/us
-    assert env.intrawell_rate(1e4 * p.temperature_ghz, p) == pytest.approx(
+    inf_rate = 2 * math.pi * 1e3 * Z_REF          # zeta/hbar in 1/us
+    assert intrawell_rate(1e4 * T_REF, Z_REF, T_REF) == pytest.approx(
         inf_rate, rel=1e-12)
-    assert env.intrawell_rate(0.0, p) == pytest.approx(inf_rate, rel=1e-6)
+    assert intrawell_rate(0.0, Z_REF, T_REF) == pytest.approx(inf_rate, rel=1e-6)
 
 
 def test_intrawell_rate_detailed_balance():
-    p = rx()
-    nus = np.linspace(1e-3, 20.0, 173) * p.temperature_ghz
-    lhs = env.intrawell_rate(nus, p) * np.exp(-nus / p.temperature_ghz)
-    rhs = env.intrawell_rate(-nus, p)
+    nus = np.linspace(1e-3, 20.0, 173) * T_REF
+    lhs = intrawell_rate(nus, Z_REF, T_REF) * np.exp(-nus / T_REF)
+    rhs = intrawell_rate(-nus, Z_REF, T_REF)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_g_relax_center_value_cold_well():
     # omega31 >> k_B T: the width at the peak is zeta itself
-    p = rx(nu31=50 * T_REF)
-    assert env.g_relax(0.0, p) == pytest.approx(1.0 / (math.pi * p.zeta_ghz),
-                                                rel=1e-8)
+    assert env.g_relax(0.0, Z_REF, 50 * T_REF, T_REF) == pytest.approx(
+        1.0 / (math.pi * Z_REF), rel=1e-8)
 
 
 def test_g_relax_rejects_zero_zeta():
     with pytest.raises(DomainError):
-        env.g_relax(0.0, rx(z=0.0))
+        env.g_relax(0.0, 0.0, NU31_REF, T_REF)
 
 
 def test_g_relax_normalization():
     # parameters with a narrow relaxation core relative to the spacing
     nu31 = 50 * T_REF
-    p = rx(z=1e-3 * nu31, nu31=nu31)
-    lo, hi = env.normalization_domain(p)
-    val, _ = quad(lambda x: float(env.g_relax(x, p)), lo, hi,
+    args = (1e-3 * nu31, nu31, T_REF)
+    lo, hi = normalization_domain(env.g_relax, *args)
+    val, _ = quad(lambda x: float(env.g_relax(x, *args)), lo, hi,
                   points=[0.0, -nu31], limit=600)
     assert abs(val - 1.0) < 0.03
 
@@ -232,9 +205,9 @@ def test_g_relax_weak_delta_limit():
 
     vals = []
     for z_frac in (1e-3, 1e-4):
-        p = rx(z=z_frac * nu31, nu31=nu31)
+        z = z_frac * nu31
         lo, hi = -30 * sigma, 30 * sigma
-        val, _ = quad(lambda x: float(env.g_relax(x, p)) * test_fn(x), lo, hi,
+        val, _ = quad(lambda x: float(env.g_relax(x, z, nu31, T_REF)) * test_fn(x), lo, hi,
                       points=[0.0], limit=600)
         vals.append(val)
     assert abs(vals[0] - 1.0) < 5e-2
@@ -242,9 +215,8 @@ def test_g_relax_weak_delta_limit():
 
 
 def test_g_relax_matches_oracle():
-    p = rx()
     for nu in (-18.0, -5.0, -0.1, 0.0, 0.2, 3.0):
-        assert env.g_relax(nu, p) == pytest.approx(
+        assert env.g_relax(nu, Z_REF, NU31_REF, T_REF) == pytest.approx(
             o_g_relax(nu, Z_REF, T_REF, NU31_REF), rel=1e-10)
 
 
@@ -254,5 +226,5 @@ def test_half_width_convention_is_g_relax_at_half_zeta():
     nu = np.linspace(-3.0 * NU31_REF, 3.0 * NU31_REF, 2001)
     for z in (0.01, Z_REF, 0.3, 2.0):
         expect = [o_g_relax_half_width(x, z, T_REF, NU31_REF) for x in nu]
-        np.testing.assert_allclose(env.g_relax(nu, rx(z=z / 2.0)), expect,
+        np.testing.assert_allclose(env.g_relax(nu, z / 2.0, NU31_REF, T_REF), expect,
                                    rtol=1e-12, atol=0.0, err_msg=f"zeta = {z}")

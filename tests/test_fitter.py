@@ -334,17 +334,12 @@ def test_fit_requires_enough_points(ref_params):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"bounds": {**FitConfig().bounds, "w_phi": (math.nan, 100.0)}},
-    {"bounds": {**FitConfig().bounds, "gamma_phi": (1e-4, math.inf)}},
-    {"bounds": {**FitConfig().bounds, "gamma_phi": (-2.0, -1.0)}},
-    {"bounds": {**FitConfig().bounds, "delta01": (0.0, 1.0)}},
     {"free": ()},
     {"free": ("w_phi", "w_phi")},
     {"inductance_h": math.nan},
     {"inductance_h": math.inf},
     {"inductance_h": -250e-12},
-], ids=["nan bound", "infinite bound", "negative log bound", "zero log bound",
-        "no free parameters", "repeated free parameter", "nan inductance",
+], ids=["no free parameters", "repeated free parameter", "nan inductance",
         "infinite inductance", "negative inductance"])
 def test_fit_config_rejects_bad_values(overrides):
     with pytest.raises(ValidationError):
@@ -352,8 +347,9 @@ def test_fit_config_rejects_bad_values(overrides):
 
 
 def test_fit_config_holds_no_solver_policy():
-    # tolerances, evaluation cap and multistart are constants of the fitter
-    assert [f.name for f in fields(FitConfig)] == ["free", "bounds", "inductance_h"]
+    # tolerances, evaluation cap, multistart and the bounds of FIT_PARAMS
+    # are constants of the fitter
+    assert [f.name for f in fields(FitConfig)] == ["free", "inductance_h"]
 
 
 def test_narrow_core_curve_loads_no_integrator_or_optimizer():
@@ -375,10 +371,10 @@ def test_narrow_core_curve_loads_no_integrator_or_optimizer():
 
 
 def test_fit_rejects_guess_outside_bounds(ref_params):
+    # w_phi is bounded below by 0.5 uPhi0
     ds = synth_dataset(ref_params, seed=1)
-    cfg = FitConfig(bounds={**FitConfig().bounds, "w_phi": (50.0, 100.0)})
-    with pytest.raises(ValidationError):
-        fit(ds, cfg, ref_params)
+    with pytest.raises(ValidationError, match="outside the fit-parameter bounds"):
+        fit(ds, guess=replace(ref_params, w_phi_uphi0=0.4))
 
 
 def test_fit_clips_automatic_guess_into_bounds(ref_params):
@@ -386,13 +382,13 @@ def test_fit_clips_automatic_guess_into_bounds(ref_params):
     # for it and puts zeta_phi above its upper bound
     ds = synth_dataset(ref_params, seed=1, n=90, lo=-200.0, hi=1200.0)
     guess = initial_guess(ds)
-    assert guess.params.zeta_phi_uphi0 > FitConfig().bounds["zeta_phi"][1]
+    lo, hi = fitter._PARAM["zeta_phi"].bounds
+    assert guess.params.zeta_phi_uphi0 > hi
     for automatic in (None, guess):
         try:
             result = fit(ds, guess=automatic)
         except ConvergenceError:
             continue
-        lo, hi = FitConfig().bounds["zeta_phi"]
         assert lo <= result.params.zeta_phi_uphi0 <= hi
 
 

@@ -20,7 +20,7 @@ from mrtfit import (
 )
 import mrtfit
 import mrtfit.rate_model as rate_model
-from mrtfit.envelopes import HighFreqBroadening, g_high
+from mrtfit.envelopes import g_high
 from mrtfit.errors import DomainError, ModelValidityWarning, ValidationError
 from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
 
@@ -131,7 +131,7 @@ def test_ohmic_split_reproduces_g_high(ratio):
     a, b, _ = rate_model._ohmic_core_weights(g, t)
     split = ((a * g + b * x) / (math.pi * (x * x + g * g))
              + rate_model._ohmic_remainder(x, g, t))
-    full = g_high(x, HighFreqBroadening(gamma_ghz=g, temperature_ghz=t))
+    full = g_high(x, g, t)
     assert np.abs(split - full).max() <= 1e-14 * full.max()
 
 
@@ -452,13 +452,15 @@ def test_nonpositive_pinned_core_node_raises(monkeypatch):
 def test_pinned_core_mass_and_second_moment_match_closed_form(zeta):
     from mrtfit.envelopes import g_relax
 
-    shapes = LineShapes(make_params(zeta_phi_uphi0=zeta), -500.0, 3000.0)
+    p = make_params(zeta_phi_uphi0=zeta)
+    shapes = LineShapes(p, -500.0, 3000.0)
     assert shapes.diagnostics["relax_renorm"]
     nu, iz, step = shapes.grid.values, shapes.grid.index_of_zero, shapes.grid.step
     h = shapes._width0
     lorentz = (h / math.pi) / (nu * nu + h * h)
     # the pinned table less its sampled remainder g_relax - L_h
-    core = shapes._relax_table() - g_relax(nu, shapes._rx) + lorentz
+    relax = g_relax(nu, p.zeta_ghz(), p.nu31_ghz(), p.temperature_ghz())
+    core = shapes._relax_table() - relax + lorentz
     mass = (math.atan(nu[-1] / h) - math.atan(nu[0] / h)) / math.pi
     assert float(np.sum(core)) * step == pytest.approx(mass, rel=1e-12, abs=0.0)
     # second moment over the +-K nodes about zero, on the trapezoid rule
@@ -483,7 +485,7 @@ def test_narrow_core_total_rate_matches_quadrature_oracle(overrides, window):
     p = make_params(**overrides)
     shapes = LineShapes(p, *window)
     phi31 = p.phi31_uphi0
-    first_peak = phi31 + energy_to_flux(shapes._lf.shift_ghz, p.ip_a)
+    first_peak = phi31 + energy_to_flux(p.shift_ghz(), p.ip_a)
     for phi in (0.3 * phi31, 0.55 * phi31, 0.9 * phi31, first_peak):
         expect = oracles.quad_total_rate(
             phi, delta01=p.delta01_ghz, delta03=p.delta03_ghz,

@@ -22,7 +22,7 @@ from mrtfit.errors import (ConvergenceError, DomainError, SingleWellError,
 from mrtfit.rate_model import LineShapes
 import mrtfit.squid_full as squid_full
 from mrtfit.squid_full import excited_crossing_gap, full_spectrum
-from mrtfit.units import CONSTANTS, energy_to_flux, flux_to_energy
+from mrtfit.units import Phi0, energy_to_flux, flux_to_energy, hbar
 
 import oracles
 
@@ -132,7 +132,7 @@ def test_matrix_elements_equal_the_loop_reference(basis, circuit):
     # element by element as sums over the grid; the matrix products add in
     # another order, so they agree to rounding of the largest element
     psi, pot = basis.wavefunctions, basis.potential
-    i_diag = CONSTANTS.Phi0 * (pot.y - circuit.phi_x_uphi0 * 1e-6 + 0.5) / circuit.l_h
+    i_diag = Phi0 * (pot.y - circuit.phi_x_uphi0 * 1e-6 + 0.5) / circuit.l_h
     dpsi = np.zeros_like(psi)
     dpsi[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * pot.step)
     n = len(psi)
@@ -142,7 +142,7 @@ def test_matrix_elements_equal_the_loop_reference(basis, circuit):
             if (p - q) % 2 == 0:
                 cur[p, q] = np.sum(psi[p] * i_diag * psi[q])
                 if p != q:
-                    volt[p, q] = (CONSTANTS.hbar / (circuit.c_f * CONSTANTS.Phi0)
+                    volt[p, q] = (hbar / (circuit.c_f * Phi0)
                                   * abs(np.sum(psi[p] * dpsi[q])))
     np.testing.assert_allclose(basis.current_a, cur, rtol=0,
                                atol=1e-13 * np.abs(cur).max())

@@ -10,12 +10,11 @@ from oracles import E_CH, H, HBAR, K_B, PHI0
 
 
 def test_constants_exact_relations():
-    c = units.CONSTANTS
-    assert c.hbar == c.h / (2 * math.pi)
-    assert c.Phi0 == c.h / (2 * c.e)
-    assert c.h == 6.62607015e-34
-    assert c.e == 1.602176634e-19
-    assert c.k_B == 1.380649e-23
+    assert units.hbar == units.h / (2 * math.pi)
+    assert units.Phi0 == units.h / (2 * units.e)
+    assert units.h == 6.62607015e-34
+    assert units.e == 1.602176634e-19
+    assert units.k_B == 1.380649e-23
 
 
 def test_flux_to_energy_zero_bias():
