@@ -206,23 +206,23 @@ def cmd_batch(args) -> int:
     files = sorted(Path(args.data_dir).glob("*.csv"))
     if not files:
         raise ValidationError(f"no .csv datasets found in {args.data_dir}")
-    # a dataset without an id is named after its file; a stem that is not a
-    # valid id fails that dataset's row only, as a failed fit would
-    datasets, unnamed = [], {}
+    # a dataset without an id is named after its file; a file that does not
+    # load, or whose stem is no valid id, fails its own row as a fit would
+    datasets, failed = [], {}
     for i, f in enumerate(files):
-        ds = dataio.load_dataset(f)
-        if ds.qubit_id is None:
-            try:
-                ds = dataclasses.replace(ds, qubit_id=f.stem)
-            except ValidationError as exc:
-                unnamed[i] = BatchEntry(f"dataset-{i}", None, f"{f.name}: {exc}")
-                continue
-        datasets.append(ds)
+        try:
+            ds = dataio.load_dataset(f)
+            datasets.append(dataclasses.replace(ds, qubit_id=ds.qubit_id or f.stem))
+        except ValidationError as exc:
+            failed[i] = BatchEntry(f"dataset-{i}", None, f"{f.name}: {exc}")
+            last = exc
+    if not datasets:
+        raise last   # nothing to fit: fail as a lone dataset does, writing nothing
     out_dir = _out_dir(args)
     fit_cfg = cfg.fit_config()
     result = batch_fit(datasets, fit_cfg, threads=args.threads)
     fitted = iter(result.entries)
-    entries = [unnamed.get(i) or next(fitted) for i in range(len(files))]
+    entries = [failed.get(i) or next(fitted) for i in range(len(files))]
     lines = ["qubit_id,status,chi2_per_dof,eta,r_shunt_ohm,tan_delta_c,"
              "tan_delta_l_1ghz"]
     for entry, f in zip(entries, files):

@@ -26,9 +26,11 @@ where L_gamma is the Lorentzian, D_gamma = x / pi (x^2 + gamma^2),
 A = (gamma/2T) cot(gamma/2T), B = gamma/2T, and
 s = (gamma/pi) (e(x/T) - e(i gamma/T)) / (x^2 + gamma^2).  The Gaussian
 convolved with the first two terms is (A Re w(z) + B Im w(z)) /
-(W sqrt(2 pi)) from one Faddeeva call at any grid resolution.  The
-numerator of s vanishes at the poles +-i gamma, so s is smooth on the
-thermal scale and only s is convolved numerically.
+(W sqrt(2 pi)) from the Faddeeva function w (``wofz`` near the peak,
+its asymptotic series beyond).  The numerator of s vanishes at the poles
++-i gamma, so s is smooth on the thermal scale and only s is convolved
+numerically.  G_01 obeys detailed balance, G_01(-nu) = exp(-nu/T) G_01(nu)
+(Amin & Averin, PRL 100, 197001, 2008), and is computed on nu >= 0 only.
 
 No grid step therefore has to resolve gamma: with s = min(W/16, 2T/3),
 from the local cubic's (step/W)^4 log error and the thermal scale, the
@@ -78,14 +80,19 @@ from .units import (FluxUPhi0, FreqGHz, TempK, energy_to_flux, flux_to_energy,
 GRID_MIN_POINTS = 2**8 + 1
 GRID_MAX_POINTS = 2**18 + 1
 TABLE_FLOOR = 1e-14
+_LOG_TINY = math.log(np.finfo(float).tiny)   # below it exp leaves the normal doubles
 _INCOHERENT_WARN_RATIO = 0.3
 _OHMIC_COUPLING_WARN = 0.3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
 # reach of the Gaussian below its centre, in widths, that the ohmic
-# remainder is tabulated for beneath the grid's lower edge
+# remainder is tabulated for below zero
 _GAUSS_REACH = 10.0
+# w(z) is wofz inside |z| < R and its asymptotic series beyond, to this
+# many terms: within 2.3e-15 of 40-digit values in both parts on |z| >= R
+_FADDEEVA_R = 10.0
+_FADDEEVA_TERMS = 12
 # largest exp(a |nu|) the first-peak tilt may reach over the grid, as a log
 _TILT_REACH = 14.0
 # nodes either side of zero over which a pinned core keeps its second moment
@@ -305,13 +312,11 @@ class FrequencyGrid:
 
 
 class _Convolution:
-    """Linear FFT convolution onto a grid of n nodes.
+    """Linear FFT convolution of two operands on a grid of n nodes onto it.
 
-    The left operand may be tabulated on the grid extended by ``ext``
-    nodes below its lower edge; the right operand lives on the grid.  Only
-    the n output nodes are kept, so the cyclic length need only keep
-    wrap-around off them: max(2n - 1 - iz, n + ext + iz) for a zero index
-    iz, about 3n/2 rather than the 2n - 1 of full zero padding.  Operand
+    Only the n output nodes are kept, so the cyclic length need only keep
+    wrap-around off them: max(2n - 1 - iz, n + iz) for a zero index iz,
+    about 3n/2 rather than the 2n - 1 of full zero padding.  Operand
     spectra can be kept and recombined: ``back`` of a sum of spectrum
     products is the sum of the convolutions.
 
@@ -322,27 +327,25 @@ class _Convolution:
     steeply falling tail.
     """
 
-    def __init__(self, grid: FrequencyGrid, ext: int = 0, tilt: float = 0.0):
+    def __init__(self, grid: FrequencyGrid, tilt: float = 0.0):
         n = len(grid)
         iz = grid.index_of_zero
-        self.n_fft = next_fast_len(max(2 * n - 1 - iz, n + ext + iz), real=True)
-        self.start = iz + ext
-        self.n = n
+        self.n_fft = next_fast_len(max(2 * n - 1 - iz, n + iz), real=True)
+        self._kept = slice(iz, iz + n)
         self.step = grid.step
         self._weights = self._unweights = None
         if tilt > 0:
-            self._weights = np.exp(-tilt * (np.arange(-ext, n) - iz) * grid.step)
-            self._unweights = 1.0 / self._weights[ext:]
+            self._weights = np.exp(-tilt * (np.arange(n) - iz) * grid.step)
+            self._unweights = 1.0 / self._weights
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
         if self._weights is not None:
-            # a right operand sits on the last n of the left operand's nodes
-            f = f * self._weights[len(self._weights) - len(f):]
+            f = f * self._weights
         return rfft(f, self.n_fft)
 
     def back(self, spectrum: np.ndarray) -> np.ndarray:
         full = irfft(spectrum, self.n_fft)
-        out = full[self.start: self.start + self.n] * self.step
+        out = full[self._kept] * self.step
         if self._unweights is not None:
             out = out * self._unweights
         return out
@@ -388,6 +391,20 @@ def _ohmic_remainder_slopes(x: np.ndarray, g: float, t: float) -> tuple:
     d_g = rem * (x * x - g * g) / (g * x2g2) - lor * da / t
     d_t = lor * (g * da - x * de) / (t * t)
     return d_x, d_g, d_t
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """The Faddeeva function w(z), Im z >= 0: ``wofz`` inside |z| < R, beyond
+    it the series i / (sqrt(pi) z) sum_k (2k-1)!! / (2z^2)^k."""
+    out = np.empty_like(z)
+    near = np.abs(z) < _FADDEEVA_R
+    out[near] = wofz(z[near])
+    far = z[~near]
+    v, acc = 0.5 / (far * far), 1.0
+    for k in range(2 * _FADDEEVA_TERMS - 3, 0, -2):
+        acc = 1.0 + k * v * acc
+    out[~near] = 1j * acc / (_SQRT_PI * far)
+    return out
 
 
 def _rate_coef(delta_ghz: float) -> float:
@@ -517,43 +534,57 @@ class LineShapes:
         self._conv01 = self._core_slopes = None
         self._table01 = self._build_zeroth()
         self._table03 = self._build_first()
-        self._log01 = self._log_table(self._table01)
+        # the mirrored tail keeps its relative rounding down to _LOG_TINY
+        self._log01 = np.maximum(self._mirror(self._log_table(self._pos01), log=True), _LOG_TINY)
         self._log03 = self._log_table(self._table03)
         self._slope_tables = None
 
     # ---- table assembly -------------------------------------------------
 
     def _build_zeroth(self) -> np.ndarray:
-        """G_01 on the grid: Voigt core plus convolved thermal correction.
-        The sampled Gaussian's mass is exact to 1e-19 at W >= 1.5 steps."""
-        grid = self.grid
-        nu = grid.values
+        """G_01 on the grid.  On the nodes nu >= 0, up to the grid's larger
+        half-width, it is the Gaussian if gamma = 0, else the Voigt core plus
+        the convolved thermal correction (the sampled Gaussian's mass is exact
+        to 1e-19 at W >= 1.5 steps); below zero, exp(nu/T) times the image."""
         w, g, t, sh = self._w, self._gam, self._t, self._shift
-        self._gauss = g_low(nu, w, sh)
+        iz, step = self.grid.index_of_zero, self.grid.step
+        pos = np.arange(max(iz, len(self.grid) - 1 - iz) + 1) * step
+        self._balance = np.exp(self.grid.values[:iz] / t)
         if g == 0:
-            return self._gauss
-        # Voigt core (A Re w(z) + B Im w(z)) / (W sqrt(2 pi)) from the
-        # Faddeeva function: the Gaussian convolved with A L_gamma + B D_gamma
-        a, b, _ = _ohmic_core_weights(g, t)
-        self._faddeeva = wofz((nu - sh + 1j * g) / (math.sqrt(2.0) * w))
-        core = (a * self._faddeeva.real + b * self._faddeeva.imag) / (_SQRT_2PI * w)
-        self.diagnostics["gaussian_as_delta"] = w < 1.5 * grid.step
-        if not self.diagnostics["gaussian_as_delta"]:
-            # every node draws on the remainder over the Gaussian's whole
-            # reach, so the remainder is tabulated that far below the grid
-            ext = int(math.ceil((sh + _GAUSS_REACH * w) / grid.step))
-            self._conv01 = _Convolution(grid, ext)
-            self._nu_ext = (np.arange(-ext, len(grid)) - grid.index_of_zero) * grid.step
-            self._rem_spec = self._conv01.spectrum(_ohmic_remainder(self._nu_ext, g, t))
-            self._gauss_spec = self._conv01.spectrum(self._gauss)
-            corr = self._conv01.back(self._rem_spec * self._gauss_spec)
+            raw = self._gauss = g_low(pos, w, sh)
         else:
-            # Gaussian narrower than the grid: treat it as a delta at the
-            # reorganization shift (its width already lives in the Voigt term)
-            corr = _ohmic_remainder(nu - sh, g, t)
-        raw = core + corr
+            # Voigt core (A Re w(z) + B Im w(z)) / (W sqrt(2 pi)) from the
+            # Faddeeva function: the Gaussian convolved with A L_gamma + B D_gamma
+            a, b, _ = _ohmic_core_weights(g, t)
+            self._faddeeva = _faddeeva((pos - sh + 1j * g) / (math.sqrt(2.0) * w))
+            core = (a * self._faddeeva.real + b * self._faddeeva.imag) / (_SQRT_2PI * w)
+            self.diagnostics["gaussian_as_delta"] = w < 1.5 * step
+            if not self.diagnostics["gaussian_as_delta"]:
+                # the operands start the Gaussian's reach below zero
+                reach = int(math.ceil((sh + _GAUSS_REACH * w) / step))
+                self._half = FrequencyGrid(values=np.arange(-reach, len(pos)) * step,
+                                           step=step, index_of_zero=reach)
+                conv = self._conv01 = _Convolution(self._half)
+                self._gauss = g_low(self._half.values, w, sh)
+                self._rem_spec = conv.spectrum(_ohmic_remainder(self._half.values, g, t))
+                self._gauss_spec = conv.spectrum(self._gauss)
+                corr = conv.back(self._rem_spec * self._gauss_spec)[reach:]
+            else:
+                # Gaussian narrower than the grid: treat it as a delta at the
+                # reorganization shift (its width already lives in the Voigt term)
+                corr = _ohmic_remainder(pos - sh, g, t)
+            raw = core + corr
         self._clipped01 = raw < 0.0
-        return np.maximum(raw, 0.0)
+        self._pos01 = np.maximum(raw, 0.0)
+        return self._mirror(self._pos01)
+
+    def _mirror(self, rows: np.ndarray, log: bool = False) -> np.ndarray:
+        """Rows on the grid from ``rows`` on the nodes nu >= 0 (last axis): below
+        zero exp(nu/T) times the image at -nu, or nu/T plus it if ``log``."""
+        iz = self.grid.index_of_zero
+        image = rows[..., iz:0:-1]
+        below = image + self.grid.values[:iz] / self._t if log else image * self._balance
+        return np.concatenate((below, rows[..., :len(self.grid) - iz]), axis=-1)
 
     def _relax_table(self) -> np.ndarray:
         nu = self.grid.values
@@ -584,9 +615,8 @@ class LineShapes:
         The operands' negative tails fall at least as exp(nu / T), so a
         stays below 1 / 2T.  The relaxation envelope's algebraic wing,
         zeta / pi nu^2 down to nu = -nu31, may grow under the tilt only up
-        to its core height.  exp(a |nu|) stays below e^14 over the grid:
-        on the positive side it amplifies the rounding, on the negative
-        side the rounding residue of G_01's far tail.
+        to its core height.  exp(a |nu|) stays below e^14 over the grid,
+        where on the positive side it amplifies the rounding.
         """
         nu31 = self._nu31
         reach = max(-self.grid.lo, self.grid.hi)
@@ -609,13 +639,13 @@ class LineShapes:
     # FDT shift eps_p = W^2 / 2T enters through W and T.
 
     def _zeroth_slopes(self) -> np.ndarray:
-        """d G_01 / d(nu31, W, gamma, zeta, T) on the grid."""
-        nu = self.grid.values
+        """d G_01 / d(nu31, W, gamma, zeta, T) on the nodes nu >= 0."""
         w, g, t, sh = self._w, self._gam, self._t, self._shift
         sh_w, sh_t = w / t, -sh / t
-        out = np.zeros((len(SHAPE_FIELDS), len(nu)))
-        d_sh, d_w = _gauss_slopes(self._gauss, nu - sh, w)
+        pos = np.arange(len(self._pos01)) * self.grid.step
+        out = np.zeros((len(SHAPE_FIELDS), len(pos)))
         if g == 0:
+            d_sh, d_w = _gauss_slopes(self._gauss, pos - sh, w)
             out[_W] = d_w + sh_w * d_sh
             out[_T] = sh_t * d_sh
             return out
@@ -625,7 +655,7 @@ class LineShapes:
         a, b, da = _ohmic_core_weights(g, t)
         k = a - 1j * b
         dk_dy = da - 0.5j
-        z = (nu - sh + 1j * g) / (math.sqrt(2.0) * w)
+        z = (pos - sh + 1j * g) / (math.sqrt(2.0) * w)
         fw = self._faddeeva
         fp = -2.0 * z * fw + 2j / _SQRT_PI
         v_x = (k * fp).real / (2.0 * _SQRT_PI * w * w)
@@ -634,15 +664,16 @@ class LineShapes:
         out[_W] = -(k * (fw + z * fp)).real / (_SQRT_2PI * w * w) - sh_w * v_x
         out[_T] = -sh_t * v_x - (g / t) * (dk_dy * fw).real / (t * _SQRT_2PI * w)
         if self._conv01 is not None:
-            conv = self._conv01
-            _, rem_g, rem_t = _ohmic_remainder_slopes(self._nu_ext, g, t)
+            conv, x, reach = self._conv01, self._half.values, self._half.index_of_zero
+            _, rem_g, rem_t = _ohmic_remainder_slopes(x, g, t)
+            d_sh, d_w = _gauss_slopes(self._gauss, x - sh, w)
             gauss_sh, gauss_w = conv.spectrum(d_sh), conv.spectrum(d_w)
-            out[_W] += conv.back(self._rem_spec * (gauss_w + sh_w * gauss_sh))
-            out[_GAM] += conv.back(conv.spectrum(rem_g) * self._gauss_spec)
+            out[_W] += conv.back(self._rem_spec * (gauss_w + sh_w * gauss_sh))[reach:]
+            out[_GAM] += conv.back(conv.spectrum(rem_g) * self._gauss_spec)[reach:]
             out[_T] += conv.back(conv.spectrum(rem_t) * self._gauss_spec
-                                 + sh_t * self._rem_spec * gauss_sh)
+                                 + sh_t * self._rem_spec * gauss_sh)[reach:]
         else:
-            rem_x, rem_g, rem_t = _ohmic_remainder_slopes(nu - sh, g, t)
+            rem_x, rem_g, rem_t = _ohmic_remainder_slopes(pos - sh, g, t)
             out[_W] -= sh_w * rem_x
             out[_GAM] += rem_g
             out[_T] += rem_t - sh_t * rem_x
@@ -687,11 +718,14 @@ class LineShapes:
 
     def _table_slopes(self) -> tuple:
         """Derivative rows of the G_01 and G_03 tables (None where a table
-        is not built), computed on first use."""
+        is not built), computed on first use; the G_01 rows are mirrored like
+        its table, the T row plus d exp(nu/T) / dT G_01(-nu)."""
         if self._slope_tables is None:
             d01 = d03 = None
             if self._gam > 0 or self._zet > 0:
-                d01 = self._zeroth_slopes()
+                self._pos_slopes = self._zeroth_slopes()
+                d01 = self._mirror(self._pos_slopes)
+                d01[_T] -= np.minimum(self.grid.values, 0.0) / self._t**2 * self._table01
             if self._zet > 0:
                 d03 = self._first_slopes(d01)
             self._slope_tables = (d01, d03)
@@ -744,20 +778,25 @@ class LineShapes:
         return np.exp(self._local_cubic(self._log03, om))
 
     def _log_grads(self, table: np.ndarray, log_table: np.ndarray,
-                   slopes: np.ndarray, x: np.ndarray) -> tuple:
+                   slopes: np.ndarray, x: np.ndarray, mirrored: bool = False) -> tuple:
         """Rows d log_table / d(nu31, W, gamma, zeta, T) through the local
         cubic at x, and the cubic's slope in x.
 
         Only the stencil nodes are converted to log derivatives; a floored
-        node follows the floor, max(table) * TABLE_FLOOR.
+        node follows the floor, max(table) * TABLE_FLOOR.  A ``mirrored`` table
+        (G_01) holds nu >= 0; a node below zero takes its image's, plus d(nu/T)/dT.
         """
         self._check_span(x)
         nodes, s = self._stencil(x)
+        at_nodes = np.abs(nodes - self.grid.index_of_zero) if mirrored else nodes
         top = int(np.argmax(table))
-        at = table[nodes]
+        at = table[at_nodes]
         live = at >= table[top] * TABLE_FLOOR
-        node_slopes = np.where(live, slopes[:, nodes] / np.where(live, at, 1.0),
+        node_slopes = np.where(live, slopes[:, at_nodes] / np.where(live, at, 1.0),
                                (slopes[:, top] / table[top])[:, None, None])
+        if mirrored:
+            node_slopes[_T] -= np.minimum(self.grid.values[nodes], 0.0) / (self._t * self._t)
+            node_slopes[:, log_table[nodes] <= _LOG_TINY] = 0.0
         return (_combine(node_slopes, _lagrange(s)),
                 _combine(log_table[nodes], _lagrange_slope(s)) / self.grid.step)
 
@@ -772,7 +811,8 @@ class LineShapes:
             grads[_W] = (u * u / (w * w) - 1.0) / w + u / (w * t)
             grads[_T] = -u / (2.0 * t * t)
             return grads, -u / (w * w)
-        return self._log_grads(self._table01, self._log01, self._table_slopes()[0], x)
+        self._table_slopes()
+        return self._log_grads(self._pos01, self._log01, self._pos_slopes, x, mirrored=True)
 
     def log_shape_grads(self, eps_ghz) -> tuple:
         """Sensitivities of log G_01(eps) and log G_03(eps) to the shape

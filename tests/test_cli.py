@@ -184,6 +184,24 @@ def test_batch_fails_only_the_dataset_whose_file_stem_is_no_id(tmp_path, capsys)
     assert (out_dir / "q0.report.json").exists() and (out_dir / "q1.report.json").exists()
 
 
+def test_batch_fails_only_the_dataset_whose_file_does_not_load(tmp_path, capsys):
+    # one malformed file fails its own row; the other dataset is still fitted
+    data_dir = tmp_path / "data"
+    sub = write_config(tmp_path, "[gen]\nn_points = 140\nqubit_id = q0\n")
+    assert run(["gen", "--config", sub, "--seed", "3", "--out", str(data_dir)]) == 0
+    (data_dir / "bad.csv").write_text("# ip_uA = 1.37\nphi_x_uPhi0,rate_per_us\n1.0,0.0\n")
+    out_dir = tmp_path / "out"
+    assert run(["batch", "--config", write_config(tmp_path, ""),
+                "--data-dir", str(data_dir), "--out", str(out_dir)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-WARN") == 1 and "bad.csv" in err and "rate must be positive" in err
+    assert "MRTFIT-ERROR" not in err
+    rows = (out_dir / "batch_summary.csv").read_text().splitlines()[1:]
+    assert [len(r.split(",")) for r in rows] == [7, 7]
+    assert [r.split(",")[1] for r in rows] == ["failed", "ok"]
+    assert (out_dir / "q0.report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # failure classes and exit codes
 

@@ -102,18 +102,14 @@ def test_convolve_equals_scipy_fftconvolve(n_min):
 # ---------------------------------------------------------------------------
 # zeroth peak
 
-def test_short_tilted_extended_convolution_matches_full_padding():
+def test_short_tilted_convolution_matches_full_padding():
     # an off-centre zero index makes the short cyclic length asymmetric
     grid = FrequencyGrid.build(-3.0, 9.0, 2e-3)
-    ext = 300
-    ext_grid = FrequencyGrid(
-        values=(np.arange(-ext, len(grid)) - grid.index_of_zero) * grid.step,
-        step=grid.step, index_of_zero=grid.index_of_zero + ext)
-    f = 1.0 / (1.0 + (ext_grid.values - 0.5) ** 2)
+    f = 1.0 / (1.0 + (grid.values - 0.5) ** 2)
     g = np.exp(-((grid.values - 1.0) ** 2) / 0.08)
-    expect = convolve(f, np.concatenate([np.zeros(ext), g]), ext_grid)[ext:]
+    expect = convolve(f, g, grid)
     for tilt in (0.0, 0.8):
-        conv = rate_model._Convolution(grid, ext, tilt=tilt)
+        conv = rate_model._Convolution(grid, tilt=tilt)
         assert conv.n_fft < 2 * len(grid) - 1
         got = conv.back(conv.spectrum(f) * conv.spectrum(g))
         # the tilt amplifies the rounding by up to exp(tilt * hi)
@@ -133,6 +129,69 @@ def test_ohmic_split_reproduces_g_high(ratio):
              + rate_model._ohmic_remainder(x, g, t))
     full = g_high(x, g, t)
     assert np.abs(split - full).max() <= 1e-14 * full.max()
+
+
+def test_split_faddeeva_matches_wofz_across_the_switch():
+    # rings just inside and just outside |z| = R, where the asymptotic
+    # series takes over, in the upper half plane down to Im z = 1e-6
+    from scipy.special import wofz
+
+    r = rate_model._FADDEEVA_R
+    theta = np.linspace(0.0, math.pi, 2000)
+    for radius in (r * (1.0 - 1e-9), r * (1.0 + 1e-9), 1.5 * r):
+        z = radius * np.exp(1j * theta)
+        z = z.real + 1j * np.maximum(z.imag, 1e-6)
+        y = np.array([1e-6, 1e-4, 1e-2, 1.0])
+        x = np.sqrt(radius**2 - y**2)
+        z = np.concatenate([z, x + 1j * y, -x + 1j * y])
+        got, expect = rate_model._faddeeva(z), wofz(z)
+        for part in (np.real, np.imag):
+            assert np.all(np.abs(part(got) - part(expect)) <= 1e-14 * np.abs(part(expect)))
+        # the Voigt core's combination A Re w + B Im w, at ohmic couplings
+        # up to the validity limit 2 gamma / k_B T = 0.3
+        for ratio in (1e-3, 0.03, 0.15):
+            a, b, _ = rate_model._ohmic_core_weights(ratio, 1.0)
+            scale = np.abs(a * expect.real) + np.abs(b * expect.imag)
+            diff = a * (got.real - expect.real) + b * (got.imag - expect.imag)
+            assert np.all(np.abs(diff) <= 1e-14 * scale)
+
+
+def test_zeroth_peak_far_tail_matches_quadrature_oracle(ref_params):
+    # G_01 below zero is mirrored from its positive side by detailed
+    # balance, so its far tail carries relative, not absolute, rounding
+    p = ref_params
+    phis = np.array([-500.0, -450.0, -400.0])
+    r01, _ = LineShapes(p, -500.0, 3000.0).rates(phis)
+    w, g, t = p.w_ghz(), p.gamma_ghz(), p.temperature_ghz()
+    for phi, got in zip(phis, r01):
+        expect = oracles.rate_coef(p.delta01_ghz) * oracles.quad_g01(
+            flux_to_energy(phi, p.ip_a), w, g, t)
+        assert got == pytest.approx(expect, rel=1e-9, abs=0.0), phi
+
+
+def _valid_params(t_k, w_phi, coupling, zeta_rel):
+    # ohmic coupling 2 gamma / k_B T = coupling, kept inside its validity
+    # limit 0.3 through the unit round trip, and delta01 (REF) below 0.3 W
+    # for every W drawn
+    gamma = energy_to_flux(0.5 * coupling * kelvin_to_ghz(t_k), REF["ip_a"])
+    return make_params(temperature_k=t_k, w_phi_uphi0=w_phi, gamma_phi_uphi0=gamma,
+                       zeta_phi_uphi0=zeta_rel * w_phi)
+
+
+valid_region = st.builds(_valid_params, st.floats(5e-3, 15e-3), st.floats(15.0, 60.0),
+                         st.floats(1e-3, 0.29), st.floats(0.02, 0.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_region, st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8).map(np.array))
+def test_zeroth_peak_detailed_balance_property(p, phis):
+    # G_01(-x) = exp(-x/T) G_01(x) holds exactly; the local cubic through
+    # the mirrored log table reproduces the linear term, so it holds to
+    # rounding at any bias, on a node or between nodes
+    shapes = LineShapes(p, -500.0, 3000.0)
+    x = flux_to_energy(phis, p.ip_a)
+    np.testing.assert_allclose(shapes.shape01(-x) / shapes.shape01(x),
+                               np.exp(-x / p.temperature_ghz()), rtol=1e-12, atol=0.0)
 
 
 def test_rate01_gaussian_closed_form_at_peak():
@@ -525,12 +584,12 @@ def test_infinite_parameter_rejected(name):
 # lower grid edge
 
 def test_lower_tail_matches_quadrature_oracle(ref_params):
-    # the ohmic remainder is tabulated below the grid's lower edge, so the
-    # Voigt core's Lorentzian tail is cancelled there as well
+    # the zeroth peak is mirrored from its positive side, where the ohmic
+    # remainder reaches the Gaussian's whole width below zero, so the Voigt
+    # core's Lorentzian tail is cancelled down to the grid's lower edge
     p = ref_params
     shapes = LineShapes(p, -500.0, 3000.0)
-    # the lowest biases of the criterion-2 grid above the G_03 table floor,
-    # where the core and the remainder cancel to about 1e-9 of the peak
+    # the lowest biases of the criterion-2 grid above the G_03 table floor
     c2_tail = np.linspace(-500.0, 3000.0, 200)[7:11]
     cases = [(phi, 1e-5) for phi in (-300.0, -250.0, -200.0)]
     cases += [(phi, 2e-6) for phi in c2_tail]
@@ -549,6 +608,18 @@ def test_rates_independent_of_window_lower_edge(ref_params):
     wide = total(LineShapes(ref_params, -1000.0, 3000.0), phis)
     live = near > 1e-10 * near.max()
     np.testing.assert_allclose(near[live], wide[live], rtol=1e-6)
+
+
+def test_mirrored_tail_stays_positive_on_a_wide_window():
+    # far below zero exp(nu/T) G_01(-nu) leaves the doubles; the log table
+    # stops at the smallest normal double, so a curve without a first peak
+    # keeps positive rates and finite sensitivities
+    phis = np.linspace(-20000.0, 20000.0, 401)
+    for overrides in ({"delta03_ghz": 0.0}, {"zeta_phi_uphi0": 0.0}):
+        p = make_params(**overrides)
+        assert np.all(simulate_curve(phis, p).rate > 0)
+        grads = LineShapes(p, -20000.0, 20000.0).log_shape_grads(flux_to_energy(phis, p.ip_a))
+        assert all(np.all(np.isfinite(g)) for g in grads)
 
 
 def test_window_above_zero_keeps_the_relaxation_wing():
