@@ -11,7 +11,8 @@ rf-SQUID circuit eigenproblem.
 The public names below are resolved on first access (PEP 562), so that
 importing the package, or a light submodule such as ``units``, does not
 load scipy.  Each access looks the name up in its submodule again, so the
-package never holds a stale copy of a submodule's attribute.
+package never holds a stale copy of a submodule's attribute.  Envelopes and
+unit conversions are imported from ``mrtfit.envelopes`` and ``mrtfit.units``.
 """
 
 import importlib
@@ -19,7 +20,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "envelopes": ("g_high", "g_low", "g_relax", "relax_width"),
+    "envelopes": (),
     "errors": (
         "ConfigError", "ConvergenceError", "DatasetFormatError", "DomainError",
         "ModelValidityWarning", "MrtfitError", "ReportError", "SingleWellError",
@@ -28,18 +29,13 @@ _EXPORTS = {
         "BatchResult", "FitConfig", "FitResult", "InitialGuess", "batch_fit",
         "fit", "initial_guess"),
     "rate_model": (
-        "FrequencyGrid", "LineShapes", "MrtParams", "RateDataset", "peak_rates",
-        "rate_01", "rate_03", "simulate_curve", "total_rate"),
+        "LineShapes", "MrtParams", "RateDataset", "peak_rates", "simulate_curve"),
     "squid_full": (
         "EffectivePotential", "FullModelNoise", "FullModelResult",
         "RfSquidParams", "WellBasis", "effective_potential", "full_model_rate",
         "ground_pair_splitting", "harmonic_v31", "persistent_current",
         "solve_wells"),
-    "units": (
-        "NoiseSummary", "derive_eta",
-        "derive_shunt_and_inductive_loss", "derive_tan_delta_c",
-        "energy_to_flux", "flux_to_energy", "ghz_to_kelvin", "kelvin_to_ghz",
-        "noise_summary"),
+    "units": ("NoiseSummary",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

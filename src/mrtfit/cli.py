@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
     r01, r03 = peak_rates(phi, params, well)
     column = functools.partial(RateDataset, phi_x=phi, ip_a=params.ip_a, well=well)
     curves = {"total": column(rate=r01 + r03), "peak0": column(rate=r01)}
-    if params.delta03_ghz > 0 and np.all(r03 > 0):
+    if params.delta03_ghz > 0:
         curves["peak1"] = column(rate=r03)
     out = _out_dir(args) / "model_curve.csv"
     dataio.write_curve_table(out, curves)
@@ -302,14 +302,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="run configuration file (INI); "
-                       f"default from ${CONFIG_ENV_VAR} if set")
-        p.add_argument("--out", help="output directory (default: cwd)")
-        p.add_argument("--format", choices=("table", "json"), default="table")
+    shared = {
+        "--config": {"help": "run configuration file (INI); "
+                             f"default from ${CONFIG_ENV_VAR} if set"},
+        "--out": {"help": "output directory (default: cwd)"},
+        "--format": {"choices": ("table", "json"), "default": "table"},
+    }
 
-    p = sub.add_parser("derive", help="derived noise metrics from fit values")
-    common(p)
+    def add(name, summary, func, *flags):
+        """Subcommand ``name`` with the shared ``flags`` that ``func`` reads."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
+
+    p = add("derive", "derived noise metrics from fit values", cmd_derive, "--format")
     p.add_argument("--gamma-phi", type=float, required=True,
                    help="ohmic broadening, uPhi0")
     p.add_argument("--zeta-phi", type=float, required=True,
@@ -323,34 +331,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-mk", type=float, required=True, help="temperature, mK")
     p.add_argument("--loss-freq-ghz", type=float, nargs="+", default=[1.0],
                    help="frequencies for tan delta_L, GHz")
-    p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("simulate", help="tabulate a model rate curve")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    add("simulate", "tabulate a model rate curve", cmd_simulate, "--config", "--out")
 
-    p = sub.add_parser("gen", help="generate a seeded synthetic dataset")
-    common(p)
+    p = add("gen", "generate a seeded synthetic dataset", cmd_gen, "--config", "--out")
     p.add_argument("--seed", type=int, default=None,
                    help="override the configured random seed")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fit", help="fit a dataset and write a report")
-    common(p)
+    p = add("fit", "fit a dataset and write a report", cmd_fit,
+            "--config", "--out", "--format")
     p.add_argument("--data", required=True, help="dataset file")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("batch", help="fit every dataset in a directory")
-    common(p)
+    p = add("batch", "fit every dataset in a directory", cmd_batch,
+            "--config", "--out", "--format")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, at most one per dataset and CPU")
-    p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("squid", help="solve the rf-SQUID circuit and print "
-                                     "well quantities")
-    common(p)
-    p.set_defaults(func=cmd_squid)
+    add("squid", "solve the rf-SQUID circuit and print well quantities", cmd_squid,
+        "--config", "--out", "--format")
     return parser
 
 

@@ -18,10 +18,10 @@ Run configuration is INI-style with sections [model], [fit], [squid],
 [gen], [simulate].  Every key has a documented default and unknown
 sections and keys are errors, so a typo cannot silently fall back; a
 numeric value that does not parse is an error naming its key.  Values
-are read literally (no ``%`` interpolation).  The [model] keys are the
-report labels of ``rate_model.FIT_PARAMS`` plus ``ip_ua``; [fit] holds
-only the free-parameter list and the loop inductance, because the solver
-policy is fixed in ``fitter``.
+are read literally (no ``%`` interpolation).  The [model] keys and their
+defaults are the labels and defaults of ``units.FIT_PARAMS`` plus
+``ip_ua``; [fit] holds only the free-parameter list and the loop
+inductance, because the solver policy is fixed in ``fitter``.
 
 All numeric output is fixed scientific notation with nine significant
 digits, which makes regenerated files byte-comparable across platforms.
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DatasetFormatError, ReportError, ValidationError
-from .units import noise_summary
+from .units import FIT_PARAMS, noise_summary
 
 if TYPE_CHECKING:
     from .fitter import FitConfig, FitResult
@@ -196,16 +196,7 @@ def save_dataset(path, dataset: RateDataset, extra_meta: Optional[dict] = None):
 # run configuration
 
 CONFIG_DEFAULTS = {
-    "model": {
-        "delta01_mhz": "2.72",
-        "delta03_mhz": "29.8",
-        "phi31_uphi0": "2153.6",
-        "w_phi_uphi0": "37.2",
-        "gamma_phi_uphi0": "0.54",
-        "zeta_phi_uphi0": "4.53",
-        "temperature_mk": "7.3",
-        "ip_ua": "1.37",
-    },
+    "model": {**{q.label: str(q.default) for q in FIT_PARAMS}, "ip_ua": "1.37"},
     "fit": {
         "free": "delta01,delta03,phi31,w_phi,gamma_phi,zeta_phi,temperature",
         "inductance_ph": "250",
@@ -261,7 +252,7 @@ class RunConfig:
         return self._number(section, key, int)
 
     def model_params(self) -> MrtParams:
-        from .rate_model import FIT_PARAMS, MrtParams
+        from .rate_model import MrtParams
 
         return MrtParams(
             ip_a=self.getfloat("model", "ip_ua") * 1e-6,
@@ -314,8 +305,6 @@ def report_from_fit(result: FitResult, config: FitConfig,
                     input_sha256: str = "", config_sha256: str = "",
                     timestamp: Optional[str] = None) -> dict:
     """Machine-readable fit report (a plain JSON-serializable dict)."""
-    from .rate_model import FIT_PARAMS
-
     best = {}
     for q in FIT_PARAMS:
         sigma = result.uncertainties.get(q.name)
@@ -361,8 +350,6 @@ def load_report(path) -> dict:
     """Load a report and re-derive the noise metrics from the stored
     best-fit parameters; a mismatch means the file was edited or the
     producing version disagrees, and is an error."""
-    from .rate_model import FIT_PARAMS
-
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     if report.get("format") != REPORT_TAG:
         raise ReportError(f"{path}: not a {REPORT_TAG} file")

@@ -12,7 +12,7 @@ space; the peak separation, Gaussian width and temperature stay linear.
 The fluctuation-dissipation tie between the Gaussian width and its shift
 holds at every iterate because the shift is recomputed from (W, T)
 inside the model.  Names, log flags, bounds and step-scale floors all
-come from ``rate_model.FIT_PARAMS``.  The data is a
+come from ``units.FIT_PARAMS``.  The data is a
 ``rate_model.RateDataset``, measured or simulated alike.
 
 The line shapes do not depend on the tunneling amplitudes, which only
@@ -74,9 +74,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class InitialGuess:
+    """An automatic start, clipped into the bounds by ``fit``; one peak if delta03 = 0."""
+
     params: MrtParams
-    two_peaks: bool
-    note: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,14 +178,12 @@ def initial_guess(dataset: RateDataset) -> InitialGuess:
         sigma = math.sqrt(-1.0 / (2.0 * a))
         return pos, sigma, height
 
-    note = ""
     two = len(top) == 2
     if two:
         i0, i1 = top
         w_phi = width_guess_at(phi[i0])
-        if phi[i1] - phi[i0] < 5.0 * w_phi:
-            two = False
-            note = "two maxima closer than five width guesses; merged"
+        # two maxima closer than five width guesses are merged into one
+        two = phi[i1] - phi[i0] >= 5.0 * w_phi
     if not two:
         if not top:
             top = [int(np.argmax(smooth))]
@@ -197,8 +195,7 @@ def initial_guess(dataset: RateDataset) -> InitialGuess:
             "delta01": delta01, "delta03": 0.0, "phi31": max(10.0 * w_phi, 100.0),
             "w_phi": w_phi, "gamma_phi": 1e-2 * w_phi, "zeta_phi": 0.0,
             "temperature": _PROVISIONAL_T_K}, ip)
-        return InitialGuess(params=params, two_peaks=False,
-                            note=note or "fewer than two peaks detected")
+        return InitialGuess(params=params)
 
     i0, i1 = top
     pos0, sigma0, height0 = refine_peak(i0)
@@ -245,7 +242,7 @@ def initial_guess(dataset: RateDataset) -> InitialGuess:
         "delta01": delta01, "delta03": delta03, "phi31": phi31,
         "w_phi": w_phi, "gamma_phi": max(gamma_phi, 1e-4),
         "zeta_phi": max(zeta_phi, 1e-4), "temperature": t_k}, ip)
-    return InitialGuess(params=params, two_peaks=True, note=note)
+    return InitialGuess(params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -47,17 +47,15 @@ gets exact sensitivities of the tabulated line shapes from a few more
 FFTs instead of finite differences over further builds.
 
 Every rate comes from ``LineShapes.rates``, which applies the two
-amplitudes to the line shapes at folded biases.  ``peak_rates``, and
-through it ``rate_01``, ``rate_03``, ``total_rate`` and ``simulate_curve``,
-builds on the folded window of its own biases.  ``FIT_PARAMS`` is the one
-table of the seven fit parameters: names, fields, labels, units, log
-flags and bounds.  ``MrtParams`` holds their values and checks their
-ranges; its internal-unit views, the shift W^2/2T included, are the plain
-GHz scalars a build hands to the envelopes, and a build warns when the
-ohmic coupling 2 gamma / k_B T is not small.  ``RateDataset`` is the one
-rate-versus-flux record:
-``simulate_curve`` returns one, so a simulated curve can be saved,
-mirrored and fitted as measured data is.
+amplitudes to the line shapes at folded biases.  The two public entry
+points build on the folded window of their own biases: ``peak_rates``
+returns (r01, r03), and ``simulate_curve`` returns their sum as a
+``RateDataset``, the one rate-versus-flux record, so a simulated curve
+can be saved, mirrored and fitted as measured data is.  ``MrtParams``
+holds the values of the fit parameters of ``units.FIT_PARAMS`` and checks
+their ranges; its internal-unit views, the shift W^2/2T included, are the
+plain GHz scalars a build hands to the envelopes, and a build warns when
+the ohmic coupling 2 gamma / k_B T is not small.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -74,10 +72,9 @@ from scipy.special import wofz
 from .envelopes import (balance_factor, balance_factor_slope, g_low, g_relax,
                         relax_width, thermal_excess)
 from .errors import DomainError, ModelValidityWarning, ValidationError
-from .units import (FluxUPhi0, FreqGHz, TempK, energy_to_flux, flux_to_energy,
-                    kelvin_to_ghz)
+from .units import (FIT_PARAMS, FluxUPhi0, FreqGHz, TempK, energy_to_flux,
+                    flux_to_energy, kelvin_to_ghz)
 
-GRID_MIN_POINTS = 2**8 + 1
 GRID_MAX_POINTS = 2**18 + 1
 TABLE_FLOOR = 1e-14
 _LOG_TINY = math.log(np.finfo(float).tiny)   # below it exp leaves the normal doubles
@@ -174,33 +171,6 @@ class MrtParams:
         return cls(ip_a=ip_a, **{q.field: values[q.name] for q in FIT_PARAMS})
 
 
-class FitParam(NamedTuple):
-    """One fit parameter: its name (as in ``[fit] free``), its MrtParams
-    field, its report label (also its ``[model]`` config key), the factor
-    from field to label units, whether the fitter moves it in log space,
-    its bounds (field units) and, for a linear parameter, the
-    floor of its step scale."""
-
-    name: str
-    field: str
-    label: str
-    scale: float
-    log: bool
-    bounds: tuple
-    x_floor: float = 1.0
-
-
-FIT_PARAMS = (
-    FitParam("delta01", "delta01_ghz", "delta01_mhz", 1e3, True, (1e-9, 1.0)),
-    FitParam("delta03", "delta03_ghz", "delta03_mhz", 1e3, True, (1e-9, 5.0)),
-    FitParam("phi31", "phi31_uphi0", "phi31_uphi0", 1.0, False, (10.0, 2e4), 10.0),
-    FitParam("w_phi", "w_phi_uphi0", "w_phi_uphi0", 1.0, False, (0.5, 5e3), 1.0),
-    FitParam("gamma_phi", "gamma_phi_uphi0", "gamma_phi_uphi0", 1.0, True, (1e-4, 1e3)),
-    FitParam("zeta_phi", "zeta_phi_uphi0", "zeta_phi_uphi0", 1.0, True, (1e-4, 1e3)),
-    FitParam("temperature", "temperature_k", "temperature_mk", 1e3, False,
-             (5e-4, 0.2), 1e-3),
-)
-
 # the fields the line shapes depend on (all but the two tunneling
 # amplitudes), in the column order of LineShapes.log_shape_grads;
 # _NU31.._T index them
@@ -280,18 +250,14 @@ class RateDataset:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Uniform frequency grid (GHz) containing zero."""
+    """Uniform frequency grid (GHz) on a window lo < 0 < hi."""
 
     values: np.ndarray
     step: float
     index_of_zero: int
 
     @classmethod
-    def build(cls, lo: float, hi: float, step_want: float,
-              n_min: int = GRID_MIN_POINTS):
-        if not lo < 0 < hi:
-            lo = min(lo, -abs(step_want))
-            hi = max(hi, abs(step_want))
+    def build(cls, lo: float, hi: float, step_want: float, n_min: int = 0):
         n = int(math.ceil((hi - lo) / step_want)) + 1
         n = max(n_min, min(GRID_MAX_POINTS, n))
         step = (hi - lo) / (n - 1)
@@ -488,7 +454,7 @@ class LineShapes:
     """
 
     def __init__(self, params: MrtParams, phi_lo: float, phi_hi: float,
-                 n_min: int = GRID_MIN_POINTS):
+                 n_min: int = 0):
         if phi_lo > phi_hi:
             phi_lo, phi_hi = phi_hi, phi_lo
         self.params = params
@@ -763,7 +729,8 @@ class LineShapes:
         """G_01 (per GHz) at energy bias eps (GHz)."""
         eps = np.atleast_1d(np.asarray(eps_ghz, dtype=float))
         if self._gam == 0:
-            return g_low(eps, self._w, self._shift)
+            # clamped, as the mirrored table is, at the smallest normal double
+            return np.maximum(g_low(eps, self._w, self._shift), math.exp(_LOG_TINY))
         self._check_span(eps)
         return np.exp(self._local_cubic(self._log01, eps))
 
@@ -810,7 +777,11 @@ class LineShapes:
             grads = np.zeros((len(SHAPE_FIELDS), len(x)))
             grads[_W] = (u * u / (w * w) - 1.0) / w + u / (w * t)
             grads[_T] = -u / (2.0 * t * t)
-            return grads, -u / (w * w)
+            slope = -u / (w * w)
+            # where shape01 is clamped, log G_01 is a constant
+            clamped = g_low(x, w, self._shift) < math.exp(_LOG_TINY)
+            grads[:, clamped] = slope[clamped] = 0.0
+            return grads, slope
         self._table_slopes()
         return self._log_grads(self._pos01, self._log01, self._pos_slopes, x, mirrored=True)
 
@@ -876,25 +847,6 @@ def peak_rates(phi_x, params: MrtParams, init_well: str = "L") -> tuple:
             f"(W = {params.w_phi_uphi0:.6g} uPhi0, T = {params.temperature_k:.6g} K) lies "
             f"far above the folded bias window {folded.min():.6g}..{folded.max():.6g} uPhi0")
     return shapes.rates(folded)
-
-
-def rate_01(phi_x, params: MrtParams):
-    """Zeroth-peak rate (1/us) at flux bias ``phi_x`` (uPhi0), left init."""
-    out = peak_rates(phi_x, params)[0]
-    return out[0] if np.isscalar(phi_x) else out
-
-
-def rate_03(phi_x, params: MrtParams):
-    """First-peak rate (1/us) at flux bias ``phi_x`` (uPhi0), left init."""
-    out = peak_rates(phi_x, params)[1]
-    return out[0] if np.isscalar(phi_x) else out
-
-
-def total_rate(phi_x, params: MrtParams, init_well: str = "L"):
-    """Total escape rate (1/us) for either initialization well."""
-    r01, r03 = peak_rates(phi_x, params, init_well)
-    out = r01 + r03
-    return out[0] if np.isscalar(phi_x) else out
 
 
 def bias_grid(phi_grid) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Physical constants, unit conversions, and derived noise metrics.
+"""Physical constants, unit conversions, the fit-parameter table, and
+derived noise metrics.
 
 Internal convention used throughout the package: energies are carried as
 equivalent ordinary frequencies E/h in GHz, magnetic flux in micro flux
@@ -7,6 +8,9 @@ inverse microseconds.  Conversions to and from SI happen here and only
 here, with CODATA 2018 constants (h, e, k_B are exact in the 2019 SI),
 which are the module constants ``h``, ``e``, ``k_B``, ``hbar`` and
 ``Phi0``.
+
+``FIT_PARAMS`` is the one table of the seven fit parameters: names,
+fields, labels, units, log flags, bounds and defaults.
 
 The scalar quantity kinds that are easy to mix up carry distinct static
 types (``NewType``), so a flux cannot silently be passed where an energy
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NewType, Sequence
+from typing import NamedTuple, NewType, Sequence
 
 from .errors import DomainError
 
@@ -88,6 +92,35 @@ def energy_to_flux(nu: FreqGHz, ip: float) -> FluxUPhi0:
     if ip <= 0:
         raise DomainError(f"persistent current must be positive, got {ip}")
     return wb_to_uphi0(nu * _GHZ * h / (2.0 * ip))
+
+
+class FitParam(NamedTuple):
+    """One fit parameter: its name (as in ``[fit] free``), its MrtParams
+    field, its report label (also its ``[model]`` config key), the factor
+    from field to label units, whether the fitter moves it in log space,
+    its bounds (field units), its default (label units, the ``[model]``
+    default) and, for a linear parameter, the floor of its step scale."""
+
+    name: str
+    field: str
+    label: str
+    scale: float
+    log: bool
+    bounds: tuple
+    default: float
+    x_floor: float = 1.0
+
+
+FIT_PARAMS = (
+    FitParam("delta01", "delta01_ghz", "delta01_mhz", 1e3, True, (1e-9, 1.0), 2.72),
+    FitParam("delta03", "delta03_ghz", "delta03_mhz", 1e3, True, (1e-9, 5.0), 29.8),
+    FitParam("phi31", "phi31_uphi0", "phi31_uphi0", 1.0, False, (10.0, 2e4), 2153.6, 10.0),
+    FitParam("w_phi", "w_phi_uphi0", "w_phi_uphi0", 1.0, False, (0.5, 5e3), 37.2, 1.0),
+    FitParam("gamma_phi", "gamma_phi_uphi0", "gamma_phi_uphi0", 1.0, True, (1e-4, 1e3), 0.54),
+    FitParam("zeta_phi", "zeta_phi_uphi0", "zeta_phi_uphi0", 1.0, True, (1e-4, 1e3), 4.53),
+    FitParam("temperature", "temperature_k", "temperature_mk", 1e3, False,
+             (5e-4, 0.2), 7.3, 1e-3),
+)
 
 
 def derive_eta(gamma_phi: FluxUPhi0, ip: float, temperature: TempK) -> float:

@@ -30,11 +30,10 @@ from mrtfit import (
     full_model_rate,
     harmonic_v31,
     initial_guess,
+    peak_rates,
     persistent_current,
-    rate_01,
     simulate_curve,
     solve_wells,
-    total_rate,
 )
 from mrtfit.cli import main as cli_main
 from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
@@ -129,7 +128,7 @@ def test_criterion_3_limiting_regimes(capsys):
     # pure-Gaussian limit: no ohmic broadening anywhere on the curve
     p_gauss = ref_params(gamma_phi_uphi0=0.0, zeta_phi_uphi0=0.0)
     phis = np.linspace(-400.0, 2900.0, 401)
-    got = rate_01(phis, p_gauss)
+    got = peak_rates(phis, p_gauss)[0]
     w = p_gauss.w_ghz()
     ep = w * w / (2.0 * p_gauss.temperature_ghz())
     eps = flux_to_energy(phis, p_gauss.ip_a)
@@ -147,14 +146,14 @@ def test_criterion_3_limiting_regimes(capsys):
     eta = 2.0 * p_br.gamma_ghz() / t
     br_errs = []
     for eps_b in (1.0, 2.0, 3.0):
-        got_b = float(rate_01(energy_to_flux(eps_b, p_br.ip_a), p_br))
+        got_b = peak_rates(energy_to_flux(eps_b, p_br.ip_a), p_br)[0][0]
         bloch = (p_br.delta01_ghz**2 / (4 * eps_b)) * eta * 2e3 * math.pi \
             / (-math.expm1(-eps_b / t))
         br_errs.append(abs(got_b / bloch - 1.0))
     ok_br = max(br_errs) < 0.01
 
     # white-noise peak at zero bias
-    got_w = float(rate_01(0.0, p_br))
+    got_w = peak_rates(0.0, p_br)[0][0]
     white = oracles.rate_coef(p_br.delta01_ghz) / (math.pi * p_br.gamma_ghz())
     white_err = abs(got_w / white - 1.0)
     ok_white = white_err < 0.01
@@ -260,17 +259,17 @@ def test_criterion_5_property_suites(capsys):
                    f"relax={n_rel - 1:+.4f}")
 
     phis = np.linspace(-2500.0, 2500.0, 101)
-    mirror = np.max(np.abs(total_rate(phis, p, "R")
-                           / total_rate(-phis, p, "L") - 1.0))
+    mirror = np.max(np.abs(sum(peak_rates(phis, p, "R"))
+                           / sum(peak_rates(-phis, p, "L")) - 1.0))
     ok_mirror = mirror < 1e-12
     details.append(f"mirror {mirror:.1e}")
 
-    valley = [float(total_rate(1100.0, replace(p, zeta_phi_uphi0=z)))
+    valley = [sum(peak_rates(1100.0, replace(p, zeta_phi_uphi0=z)))[0]
               for z in (1.0, 2.0, 4.0, 8.0)]
     ok_valley = all(b > a for a, b in zip(valley, valley[1:]))
     tail_phi = 400.0
-    tails = [float(rate_01(tail_phi, replace(p, gamma_phi_uphi0=g,
-                                             zeta_phi_uphi0=0.0)))
+    tails = [peak_rates(tail_phi, replace(p, gamma_phi_uphi0=g,
+                                          zeta_phi_uphi0=0.0))[0][0]
              for g in (0.25, 0.5, 1.0, 2.0)]
     ok_tail = all(b > a for a, b in zip(tails, tails[1:]))
     details.append(f"valley ladder {'up' if ok_valley else 'BROKEN'}, "
@@ -419,8 +418,8 @@ def test_criterion_7_family_tables(tmp_path, capsys):
         w_ghz = p.w_ghz()
         ep_phi = energy_to_flux(w_ghz**2 / (2 * p.temperature_ghz()), p.ip_a)
         x = 4.0 * 35.0
-        up = float(rate_01(ep_phi + x, p))
-        down = float(rate_01(ep_phi - x, p))
+        up = peak_rates(ep_phi + x, p)[0][0]
+        down = peak_rates(ep_phi - x, p)[0][0]
         asym.append(up / down)
     ok_b = all(b > a for a, b in zip(asym, asym[1:]))
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -116,6 +117,17 @@ def test_simulate_default_output_is_pinned(tmp_path, monkeypatch):
                         "9.77744402e+00")
 
 
+def test_simulate_without_ohmic_noise_keeps_its_far_tail_positive(tmp_path):
+    # with gamma = 0 the zeroth peak is the closed-form Gaussian, which
+    # underflowed to 0 some tens of widths out; it is clamped as the tables are
+    cfg = write_config(tmp_path, "[model]\ngamma_phi_uphi0 = 0\ndelta03_mhz = 0\n"
+                                 "[simulate]\nn_points = 61\nphi_min_uphi0 = -3000\n"
+                                 "phi_max_uphi0 = 3000\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "model_curve.csv", delimiter=",", skiprows=2)
+    assert table.shape == (61, 3) and np.all(table[:, 1:] > 0)
+
+
 def test_squid_summary(tmp_path, capsys):
     cfg = write_config(tmp_path, "[squid]\ngrid_points = 2048\n")
     assert run(["squid", "--config", cfg, "--format", "json"]) == 0
@@ -218,14 +230,38 @@ def test_exit_code_parse_error(tmp_path, capsys):
     (DERIVE_ARGS + ["--seed", "3"], "unrecognized arguments: --seed 3"),
     (DERIVE_ARGS[:-2], "mrtfit derive: the following arguments are required: --t-mk"),
     (["bogus"], "invalid choice: 'bogus'"),
+    # a subcommand takes only the shared flags it reads
+    (DERIVE_ARGS + ["--config", "run.ini"], "unrecognized arguments: --config run.ini"),
+    (DERIVE_ARGS + ["--out", "out"], "unrecognized arguments: --out out"),
+    (["simulate", "--format", "json"], "unrecognized arguments: --format json"),
+    (["gen", "--format", "json"], "unrecognized arguments: --format json"),
 ])
-def test_usage_error_is_one_line_with_exit_1(argv, says, capsys):
+def test_usage_error_is_one_line_with_exit_1(argv, says, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert run(argv) == mrtfit.cli.EXIT_USAGE == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("MRTFIT-ERROR class=usage message=")
     assert says in err
+
+
+def test_subcommand_options_are_pinned():
+    # each subcommand registers only the flags it reads
+    sub = next(a for a in mrtfit.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: [s for a in p._actions for s in a.option_strings]
+               for name, p in sub.choices.items()}
+    assert options == {
+        "derive": ["-h", "--help", "--format", "--gamma-phi", "--zeta-phi", "--phi31",
+                   "--ip-ua", "--l-ph", "--t-mk", "--loss-freq-ghz"],
+        "simulate": ["-h", "--help", "--config", "--out"],
+        "gen": ["-h", "--help", "--config", "--out", "--seed"],
+        "fit": ["-h", "--help", "--config", "--out", "--format", "--data"],
+        "batch": ["-h", "--help", "--config", "--out", "--format", "--data-dir",
+                  "--threads"],
+        "squid": ["-h", "--help", "--config", "--out", "--format"],
+    }
 
 
 def test_help_still_prints_and_exits_0(capsys):
@@ -500,11 +536,13 @@ def test_cli_import_skips_unused_scipy_subpackages():
     (["squid"], ("scipy.optimize", "scipy.integrate")),
 ], ids=["derive", "simulate", "squid"])
 def test_subcommand_loads_only_the_scipy_it_runs(tmp_path, argv, unwanted):
+    # derive writes nothing and takes no --out
+    argv = argv if argv == DERIVE_ARGS else argv + ["--out", str(tmp_path)]
     code = (
         "import contextlib, io, sys\n"
         "from mrtfit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv + ['--out', str(tmp_path)]!r}) == 0\n"
+        f"    assert main({argv!r}) == 0\n"
         f"print(' '.join(m for m in sys.modules if m.startswith({unwanted!r})))")
     assert _python(code) == ""
 
@@ -527,6 +565,30 @@ def test_package_names_resolve_in_a_fresh_interpreter():
             "from mrtfit import *\n"
             "print(' '.join(missing))")
     assert _python(code) == ""
+
+
+def test_package_root_exports_are_pinned():
+    # the records, entry points and errors a caller imports from the root;
+    # envelopes and unit conversions stay in their submodules
+    assert sorted(mrtfit.__all__) == [
+        "BatchResult", "ConfigError", "ConvergenceError", "DatasetFormatError",
+        "DomainError", "EffectivePotential", "FitConfig", "FitResult",
+        "FullModelNoise", "FullModelResult", "InitialGuess", "LineShapes",
+        "ModelValidityWarning", "MrtParams", "MrtfitError", "NoiseSummary",
+        "RateDataset", "ReportError", "RfSquidParams", "SingleWellError",
+        "ValidationError", "WellBasis", "batch_fit", "effective_potential",
+        "envelopes", "errors", "fit", "fitter", "full_model_rate",
+        "ground_pair_splitting", "harmonic_v31", "initial_guess", "peak_rates",
+        "persistent_current", "rate_model", "simulate_curve", "solve_wells",
+        "squid_full", "units"]
+    # the names that left the root still import from their submodules
+    from mrtfit import envelopes, rate_model, units
+    moved = {envelopes: "g_high g_low g_relax relax_width",
+             rate_model: "FrequencyGrid",
+             units: "derive_eta derive_shunt_and_inductive_loss derive_tan_delta_c "
+                    "energy_to_flux flux_to_energy ghz_to_kelvin kelvin_to_ghz "
+                    "noise_summary"}
+    assert all(hasattr(m, n) for m, names in moved.items() for n in names.split())
 
 
 def test_package_names_follow_their_submodule(monkeypatch):

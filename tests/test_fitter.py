@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mrtfit
 from mrtfit import (
@@ -92,7 +93,7 @@ def test_dataset_folding_and_mirroring(ref_params):
 def test_initial_guess_noiseless_within_30_percent(ref_params):
     ds = synth_dataset(ref_params)
     guess = initial_guess(ds)
-    assert guess.two_peaks
+    assert guess.params.delta03_ghz > 0
     for name, err in rel_errs(guess.params, ref_params).items():
         assert abs(err) < 0.30, (name, err)
 
@@ -126,7 +127,6 @@ def test_initial_guess_truncated_dataset_flags_single_peak(ref_params):
     curve = simulate_curve(phi, ref_params)
     ds = RateDataset(phi_x=phi, rate=curve.rate, ip_a=IP)
     guess = initial_guess(ds)
-    assert not guess.two_peaks
     assert guess.params.delta03_ghz == 0.0
     assert guess.params.zeta_phi_uphi0 == 0.0
 
@@ -430,6 +430,26 @@ def test_covariance_invariant_under_duplication_with_halved_weights(ref_params):
         s1 = result.uncertainties[name]
         s2 = result2.uncertainties[name] * math.sqrt(dof_ratio)
         assert s2 == pytest.approx(s1, rel=2e-2), name
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_duplicated_rows_with_halved_weights_fit_the_same_property(seed):
+    # every row twice at sigma * sqrt(2) leaves chi2 as a function of the
+    # parameters unchanged, so a fit from the same start lands on the same
+    # chi2 and parameters.  The two trf paths round differently and stop on
+    # xtol within the objective's noise, about 3e-6 in chi2 from the rows
+    # near the G_03 rounding floor: up to 2e-6 relative, 6e-4 sigma apart
+    ref = MrtParams(**REF)
+    ds = synth_dataset(ref, seed=seed)
+    doubled = RateDataset(phi_x=np.repeat(ds.phi_x, 2), rate=np.repeat(ds.rate, 2),
+                          ip_a=ds.ip_a, well="L",
+                          sigma_rel=np.repeat(ds.sigma_rel, 2) * math.sqrt(2.0))
+    once, twice = fit(ds, guess=ref), fit(doubled, guess=ref)
+    assert twice.chi2 == pytest.approx(once.chi2, rel=1e-6)
+    for q in FIT_PARAMS:
+        shift = abs(getattr(twice.params, q.field) - getattr(once.params, q.field))
+        assert shift < 1e-2 * once.uncertainties[q.name], q.name
 
 
 def test_zero_noise_fit_has_vanishing_uncertainties(ref_params):

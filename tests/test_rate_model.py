@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrtfit import (
-    FrequencyGrid,
     LineShapes,
     MrtParams,
     RateDataset,
     peak_rates,
-    rate_01,
-    rate_03,
     simulate_curve,
-    total_rate,
 )
 import mrtfit
 import mrtfit.rate_model as rate_model
+from mrtfit.rate_model import FrequencyGrid
 from mrtfit.envelopes import g_high
 from mrtfit.errors import DomainError, ModelValidityWarning, ValidationError
 from mrtfit.units import energy_to_flux, flux_to_energy, kelvin_to_ghz
@@ -201,7 +198,7 @@ def test_rate01_gaussian_closed_form_at_peak():
     ep = w * w / (2 * p.temperature_ghz())
     phi_peak = energy_to_flux(ep, p.ip_a)
     expect = oracles.rate_coef(p.delta01_ghz) / (math.sqrt(2 * math.pi) * w)
-    assert rate_01(phi_peak, p) == pytest.approx(expect, rel=1e-12)
+    assert peak_rates(phi_peak, p)[0][0] == pytest.approx(expect, rel=1e-12)
     assert phi_peak == pytest.approx(38.9, abs=0.1)
     assert expect == pytest.approx(9.16e-2, rel=1e-2)   # about 9.2e4 1/s
 
@@ -225,7 +222,7 @@ def test_rate01_bloch_redfield_limit():
     eta = 2 * p.gamma_ghz() / t
     for eps in (1.0, 2.0, 3.0):
         phi = energy_to_flux(eps, p.ip_a)
-        got = rate_01(phi, p)
+        got = peak_rates(phi, p)[0][0]
         expect = (p.delta01_ghz**2 / (4 * eps)) * eta * 2 * math.pi * 1e3 \
             / (-math.expm1(-eps / t))
         assert got == pytest.approx(expect, rel=1e-2), eps
@@ -234,7 +231,7 @@ def test_rate01_bloch_redfield_limit():
 def test_rate01_white_noise_lorentzian_peak():
     p = make_params(w_phi_uphi0=0.01, zeta_phi_uphi0=0.0)
     g = p.gamma_ghz()
-    got = rate_01(0.0, p)
+    got = peak_rates(0.0, p)[0][0]
     expect = oracles.rate_coef(p.delta01_ghz) / (math.pi * g)
     assert got == pytest.approx(expect, rel=1e-2)
 
@@ -243,8 +240,8 @@ def test_rate01_scale_invariance_in_delta(ref_params):
     p = ref_params
     p2 = replace(p, delta01_ghz=3.0 * p.delta01_ghz)
     phis = np.array([-100.0, 40.0, 500.0, 2000.0])
-    r1 = rate_01(phis, p)
-    r2 = rate_01(phis, p2)
+    r1 = peak_rates(phis, p)[0]
+    r2 = peak_rates(phis, p2)[0]
     np.testing.assert_allclose(r2, 9.0 * r1, rtol=1e-12)
 
 
@@ -283,7 +280,7 @@ def test_rate03_peak_location_near_resonance(ref_params):
     p = ref_params
     ep_phi = energy_to_flux(p.w_ghz() ** 2 / (2 * p.temperature_ghz()), p.ip_a)
     phis = np.linspace(p.phi31_uphi0 - 200, p.phi31_uphi0 + 250, 1801)
-    r3 = rate_03(phis, p)
+    r3 = peak_rates(phis, p)[1]
     drift = phis[np.argmax(r3)] - (p.phi31_uphi0 + ep_phi)
     assert abs(drift) < p.w_phi_uphi0 / 2
 
@@ -293,8 +290,8 @@ def test_rate03_peak_location_near_resonance(ref_params):
 
 def test_mirror_symmetry_exact(ref_params):
     phis = np.linspace(-3000.0, 3000.0, 101)
-    left = total_rate(phis, ref_params, init_well="L")
-    right = total_rate(-phis, ref_params, init_well="R")
+    left = sum(peak_rates(phis, ref_params, init_well="L"))
+    right = sum(peak_rates(-phis, ref_params, init_well="R"))
     np.testing.assert_array_equal(left, right)
 
 
@@ -310,8 +307,8 @@ biases = st.lists(st.floats(-600.0, 3000.0), min_size=1, max_size=8).map(np.arra
 @settings(max_examples=25, deadline=None)
 @given(near_ref, biases)
 def test_mirror_symmetry_property(p, phis):
-    np.testing.assert_array_equal(total_rate(phis, p, init_well="R"),
-                                  total_rate(-phis, p, init_well="L"))
+    np.testing.assert_array_equal(sum(peak_rates(phis, p, init_well="R")),
+                                  sum(peak_rates(-phis, p, init_well="L")))
 
 
 @settings(max_examples=25, deadline=None)
@@ -320,9 +317,10 @@ def test_amplitude_rescaling_property(p, phis, k, amplitude):
     # an amplitude scales its own peak by k^2 and leaves the other bit for bit
     field = f"{amplitude}_ghz"
     scaled = replace(p, **{field: k * getattr(p, field)})
-    moved, kept = (rate_01, rate_03) if amplitude == "delta01" else (rate_03, rate_01)
-    np.testing.assert_allclose(moved(phis, scaled), k * k * moved(phis, p), rtol=1e-12)
-    np.testing.assert_array_equal(kept(phis, scaled), kept(phis, p))
+    moved = 0 if amplitude == "delta01" else 1
+    before, after = peak_rates(phis, p), peak_rates(phis, scaled)
+    np.testing.assert_allclose(after[moved], k * k * before[moved], rtol=1e-12)
+    np.testing.assert_array_equal(after[1 - moved], before[1 - moved])
 
 
 def test_total_rate_spans_four_decades(ref_params):
@@ -332,18 +330,18 @@ def test_total_rate_spans_four_decades(ref_params):
 
 def test_valley_fill_monotone_in_zeta(ref_params):
     phi_valley = 1100.0
-    rates = [total_rate(phi_valley, replace(ref_params, zeta_phi_uphi0=z))
+    rates = [sum(peak_rates(phi_valley, replace(ref_params, zeta_phi_uphi0=z)))[0]
              for z in (1.0, 2.0, 4.0, 8.0)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
-    assert rates[0] > rate_01(phi_valley, replace(ref_params, zeta_phi_uphi0=1.0))
+    assert rates[0] > peak_rates(phi_valley, replace(ref_params, zeta_phi_uphi0=1.0))[0][0]
 
 
 def test_tail_asymmetry_beyond_three_widths(ref_params):
     p = ref_params
     ep_phi = energy_to_flux(p.w_ghz() ** 2 / (2 * p.temperature_ghz()), p.ip_a)
     for x in (4.0, 5.0, 6.0):
-        up = rate_01(ep_phi + x * p.w_phi_uphi0, p)
-        down = rate_01(ep_phi - x * p.w_phi_uphi0, p)
+        up = peak_rates(ep_phi + x * p.w_phi_uphi0, p)[0][0]
+        down = peak_rates(ep_phi - x * p.w_phi_uphi0, p)[0][0]
         assert up > down
 
 
@@ -362,12 +360,12 @@ def test_fwhm_monotone_in_widths():
     widths = []
     for w in (10.0, 20.0, 30.0, 40.0):
         p = make_params(**{**base, "w_phi_uphi0": w, "gamma_phi_uphi0": 1.0})
-        widths.append(_fwhm(phis, rate_01(phis, p)))
+        widths.append(_fwhm(phis, peak_rates(phis, p)[0]))
     assert all(b > a for a, b in zip(widths, widths[1:]))
     widths_g = []
     for g in (0.5, 2.0, 8.0, 20.0):
         p = make_params(**{**base, "w_phi_uphi0": 20.0, "gamma_phi_uphi0": g})
-        widths_g.append(_fwhm(phis, rate_01(phis, p)))
+        widths_g.append(_fwhm(phis, peak_rates(phis, p)[0]))
     assert all(b >= a for a, b in zip(widths_g, widths_g[1:]))
 
 
@@ -375,7 +373,7 @@ def test_simulate_single_point(ref_params):
     curve = simulate_curve(np.array([123.4]), ref_params)
     assert len(curve) == 1
     assert curve.rate[0] == pytest.approx(
-        float(total_rate(123.4, ref_params)), rel=1e-12)
+        sum(peak_rates(123.4, ref_params))[0], rel=1e-12)
 
 
 def test_simulate_grid_self_convergence(ref_params):
@@ -431,7 +429,7 @@ def test_simulated_curve_is_a_dataset(ref_params):
     assert type(curve) is RateDataset
     assert curve.ip_a == ref_params.ip_a and curve.well == "R"
     assert curve.sigma_rel is None and curve.qubit_id is None
-    np.testing.assert_array_equal(curve.rate, total_rate(phis, ref_params, "R"))
+    np.testing.assert_array_equal(curve.rate, sum(peak_rates(phis, ref_params, "R")))
     mirrored = curve.mirrored()
     np.testing.assert_array_equal(mirrored.folded_phi(), curve.folded_phi())
 
@@ -446,10 +444,10 @@ def test_simulate_curve_validation(ref_params):
     with pytest.raises(ValidationError):
         simulate_curve(np.array([2.0, 1.0]), ref_params)
     with pytest.raises(ValidationError):
-        total_rate(0.0, ref_params, init_well="X")
+        peak_rates(0.0, ref_params, init_well="X")
 
 
-@pytest.mark.parametrize("func", [peak_rates, total_rate, rate_01, rate_03])
+@pytest.mark.parametrize("func", [peak_rates])
 def test_non_finite_or_empty_biases_rejected(ref_params, func):
     for bad in (math.nan, [0.0, math.inf], [-math.inf]):
         with pytest.raises(DomainError, match="finite"):
@@ -458,8 +456,7 @@ def test_non_finite_or_empty_biases_rejected(ref_params, func):
         func(np.array([]), ref_params)
 
 
-@pytest.mark.parametrize("func", [peak_rates, total_rate, rate_01, rate_03,
-                                  simulate_curve])
+@pytest.mark.parametrize("func", [peak_rates, simulate_curve])
 def test_zeroth_peak_centre_far_above_the_grid_rejected(ref_params, func):
     # W^2 / 2T sits so far above the grid that every zeroth-peak node is
     # clipped; the rates would be NaN
@@ -561,8 +558,9 @@ def test_incoherent_validity_warning():
 def test_zero_delta03_gives_pure_zeroth_curve(ref_params):
     p = replace(ref_params, delta03_ghz=0.0, zeta_phi_uphi0=0.0)
     phis = np.linspace(-200.0, 400.0, 31)
-    np.testing.assert_allclose(total_rate(phis, p), rate_01(phis, p) + 0.0,
-                               rtol=1e-12)
+    r01, r03 = peak_rates(phis, p)
+    np.testing.assert_array_equal(r03, 0.0)
+    np.testing.assert_allclose(simulate_curve(phis, p).rate, r01, rtol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["delta03_ghz", "gamma_phi_uphi0",
@@ -620,6 +618,22 @@ def test_mirrored_tail_stays_positive_on_a_wide_window():
         assert np.all(simulate_curve(phis, p).rate > 0)
         grads = LineShapes(p, -20000.0, 20000.0).log_shape_grads(flux_to_energy(phis, p.ip_a))
         assert all(np.all(np.isfinite(g)) for g in grads)
+
+
+def test_gaussian_tail_stays_positive_without_ohmic_noise():
+    # with gamma = 0 the zeroth peak is the closed-form Gaussian, clamped at
+    # the smallest normal double as the mirrored table is; where the clamp
+    # binds, log G_01 is constant and so are its sensitivities
+    phis = np.linspace(-3000.0, 3000.0, 61)
+    for overrides in ({"delta03_ghz": 0.0}, {"zeta_phi_uphi0": 0.0}):
+        p = make_params(gamma_phi_uphi0=0.0, **overrides)
+        assert np.all(simulate_curve(phis, p).rate > 0)
+        shapes = LineShapes(p, -3000.0, 3000.0)
+        eps = flux_to_energy(phis, p.ip_a)
+        grads, slope = shapes._zeroth_log_grads(eps)
+        clamped = shapes.shape01(eps) == math.exp(rate_model._LOG_TINY)
+        assert clamped.any() and not clamped.all()
+        assert np.all(grads[:, clamped] == 0.0) and np.all(slope[clamped] == 0.0)
 
 
 def test_window_above_zero_keeps_the_relaxation_wing():
