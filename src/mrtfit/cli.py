@@ -166,9 +166,9 @@ def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
     result = fit(dataset, fit_cfg, guess)
     report = dataio.report_from_fit(
         result, fit_cfg,
-        input_sha256=dataio.input_sha256(data_path) if data_path else "",
+        input_sha256=dataio.input_sha256(data_path),
         config_sha256=cfg.sha256())
-    stem = dataset.qubit_id or Path(data_path).stem
+    stem = dataset.qubit_id
     report_path = out_dir / f"{stem}.report.json"
     dataio.save_report(report_path, report)
     (out_dir / f"{stem}.report.txt").write_text(
@@ -190,6 +190,9 @@ def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     dataset = dataio.load_dataset(args.data)
+    # a dataset without an id is named after its file, whose stem must then
+    # be a valid id, checked before the fit
+    dataset = dataclasses.replace(dataset, qubit_id=dataset.qubit_id or Path(args.data).stem)
     out_dir = _out_dir(args)
     report = _fit_and_report(dataset, cfg, args.data, out_dir)
     if args.format == "json":

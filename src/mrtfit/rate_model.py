@@ -9,7 +9,7 @@ envelope and G_03 additionally convolves the intrawell relaxation
 envelope, shifted to the excited-state resonance.  The line shapes are
 tabulated once per parameter set on a uniform frequency grid with FFT
 convolutions and then evaluated only at the requested biases, by a local
-four-point cubic through the log line shape at the nearest grid nodes.
+six-point quintic through the log line shape at the nearest grid nodes.
 
 Two exact analytic short cuts replace the convolution in the
 delta-function limits: gamma = 0 turns the ohmic envelope into a delta
@@ -32,19 +32,21 @@ its asymptotic series beyond).  The numerator of s vanishes at the poles
 numerically.  G_01 obeys detailed balance, G_01(-nu) = exp(-nu/T) G_01(nu)
 (Amin & Averin, PRL 100, 197001, 2008), and is computed on nu >= 0 only.
 
-No grid step therefore has to resolve gamma: with s = min(W/16, 2T/3),
-from the local cubic's (step/W)^4 log error and the thermal scale, the
+No grid step therefore has to resolve gamma: with s = min(W/8, 2T/3),
+from the local quintic's (step/W)^6 log error and the thermal scale, the
 step is min(s, max(width0/3, s/2)) for the relaxation width width0 at
 resonance.  A relaxation core narrower than three steps is pinned, not
 resolved: g_relax is a Lorentzian L_h of half-width h = width0 plus a
 remainder smooth on the grid, and three nodes at zero give the sampled
 L_h its closed-form mass and second moment.  Only a tiny W or a wide
 window reaches the GRID_MAX_POINTS clamp, which warns.
-``LineShapes.diagnostics`` records what applied.
+``LineShapes.diagnostics`` records what applied, the term of the rule
+that set the step included.
 
 A build also keeps what the parameter derivatives need, so the fitter
 gets exact sensitivities of the tabulated line shapes from a few more
-FFTs instead of finite differences over further builds.
+FFTs instead of finite differences over further builds; the Gaussian's
+slope spectra follow from its own spectrum in closed form.
 
 Every rate comes from ``LineShapes.rates``, which applies the two
 amplitudes to the line shapes at folded biases.  The two public entry
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import irfft, next_fast_len, rfft, rfftfreq
 from scipy.special import wofz
 
 from .envelopes import (balance_factor, balance_factor_slope, g_low, g_relax,
@@ -94,6 +96,13 @@ _FADDEEVA_TERMS = 12
 _TILT_REACH = 14.0
 # nodes either side of zero over which a pinned core keeps its second moment
 _CORE_MOMENT_NODES = 64
+# the interpolation stencil, nodes i-2..i+3 about the node i at or below a
+# bias; the quintic's weight denominators prod_{j != k} (k - j), and the
+# coefficients in s of its weights' slopes, highest power first
+_STENCIL = np.arange(-2, 4)
+_QUINTIC_DENOM = np.array([[-120.0], [24.0], [-12.0], [12.0], [-24.0], [120.0]])
+_QUINTIC_SLOPE = np.array([np.polyder(np.poly(np.delete(_STENCIL, k)))
+                           for k in range(len(_STENCIL))]) / _QUINTIC_DENOM
 
 
 @dataclass(frozen=True)
@@ -335,21 +344,24 @@ def _ohmic_core_weights(g: float, t: float) -> tuple:
     return a, 0.5 * y, da
 
 
-def _ohmic_remainder(x: np.ndarray, g: float, t: float) -> np.ndarray:
-    """s(x), the ohmic envelope beyond its core A L_gamma + B D_gamma.
+def _ohmic_remainder(x: np.ndarray, g: float, t: float,
+                     excess: tuple | None = None) -> np.ndarray:
+    """s(x), the ohmic envelope beyond its core A L_gamma + B D_gamma, from
+    the thermal excess (e, e') at x/T if it is given.
 
     s = (gamma / pi) (e(x/T) - e(i gamma/T)) / (x^2 + gamma^2): the zeros
     of the numerator cancel the poles at +-i gamma, so s is smooth on the
     thermal scale."""
-    e, _ = thermal_excess(x / t)
+    e = (thermal_excess(x / t) if excess is None else excess)[0]
     c = _ohmic_core_weights(g, t)[0] - 1.0
     return (g / math.pi) * (e - c) / (x * x + g * g)
 
 
-def _ohmic_remainder_slopes(x: np.ndarray, g: float, t: float) -> tuple:
-    """Derivatives of :func:`_ohmic_remainder` in x, gamma and T."""
+def _ohmic_remainder_slopes(x: np.ndarray, g: float, t: float, excess: tuple) -> tuple:
+    """Derivatives of :func:`_ohmic_remainder` in x, gamma and T, from the
+    thermal excess (e, e') at x/T."""
     a, _, da = _ohmic_core_weights(g, t)
-    e, de = thermal_excess(x / t)
+    e, de = excess
     x2g2 = x * x + g * g
     lor = (g / math.pi) / x2g2
     rem = lor * (e - (a - 1.0))
@@ -378,12 +390,6 @@ def _rate_coef(delta_ghz: float) -> float:
     return 1e3 * (2.0 * math.pi * delta_ghz) ** 2 / 4.0
 
 
-def _gauss_slopes(tab: np.ndarray, u: np.ndarray, w: float) -> tuple:
-    """Derivatives of a Gaussian table ``tab`` of width ``w``, at offsets
-    ``u`` from its centre, in the centre and in the width."""
-    return tab * u / (w * w), tab * (u * u / (w * w) - 1.0) / w
-
-
 def _core_pin(grid: FrequencyGrid, h: float) -> tuple:
     """Values at the nodes -1, 0, 1 about zero, and their slopes in h, that
     give L_h = h / pi (nu^2 + h^2) sampled on ``grid`` its closed-form mass
@@ -410,26 +416,16 @@ def _core_pin(grid: FrequencyGrid, h: float) -> tuple:
                  for m, b in ((d0, d2), (d0_h, d2_h)))
 
 
-def _lagrange(s: np.ndarray) -> tuple:
-    """Weights of the four-point Lagrange cubic on nodes -1, 0, 1, 2 at s."""
-    a, b, c, d = s + 1.0, s, s - 1.0, s - 2.0
-    return (-(b * c * d) / 6.0, (a * c * d) / 2.0,
-            -(a * b * d) / 2.0, (a * b * c) / 6.0)
-
-
-def _lagrange_slope(s: np.ndarray) -> tuple:
-    """Derivatives in s of the :func:`_lagrange` weights."""
-    s2 = 3.0 * s * s
-    return (-(s2 - 6.0 * s + 2.0) / 6.0, (s2 - 4.0 * s - 1.0) / 2.0,
-            -(s2 - 2.0 * s - 2.0) / 2.0, (s2 - 1.0) / 6.0)
-
-
-def _combine(values: np.ndarray, weights: tuple) -> np.ndarray:
-    """Weighted sum over the stencil axis (second to last, length 4) of
-    ``values``."""
-    w0, w1, w2, w3 = weights
-    return (w0 * values[..., 0, :] + w1 * values[..., 1, :]
-            + w2 * values[..., 2, :] + w3 * values[..., 3, :])
+def _quintic(s: np.ndarray) -> np.ndarray:
+    """Weights (6, len(s)) of the six-point Lagrange quintic on the nodes
+    -2..3 at s.  Each is a product of the factors s - j over the other
+    nodes, so an integer s gives exactly one unit weight."""
+    a, b, c, d, e, f = s - _STENCIL[:, None]
+    ab, ef = a * b, e * f
+    abc, def_ = ab * c, d * ef
+    abcd, cdef = abc * d, c * def_
+    weights = (b * cdef, a * cdef, ab * def_, abc * ef, abcd * f, abcd * e)
+    return np.array(weights) / _QUINTIC_DENOM
 
 
 class LineShapes:
@@ -446,11 +442,13 @@ class LineShapes:
     more FFTs rather than from further builds.
 
     ``diagnostics`` is a plain dict filled during the build: the node count
-    ``n``, the ``step`` used and the ``step_wanted`` by the physics,
-    whether the GRID_MAX_POINTS clamp made the step coarser (``clamped``;
-    it also warns), whether the Gaussian was narrower than the grid and
-    taken as a delta (``gaussian_as_delta``), and whether the relaxation
-    core was narrower than three steps and pinned at zero (``relax_renorm``).
+    ``n``, the ``step`` used, the ``step_wanted`` by the physics and the
+    ``step_term`` of the rule that set it (for example "W/8/2", the W/8
+    term halved for a pinned relaxation core), whether the GRID_MAX_POINTS
+    clamp made the step coarser (``clamped``; it also warns), whether the
+    Gaussian was narrower than the grid and taken as a delta
+    (``gaussian_as_delta``), and whether the relaxation core was narrower
+    than three steps and pinned at zero (``relax_renorm``).
     """
 
     def __init__(self, params: MrtParams, phi_lo: float, phi_hi: float,
@@ -478,9 +476,9 @@ class LineShapes:
         # the relaxation wing down to -nu31
         lo = min(eps_lo, 0.0) - nu31 - pad
         hi = max(eps_hi, 0.0) + pad
-        # the local cubic's log-space error falls as (step / W)^4; the
+        # the local quintic's log-space error falls as (step / W)^6; the
         # aliasing of the sampled relaxation core is exp(-2 pi width0 / step)
-        step_want, term = min((w / 16.0, "W/16"), (2.0 * t / 3.0, "2T/3"))
+        step_want, term = min((w / 8.0, "W/8"), (2.0 * t / 3.0, "2T/3"))
         if zet > 0:
             self._width0 = float(relax_width(nu31, zet, t))
             # a core below three half-steps is pinned, not resolved
@@ -488,7 +486,7 @@ class LineShapes:
                 (self._width0 / 3.0, "width0/3"), (step_want / 2.0, term + "/2")))
         self.grid = FrequencyGrid.build(lo, hi, step_want, n_min)
         self.diagnostics = {"n": len(self.grid), "step": self.grid.step,
-                            "step_wanted": step_want,
+                            "step_wanted": step_want, "step_term": term,
                             "clamped": self.grid.step > step_want,
                             "gaussian_as_delta": False, "relax_renorm": False}
         if self.diagnostics["clamped"]:
@@ -531,14 +529,17 @@ class LineShapes:
                 self._half = FrequencyGrid(values=np.arange(-reach, len(pos)) * step,
                                            step=step, index_of_zero=reach)
                 conv = self._conv01 = _Convolution(self._half)
-                self._gauss = g_low(self._half.values, w, sh)
-                self._rem_spec = conv.spectrum(_ohmic_remainder(self._half.values, g, t))
-                self._gauss_spec = conv.spectrum(self._gauss)
-                corr = conv.back(self._rem_spec * self._gauss_spec)[reach:]
+                x = self._half.values
+                self._excess = thermal_excess(x / t)
+                self._gauss_spec = conv.spectrum(g_low(x, w, sh))
+                self._corr_spec = (conv.spectrum(_ohmic_remainder(x, g, t, self._excess))
+                                   * self._gauss_spec)
+                corr = conv.back(self._corr_spec)[reach:]
             else:
                 # Gaussian narrower than the grid: treat it as a delta at the
                 # reorganization shift (its width already lives in the Voigt term)
-                corr = _ohmic_remainder(pos - sh, g, t)
+                self._excess = thermal_excess((pos - sh) / t)
+                corr = _ohmic_remainder(pos - sh, g, t, self._excess)
             raw = core + corr
         self._clipped01 = raw < 0.0
         self._pos01 = np.maximum(raw, 0.0)
@@ -611,8 +612,9 @@ class LineShapes:
         pos = np.arange(len(self._pos01)) * self.grid.step
         out = np.zeros((len(SHAPE_FIELDS), len(pos)))
         if g == 0:
-            d_sh, d_w = _gauss_slopes(self._gauss, pos - sh, w)
-            out[_W] = d_w + sh_w * d_sh
+            u = pos - sh
+            d_sh = self._gauss * u / (w * w)
+            out[_W] = self._gauss * (u * u / (w * w) - 1.0) / w + sh_w * d_sh
             out[_T] = sh_t * d_sh
             return out
         # Voigt core Re(k w(z)) / (W sqrt(2 pi)) with k = A - iB, through
@@ -631,15 +633,19 @@ class LineShapes:
         out[_T] = -sh_t * v_x - (g / t) * (dk_dy * fw).real / (t * _SQRT_2PI * w)
         if self._conv01 is not None:
             conv, x, reach = self._conv01, self._half.values, self._half.index_of_zero
-            _, rem_g, rem_t = _ohmic_remainder_slopes(x, g, t)
-            d_sh, d_w = _gauss_slopes(self._gauss, x - sh, w)
-            gauss_sh, gauss_w = conv.spectrum(d_sh), conv.spectrum(d_w)
-            out[_W] += conv.back(self._rem_spec * (gauss_w + sh_w * gauss_sh))[reach:]
+            _, rem_g, rem_t = _ohmic_remainder_slopes(x, g, t, self._excess)
+            # the sampled Gaussian's spectrum is exp(-i om sh - om^2 W^2 / 2)
+            # times a factor fixed by the grid, to within its aliasing of
+            # exp(-pi^2 W^2 / 2 step^2) at the top frequency, so its slopes in
+            # the centre and in the width are -i om and -om^2 W times it
+            om = 2.0 * math.pi * rfftfreq(conv.n_fft, conv.step)
+            corr_sh = -1j * om * self._corr_spec
+            out[_W] += conv.back(corr_sh * sh_w - om * om * w * self._corr_spec)[reach:]
             out[_GAM] += conv.back(conv.spectrum(rem_g) * self._gauss_spec)[reach:]
             out[_T] += conv.back(conv.spectrum(rem_t) * self._gauss_spec
-                                 + sh_t * self._rem_spec * gauss_sh)[reach:]
+                                 + sh_t * corr_sh)[reach:]
         else:
-            rem_x, rem_g, rem_t = _ohmic_remainder_slopes(pos - sh, g, t)
+            rem_x, rem_g, rem_t = _ohmic_remainder_slopes(pos - sh, g, t, self._excess)
             out[_W] -= sh_w * rem_x
             out[_GAM] += rem_g
             out[_T] += rem_t - sh_t * rem_x
@@ -700,23 +706,23 @@ class LineShapes:
     # ---- evaluation ------------------------------------------------------
 
     def _stencil(self, eps: np.ndarray) -> tuple:
-        """Stencil nodes (4, len(eps)) of the local cubic at ``eps`` and
-        the offset s, in steps, from the second of them.
+        """Stencil nodes (6, len(eps)) of the local quintic at ``eps`` and
+        the offset s, in steps, from the third of them.
 
-        The stencil is the nodes i-1..i+2 around each bias, clamped at the
+        The stencil is the nodes i-2..i+3 around each bias, clamped at the
         grid ends.  The offset s from node i is taken from the nearest
         stored node, so a bias on a node returns that node's value exactly.
         """
         grid = self.grid
         near = np.rint(eps / grid.step + grid.index_of_zero).astype(np.intp)
         s = (eps - grid.values[near]) / grid.step
-        i = np.clip(near - (s < 0), 1, len(grid) - 3)
-        return i + np.arange(-1, 3)[:, None], s + (near - i)
+        i = np.minimum(np.maximum(near - (s < 0), 2), len(grid) - 4)
+        return i + _STENCIL[:, None], s + (near - i)
 
-    def _local_cubic(self, log_table: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        """Four-point Lagrange cubic through ``log_table`` at ``eps`` (GHz)."""
+    def _local_quintic(self, log_table: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """Six-point Lagrange quintic through ``log_table`` at ``eps`` (GHz)."""
         nodes, s = self._stencil(eps)
-        return _combine(log_table[nodes], _lagrange(s))
+        return np.einsum("km,km->m", log_table[nodes], _quintic(s))
 
     def _check_span(self, eps: np.ndarray):
         # written so that a NaN bias fails the check too
@@ -732,7 +738,7 @@ class LineShapes:
             # clamped, as the mirrored table is, at the smallest normal double
             return np.maximum(g_low(eps, self._w, self._shift), math.exp(_LOG_TINY))
         self._check_span(eps)
-        return np.exp(self._local_cubic(self._log01, eps))
+        return np.exp(self._local_quintic(self._log01, eps))
 
     def shape03(self, eps_ghz) -> np.ndarray:
         """G_03 (per GHz) at energy bias eps (GHz); the excited-state
@@ -742,12 +748,12 @@ class LineShapes:
         if self._zet == 0:
             return self.shape01(om)
         self._check_span(om)
-        return np.exp(self._local_cubic(self._log03, om))
+        return np.exp(self._local_quintic(self._log03, om))
 
     def _log_grads(self, table: np.ndarray, log_table: np.ndarray,
                    slopes: np.ndarray, x: np.ndarray, mirrored: bool = False) -> tuple:
         """Rows d log_table / d(nu31, W, gamma, zeta, T) through the local
-        cubic at x, and the cubic's slope in x.
+        quintic at x, and the quintic's slope in x.
 
         Only the stencil nodes are converted to log derivatives; a floored
         node follows the floor, max(table) * TABLE_FLOOR.  A ``mirrored`` table
@@ -764,8 +770,9 @@ class LineShapes:
         if mirrored:
             node_slopes[_T] -= np.minimum(self.grid.values[nodes], 0.0) / (self._t * self._t)
             node_slopes[:, log_table[nodes] <= _LOG_TINY] = 0.0
-        return (_combine(node_slopes, _lagrange(s)),
-                _combine(log_table[nodes], _lagrange_slope(s)) / self.grid.step)
+        slope_weights = _QUINTIC_SLOPE @ s ** np.arange(4, -1, -1)[:, None]
+        return (np.einsum("pkm,km->pm", node_slopes, _quintic(s)),
+                np.einsum("km,km->m", log_table[nodes], slope_weights) / self.grid.step)
 
     def _zeroth_log_grads(self, x: np.ndarray) -> tuple:
         """Rows d log G_01(x) / d(nu31, W, gamma, zeta, T) and the slope
@@ -792,8 +799,8 @@ class LineShapes:
         Returns two (len(eps), 5) arrays, per uPhi0 for the flux fields and
         per kelvin for the temperature.  They are the exact derivatives of
         the tabulated model with this build's grid held fixed: the local
-        cubic is linear in its node values, so it carries the derivative
-        tables, and the resonance shift om = eps - nu31 adds the cubic's
+        quintic is linear in its node values, so it carries the derivative
+        tables, and the resonance shift om = eps - nu31 adds the quintic's
         own slope to the phi31 column of G_03.
         """
         eps = np.atleast_1d(np.asarray(eps_ghz, dtype=float))

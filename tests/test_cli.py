@@ -103,18 +103,20 @@ def test_simulate_total_is_the_sum_of_its_peaks(tmp_path):
 def test_simulate_default_output_is_pinned(tmp_path, monkeypatch):
     # the default model on a 50 uPhi0 grid must stay byte-identical at the
     # zeroth peak, the valley and the first peak; a change that moves these
-    # rows has to update them and say why
+    # rows has to update them and say why.  The quintic on the W/8 grid
+    # moved rows 11 and 54 in the ninth and eighth digits; both stay within
+    # 2.5e-7 of a 2^17 + 1 build
     monkeypatch.delenv("MRTFIT_CONFIG", raising=False)
     cfg = write_config(tmp_path, "[simulate]\nn_points = 71\n")
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "model_curve.csv").read_text().splitlines()[2:]
     assert len(rows) == 71
-    assert rows[11] == ("5.00000000e+01,8.75744167e-02,8.73003020e-02,"
-                        "2.74114780e-04")
+    assert rows[11] == ("5.00000000e+01,8.75744168e-02,8.73003020e-02,"
+                        "2.74114782e-04")
     assert rows[19] == ("4.50000000e+02,6.96964764e-04,2.02400632e-04,"
                         "4.94564133e-04")
-    assert rows[54] == ("2.20000000e+03,9.77748221e+00,3.81930735e-05,"
-                        "9.77744402e+00")
+    assert rows[54] == ("2.20000000e+03,9.77747977e+00,3.81930735e-05,"
+                        "9.77744158e+00")
 
 
 def test_simulate_without_ohmic_noise_keeps_its_far_tail_positive(tmp_path):
@@ -224,6 +226,34 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "MRTFIT-ERROR class=parse" in err
+
+
+MALFORMED = Path(__file__).parent / "data" / "malformed"
+
+# each bad input of the corpus, the option that reads it into the fit
+# subcommand, and the failure class and exit code it must end in
+MALFORMED_CASES = {
+    "zero_rate.csv": ("--data", "parse", 2),
+    "nan_field.csv": ("--data", "parse", 2),
+    "ragged_row.csv": ("--data", "parse", 2),
+    "empty.csv": ("--data", "parse", 2),
+    "bad,stem.csv": ("--data", "validation", 3),
+    "unknown_fit_key.ini": ("--config", "parse", 2),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CASES)
+def test_malformed_input_gives_one_error_line(name, tmp_path, capsys):
+    option, klass, code = MALFORMED_CASES[name]
+    good = tmp_path / "good.csv"
+    good.write_text("# ip_uA = 1.37\nphi_x_uPhi0,rate_per_us\n0.0,1e-3\n100.0,1e-3\n")
+    options = {"--data": str(good), "--config": write_config(tmp_path, ""),
+               "--out": str(tmp_path / "out")}
+    options[option] = str(MALFORMED / name)
+    assert run(["fit", *sum(options.items(), ())]) == code
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1 and "Traceback" not in err
+    assert err.startswith(f"MRTFIT-ERROR class={klass} message=")
 
 
 @pytest.mark.parametrize("argv, says", [

@@ -388,20 +388,49 @@ def test_simulate_grid_self_convergence(ref_params):
 
 
 def test_ref_grid_is_set_by_the_physics(ref_params):
-    # no floor: REF needs about 5100 nodes and matches a 2^17 + 1 build at
+    # no floor: REF needs about 3300 nodes and matches a 2^17 + 1 build at
     # the biases of a REF dataset wherever the rate is above 1e-10 of its peak
     phis = np.linspace(-500.0, 3000.0, 200)
     shapes = LineShapes(ref_params, -500.0, 3000.0)
-    assert len(shapes.grid) <= 5200
+    assert len(shapes.grid) <= 3400
     fine = total(LineShapes(ref_params, -500.0, 3000.0, n_min=2**17 + 1), phis)
     live = fine > 1e-10 * fine.max()
     np.testing.assert_allclose(total(shapes, phis)[live], fine[live], rtol=1e-6)
 
 
+# the grid rule's error budget: the total rate of a default build within
+# 1.5e-6 of a 2^17 + 1 build at 200 biases of each case's window, on the
+# rows above 1e-10 of the peak rate.  The W/16 cubic reached 1.12e-6 here
+# and the W/8 quintic 1.13e-6; a coarser step or a lower order fails it
+BUDGET_CASES = {
+    "ref": ({}, (-500.0, 3000.0)),
+    "narrow core": (NARROW_CORE, (-720.09, 3480.42)),
+    "W=60 T=5mK": ({"w_phi_uphi0": 60.0, "temperature_k": 5e-3}, (-500.0, 3000.0)),
+    "zeta=0.3": ({"zeta_phi_uphi0": 0.3}, (-500.0, 3000.0)),
+    "W=15 gamma=3 T=15mK": ({"w_phi_uphi0": 15.0, "gamma_phi_uphi0": 3.0,
+                             "temperature_k": 15e-3}, (-500.0, 3000.0)),
+    "zeta=20": ({"zeta_phi_uphi0": 20.0}, (-500.0, 3000.0)),
+}
+
+
+@pytest.mark.parametrize("case", BUDGET_CASES)
+def test_total_rate_within_the_grid_error_budget(case):
+    overrides, window = BUDGET_CASES[case]
+    p = make_params(**overrides)
+    phis = np.linspace(*window, 200)
+    got = total(LineShapes(p, *window), phis)
+    fine = total(LineShapes(p, *window, n_min=2**17 + 1), phis)
+    live = fine > 1e-10 * fine.max()
+    assert np.abs(got[live] / fine[live] - 1.0).max() < 1.5e-6
+
+
 def test_diagnostics_report_grid_and_short_cuts(ref_params):
+    # at REF the W/8 step is halved for the relaxation core, whose width0 of
+    # about two steps of W/16 is then pinned
     d = LineShapes(ref_params, -500.0, 3000.0).diagnostics
     assert d["step"] <= d["step_wanted"]
-    assert not d["clamped"] and not d["relax_renorm"] and not d["gaussian_as_delta"]
+    assert d["step_term"] == "W/8/2"
+    assert not d["clamped"] and d["relax_renorm"] and not d["gaussian_as_delta"]
     # a narrow relaxation core is pinned, not resolved: it costs at most
     # halving the step its zeta = 0 build takes
     d = LineShapes(make_params(**NARROW_CORE), -720.09, 3480.42).diagnostics
@@ -414,7 +443,7 @@ def test_diagnostics_report_grid_and_short_cuts(ref_params):
 def test_grid_clamp_warns():
     with pytest.warns(ModelValidityWarning,
                       match=rf"clamped to {rate_model.GRID_MAX_POINTS} nodes: "
-                      r"the step W/16 = .* wants \d+ nodes"):
+                      r"the step W/8 = .* wants \d+ nodes"):
         shapes = LineShapes(make_params(w_phi_uphi0=0.03, delta01_ghz=1e-5), -500.0, 3000.0)
     assert shapes.diagnostics["clamped"]
     with warnings.catch_warnings():
@@ -471,19 +500,20 @@ def test_eval_outside_tabulated_span_raises(ref_params):
         shapes.rates(np.array([50000.0]))
 
 
-def test_local_cubic_reproduces_nodes_and_tracks_spline(ref_params):
+def test_local_quintic_reproduces_nodes_and_tracks_spline(ref_params):
     from scipy.interpolate import CubicSpline
 
-    # two interpolants through the same nodes part as step^4; the grid is
-    # pinned to the 2^14 + 1 nodes this tolerance was set on
+    # the quintic and the spline through the same nodes part as the
+    # spline's step^4 error; the grid is pinned to the 2^14 + 1 nodes this
+    # tolerance was set on
     shapes = LineShapes(ref_params, -500.0, 3000.0, n_min=2**14 + 1)
     nodes = shapes.grid.values
     eps = flux_to_energy(np.linspace(-500.0, 3000.0, 2001), ref_params.ip_a)
     for log_table, at in ((shapes._log01, eps),
                           (shapes._log03, eps - ref_params.nu31_ghz())):
-        np.testing.assert_array_equal(shapes._local_cubic(log_table, nodes),
+        np.testing.assert_array_equal(shapes._local_quintic(log_table, nodes),
                                       log_table)
-        got = np.exp(shapes._local_cubic(log_table, at))
+        got = np.exp(shapes._local_quintic(log_table, at))
         spline = np.exp(CubicSpline(nodes, log_table)(at))
         mask = spline > spline.max() * 1e-6
         np.testing.assert_allclose(got[mask], spline[mask], rtol=1e-7)
@@ -692,6 +722,22 @@ def test_table_slopes_match_central_differences_on_a_fixed_grid(case, monkeypatc
             fd = (getattr(up, attr) - getattr(down, attr))[rows] / (2.0 * h * per_unit[k])
             scale = max(np.abs(fd).max(), 1e-300)
             assert np.abs(slopes[k][rows] - fd).max() < 1e-4 * scale, (name, attr)
+
+
+def test_jacobian_reuses_the_build_spectra(ref_params, monkeypatch):
+    # a REF build makes 4 forward and 2 inverse FFTs and its log-gradients 8
+    # and 8: the Gaussian's slope spectra follow from its own spectrum
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counted(*args, _fft=getattr(rate_model, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(rate_model, name, counted)
+    shapes = LineShapes(ref_params, -500.0, 3000.0)
+    assert calls == {"rfft": 4, "irfft": 2}
+    shapes.log_shape_grads(flux_to_energy(np.linspace(-500.0, 3000.0, 200),
+                                          ref_params.ip_a))
+    assert calls == {"rfft": 12, "irfft": 10}
 
 
 def test_log_shape_grads_match_central_differences_on_a_fixed_grid(
