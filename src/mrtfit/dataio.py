@@ -206,7 +206,7 @@ CONFIG_DEFAULTS = {
         "l_ph": "250",
         "c_ff": "110",
         "phi_cjj_x": "-0.74",
-        "grid_points": "4096",
+        "grid_points": "128",
         "half_span": "0.5",
     },
     "gen": {

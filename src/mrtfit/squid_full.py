@@ -7,40 +7,40 @@ by pinning the fast compound-junction coordinate at its applied bias
     H = q^2 / 2C + (Phi - Phi^x + Phi0/2)^2 / 2L
         - E_J |cos(pi Phi_CJJ^x / Phi0)| cos(2 pi Phi / Phi0)
 
-on a uniform flux grid with a second-order finite-difference kinetic
-term.  The sign of the junction cosine only relocates the degeneracy
-point by half a flux quantum in raw applied flux, which the measured
-flux axis absorbs, so the magnitude is used and the barrier sits at the
-parabola minimum.
+in the sine discrete variable representation (DVR) of Colbert & Miller
+(J. Chem. Phys. 96, 1982, 1992).  The sign of the junction cosine only
+relocates the degeneracy point by half a flux quantum in raw applied
+flux, which the measured flux axis absorbs, so the magnitude is used and
+the barrier sits at the parabola minimum.
 
 Metastable well states come from diagonalizing the Hamiltonian blocks on
 either side of the partition point Phi - Phi^x + Phi0/2 = 0 (hard
 truncation).  Energies, current and voltage matrix elements, and the
 persistent current converge cleanly in that construction.  Tunneling
-amplitudes do not: the cross-block coupling of hard-truncated states
-vanishes linearly with the grid step, so the amplitudes are extracted
-instead from avoided-crossing gaps of the untruncated spectrum, which is
-the grid-converged equivalent (splitting at degeneracy for the ground
+amplitudes do not: the cross-block coupling of hard-truncated states has
+no continuum limit, so the amplitudes are extracted instead from
+avoided-crossing gaps of the untruncated spectrum, which is the
+grid-converged equivalent (splitting at degeneracy for the ground
 pair, minimal gap at the excited-state resonance for the first peak).
 The minimal gap is the vertex of gap^2, a parabola in the bias near the
 crossing, found from seven solves without an iterative search.
 
-Every eigen-solve goes through ``_lowest_levels``: inverse iteration from
-the levels of a coarse copy of the block, Rayleigh-Ritz, and a
-certificate from the residuals and two Sturm-type counts, with LAPACK
-bisection for anything the certificate rejects.  The grid has 64 to
-MAX_GRID_POINTS points, checked before any solve.
+Every eigen-solve goes through ``_lowest_levels``, one dense symmetric
+solve of the DVR Hamiltonian.  Each well block is an interval with
+Dirichlet walls on the partition and half_span beyond it, which is the
+sine DVR's own boundary condition, and holds half the n points; the
+untruncated spectrum has its own n points across both blocks.  n is even
+and 64 to MAX_GRID_POINTS, checked before any solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpttrf, dstebz, dstein
 
 from .errors import ConvergenceError, SingleWellError, ValidationError
 from .units import (
@@ -58,9 +58,9 @@ if TYPE_CHECKING:
     from .rate_model import MrtParams, RateDataset
 
 _GHZ = 1e9
-DEFAULT_GRID_POINTS = 4096
+DEFAULT_GRID_POINTS = 128
 DEFAULT_HALF_SPAN = 0.5      # in flux quanta, each side of the partition
-MAX_GRID_POINTS = 65536
+MAX_GRID_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,16 @@ class RfSquidParams:
 
 @dataclass(frozen=True, eq=False)
 class EffectivePotential:
-    """1D potential on a uniform grid of y = Phi/Phi0, energies in GHz."""
+    """1D potential at the sine-DVR points of the two well blocks, y =
+    Phi/Phi0, energies in GHz.  Each block spans ``half_span`` flux quanta
+    from the partition; the right block starts at ``partition_index``."""
 
     y: np.ndarray
     u_ghz: np.ndarray
     partition_index: int
     params: RfSquidParams
     minima_indices: tuple
-
-    @property
-    def step(self) -> float:
-        return self.y[1] - self.y[0]
+    half_span: float
 
 
 def _potential_ghz(params: RfSquidParams, y: np.ndarray) -> np.ndarray:
@@ -127,16 +126,14 @@ def _potential_ghz(params: RfSquidParams, y: np.ndarray) -> np.ndarray:
     return quad_term - jj_term
 
 
-def _flux_axis(params: RfSquidParams, n_points: int, half_span: float) -> np.ndarray:
-    """Uniform grid of y = Phi/Phi0, staggered about the partition point."""
+def _partition_point(params: RfSquidParams, n_points: int, half_span: float) -> float:
+    """y = Phi/Phi0 of the partition point, once the grid is checked."""
     if not 64 <= n_points <= MAX_GRID_POINTS or n_points % 2:
         raise ValidationError(
             f"n_points must be even and within 64..{MAX_GRID_POINTS}, got {n_points}")
     if not 0 < half_span < math.inf:
         raise ValidationError(f"half_span must be positive and finite, got {half_span}")
-    dy = 2.0 * half_span / n_points
-    y_part = params.phi_x_uphi0 * 1e-6 - 0.5
-    return y_part + (np.arange(n_points) + 0.5 - n_points / 2) * dy
+    return params.phi_x_uphi0 * 1e-6 - 0.5
 
 
 def effective_potential(params: RfSquidParams,
@@ -144,16 +141,20 @@ def effective_potential(params: RfSquidParams,
                         half_span: float = DEFAULT_HALF_SPAN) -> EffectivePotential:
     """Build the effective 1D double-well potential.
 
-    The grid is staggered symmetrically about the partition point (the
-    partition falls between two grid points), which keeps the two wells
-    exactly mirror-symmetric at zero bias.
+    Each block holds n_points / 2 sine-DVR points y_part -+ i h, i = 1 ..
+    n_points / 2, with h = half_span / (n_points / 2 + 1): its Dirichlet
+    walls sit on the partition y_part and half_span beyond it, and the two
+    blocks are exactly mirror-symmetric at zero bias.
     """
     if params.beta_eff <= 1.0:
         raise SingleWellError(
             f"beta_eff = {params.beta_eff:.4f} <= 1: the junction term cannot "
             "form a barrier; no double well exists at this compound-junction "
             "bias")
-    y = _flux_axis(params, n_points, half_span)
+    y_part = _partition_point(params, n_points, half_span)
+    part_idx = n_points // 2
+    offsets = half_span / (part_idx + 1) * np.arange(1, part_idx + 1)
+    y = np.concatenate([y_part - offsets[::-1], y_part + offsets])
     u = _potential_ghz(params, y)
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
     minima = tuple(int(i) + 1 for i in np.nonzero(interior)[0])
@@ -161,11 +162,11 @@ def effective_potential(params: RfSquidParams,
         raise SingleWellError(
             f"expected exactly two potential minima in the window, found "
             f"{len(minima)} (beta_eff = {params.beta_eff:.4f})")
-    part_idx = n_points // 2
     if not minima[0] < part_idx <= minima[1]:
         raise ValidationError("partition point does not separate the two wells")
     return EffectivePotential(y=y, u_ghz=u, partition_index=part_idx,
-                              params=params, minima_indices=minima)
+                              params=params, minima_indices=minima,
+                              half_span=half_span)
 
 
 def _kinetic_coef_ghz(c_f: float) -> float:
@@ -173,153 +174,38 @@ def _kinetic_coef_ghz(c_f: float) -> float:
     return hbar**2 / (2.0 * c_f * Phi0**2) / h / _GHZ
 
 
-# The certified solver behind _lowest_levels.  Shifts and start vectors come
-# from the block averaged onto about _COARSE_NODES cells, bisected to
-# _COARSE_TOL of the coarse kinetic norm.  Residuals must fall within
-# _RESIDUAL_UNITS rounding units eps 4a/dy^2 of the kinetic norm: measured
-# residuals grow about as the square root of the grid size, to 1.5 units at
-# 1024 points, 2.6 at 4096 and 6.3 at 16384.  The Sturm counts get
-# _COUNT_UNITS of slack beyond the residual norm.
-_COARSE_NODES = 256
-_COARSE_TOL = 1e-6
-_RESIDUAL_UNITS = 16.0
-_COUNT_UNITS = 4.0
-_MAX_SWEEPS = 8
+@functools.lru_cache(maxsize=8)
+def _sine_dvr_kinetic(n: int, length: float) -> np.ndarray:
+    """-d^2/dy^2 at the n sine-DVR points of an interval of ``length`` flux
+    quanta with Dirichlet ends, in closed form (Colbert & Miller, J. Chem.
+    Phys. 96, 1982, 1992, appendix A, with N = n + 1 intervals)."""
+    big_n = n + 1
+    i = np.arange(1, n + 1)
+    with np.errstate(divide="ignore"):
+        t = (-1.0) ** np.subtract.outer(i, i) * (
+            1.0 / np.sin(np.pi * np.subtract.outer(i, i) / (2 * big_n)) ** 2
+            - 1.0 / np.sin(np.pi * np.add.outer(i, i) / (2 * big_n)) ** 2)
+    t[i - 1, i - 1] = (2 * big_n**2 + 1) / 3.0 - 1.0 / np.sin(np.pi * i / big_n) ** 2
+    t *= np.pi**2 / (2.0 * length**2)
+    t.flags.writeable = False
+    return t
 
 
-def _coarse_levels(u: np.ndarray, a: float, dy: float, k: int):
-    """Lowest ``k`` eigenvalues and eigenvectors of the block ``u`` averaged
-    over cells of s = len(u) // _COARSE_NODES nodes, the vectors repeated
-    back onto the nodes (zero past the last whole cell), or None when LAPACK
-    reports a failure."""
-    s = max(1, len(u) // _COARSE_NODES)
-    m = len(u) // s
-    if k > m:
-        return None
-    c = a / (s * dy) ** 2
-    d = u[:m * s].reshape(m, s).mean(axis=1) + 2.0 * c
-    e = np.full(m - 1, -c)
-    # the raw wrapper's range code 2 selects il..iu by index (LAPACK's 'I')
-    found, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, k,
-                                            _COARSE_TOL * 4.0 * c, "B")
-    if info or found != k:
-        return None
-    z, info = dstein(d, e, w[:k], iblock, isplit)
-    if info:
-        return None
-    x = np.zeros((k, len(u)))
-    x[:, :m * s] = np.repeat(z.T, s, axis=1)
-    return w[:k], x
-
-
-def _inverse_sweep(d: np.ndarray, e: np.ndarray, shifts: np.ndarray,
-                   x: np.ndarray):
-    """One inverse-iteration step for each row of ``x`` at its own shift, or
-    None if a factorization meets an exact zero pivot."""
-    out = np.empty_like(x)
-    for j, shift in enumerate(shifts):
-        *_, sol, info = dgtsv(e, d - shift, e, x[j][:, None], overwrite_d=True)
-        if info:
-            return None
-        out[j] = sol[:, 0]
-    return out
-
-
-def _gram(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # einsum, because BLAS takes about twice as long for k x n times n x k
-    # with k = 2 or 3
-    return np.einsum("in,jn->ij", p, q)
-
-
-def _rayleigh_ritz(x: np.ndarray, u: np.ndarray, c: float) -> tuple:
-    """Ritz values and orthonormal Ritz vectors of the rows of ``x``, with
-    the vectors' differences including the zero ends.  The energy is
-    sum u x^2 + c sum (dx)^2: the kinetic term as squared differences,
-    so that nothing cancels against the 2c on the diagonal."""
-    f = np.empty((len(x), x.shape[1] + 1))
-    f[:, 0], f[:, -1] = x[:, 0], -x[:, -1]
-    np.subtract(x[:, 1:], x[:, :-1], out=f[:, 1:-1])
-    h = _gram(x * u, x) + c * _gram(f, f)
-    li = np.linalg.inv(np.linalg.cholesky(_gram(x, x)))
-    theta, w = np.linalg.eigh(li @ h @ li.T)
-    coef = w.T @ li
-    return theta, coef @ x, coef @ f
-
-
-def _certified_levels(u: np.ndarray, a: float, dy: float, k: int):
-    """The lowest ``k`` levels and their vectors (rows), or None when they
-    cannot be certified.  See ``_lowest_levels``."""
-    c = a / dy**2
-    d = u + 2.0 * c
-    e = np.full(len(u) - 1, -c)
-    start = _coarse_levels(u, a, dy, k)
-    if start is None:
-        return None
-    theta, x = start
-    unit = np.finfo(float).eps * 4.0 * c
-    for _ in range(_MAX_SWEEPS):
-        x = _inverse_sweep(d, e, theta, x)
-        if x is None:
-            return None
-        try:
-            theta, x, f = _rayleigh_ritz(x, u, c)
-        except np.linalg.LinAlgError:
-            return None
-        r = (u - theta[:, None]) * x + c * (f[:, :-1] - f[:, 1:])
-        res = np.sqrt(np.einsum("in,in->i", r, r))
-        if res.max() <= _RESIDUAL_UNITS * unit:
-            break
-    else:
-        return None
-    # each Ritz value lies within the residual norm of its own eigenvalue
-    # (Kahan); none below lo and exactly k in (lo, hi] makes them the lowest
-    delta = math.sqrt(res @ res) + _COUNT_UNITS * unit
-    lo, hi = theta[0] - delta, theta[-1] + delta
-    if dpttrf(d - lo, e)[2]:
-        return None
-    # range code 1 selects (lo, hi] (LAPACK's 'V'); a tolerance of the whole
-    # window stops the bisection at the count
-    found, *_, info = dstebz(d, e, 1, lo, hi, 0, 0, hi - lo, "B")
-    if info or found != k:
-        return None
-    return theta, x
-
-
-def _lowest_levels(u: np.ndarray, dy: float, c_f: float, n_levels: int,
-                   where: str, vectors: bool = False):
-    """Lowest ``n_levels`` of the finite-difference Hamiltonian (GHz) for the
-    potential ``u`` on a grid of step ``dy``: the energies, and with
-    ``vectors`` also the orthonormal eigenvectors as columns.
-
-    The levels of the block averaged onto about 256 cells give shifts and
-    start vectors.  Inverse iteration on the full block (one LAPACK
-    ``dgtsv`` solve per level), each sweep followed by Rayleigh-Ritz with
-    the kinetic energy written as squared differences, refines them until
-    every residual |T x - theta x| is within 16 rounding units
-    eps 4a/dy^2 of the kinetic norm; two sweeps suffice except next to an
-    avoided crossing, and after eight the solve gives up.  The levels are
-    then certified: each Ritz value lies within the residual norm of its
-    own eigenvalue, T - (theta_0 - delta) is positive definite (``dpttrf``),
-    and a Sturm count (``dstebz``) finds exactly ``n_levels`` eigenvalues in
-    (theta_0 - delta, theta_last + delta], delta being the residual norm
-    plus 4 units (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
-    ch. 4 and 11).  Whatever is not certified is solved by bisection and
-    inverse iteration (``eigh_tridiagonal``) instead.  No state is kept
-    between calls, so the result depends on the arguments alone.
-    """
-    a = _kinetic_coef_ghz(c_f)
-    certified = _certified_levels(u, a, dy, n_levels)
-    if certified is not None:
-        theta, x = certified
-        return (theta, x.T) if vectors else theta
-    try:
-        return eigh_tridiagonal(u + 2.0 * a / dy**2, np.full(len(u) - 1, -a / dy**2),
-                                eigvals_only=not vectors, select="i",
-                                select_range=(0, n_levels - 1))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"eigenvalue solve failed in {where} (n = {len(u)}, "
-            f"dy = {dy:.3e} Phi0): {exc}") from exc
+def _lowest_levels(u: np.ndarray, length: float, c_f: float, n_levels: int,
+                   vectors: bool = False):
+    """Lowest ``n_levels`` of the Hamiltonian (GHz) for the potential ``u``
+    at the sine-DVR points of an interval of ``length`` flux quanta: the
+    energies, and with ``vectors`` also the orthonormal eigenvectors as
+    columns.  Dense symmetric LAPACK solves of a T(n, length) + diag(u), the
+    kinetic matrix cached per (n, length).  The energies always come from
+    the values-only solve, so that they do not depend on whether the
+    vectors were asked for."""
+    ham = _kinetic_coef_ghz(c_f) * _sine_dvr_kinetic(len(u), length)
+    ham.flat[::len(u) + 1] += u
+    energies = np.linalg.eigvalsh(ham)[:n_levels]
+    if vectors:
+        return energies, np.linalg.eigh(ham)[1][:, :n_levels]
+    return energies
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,13 +250,10 @@ def solve_wells(pot: EffectivePotential, c_f: float,
     basis's level spacing and persistent current, the degeneracy values
     when ``pot`` is at zero bias.
     """
-    y, u, dy = pot.y, pot.u_ghz, pot.step
+    y, u, m, half_span = pot.y, pot.u_ghz, pot.partition_index, pot.half_span
     n = len(y)
-    m = pot.partition_index
-    e_left, v_left = _lowest_levels(u[:m], dy, c_f, 2,
-                                    "the left well block", vectors=True)
-    e_right, v_right = _lowest_levels(u[m:], dy, c_f, 2,
-                                      "the right well block", vectors=True)
+    e_left, v_left = _lowest_levels(u[:m], half_span, c_f, 2, vectors=True)
+    e_right, v_right = _lowest_levels(u[m:], half_span, c_f, 2, vectors=True)
 
     # interleave by well, each wavefunction positive next to the partition
     energies = np.column_stack([e_left, e_right]).ravel()
@@ -380,26 +263,22 @@ def solve_wells(pot: EffectivePotential, c_f: float,
     parity = np.arange(4) % 2
     same_well = parity[:, None] == parity[None, :]
 
-    # current operator is diagonal in flux: I = (Phi - Phi^x + Phi0/2)/L;
-    # opposite wells vanish exactly
-    yx = pot.params.phi_x_uphi0 * 1e-6
-    i_diag = Phi0 * (y - yx + 0.5) / pot.params.l_h
+    # current operator is diagonal in flux, and so on the DVR points:
+    # I = (Phi - Phi^x + Phi0/2)/L; opposite wells vanish exactly
+    l_h = pot.params.l_h
+    i_diag = Phi0 * (y - pot.params.phi_x_uphi0 * 1e-6 + 0.5) / l_h
     current = np.where(same_well, (psi * i_diag) @ psi.T, 0.0)
 
-    # voltage operator q/C = -i hbar/C d/dPhi; central differences give an
-    # exactly antisymmetric derivative matrix on each block.  dpsi crosses
-    # the partition, so opposite wells are masked rather than zero.
-    dpsi = np.zeros_like(psi)
-    dpsi[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * dy)
-    voltage = np.where(same_well & ~np.eye(4, dtype=bool),
-                       hbar / (c_f * Phi0) * np.abs(psi @ dpsi.T),
-                       0.0)
+    # voltage operator q/C from [H, Phi] = -i hbar q/C: between eigenstates
+    # |<i|q/C|j>| = 2 pi |f_i - f_j| |<i|Phi|j>|, and <i|Phi|j> = L <i|I|j>
+    # off the diagonal, so opposite wells and the diagonal vanish with it
+    voltage = (2.0 * math.pi * _GHZ * l_h
+               * np.abs(np.subtract.outer(energies, energies)) * np.abs(current))
 
     basis = WellBasis(potential=pot, energies_ghz=energies,
                       wavefunctions=psi, current_a=current, voltage_v=voltage,
                       delta_ghz={})
     if compute_amplitudes:
-        half_span = (y[-1] - y[0] + dy) / 2.0
         basis.delta_ghz[(0, 1)] = ground_pair_splitting(pot.params, c_f, n, half_span)
         basis.delta_ghz[(0, 3)], _ = excited_crossing_gap(
             pot.params, c_f, basis.omega31_ghz, basis.ip_a, n, half_span)
@@ -409,10 +288,12 @@ def solve_wells(pot: EffectivePotential, c_f: float,
 def full_spectrum(params: RfSquidParams, c_f: float, n_levels: int,
                   n_points: int = DEFAULT_GRID_POINTS,
                   half_span: float = DEFAULT_HALF_SPAN) -> np.ndarray:
-    """Lowest levels of the untruncated 1D Hamiltonian, in GHz."""
-    u = _potential_ghz(params, _flux_axis(params, n_points, half_span))
-    return _lowest_levels(u, 2.0 * half_span / n_points, c_f, n_levels,
-                          "the full spectrum")
+    """Lowest levels of the untruncated 1D Hamiltonian, in GHz, at its own
+    ``n_points`` sine-DVR points across both blocks."""
+    y_part = _partition_point(params, n_points, half_span)
+    y = y_part + 2.0 * half_span / (n_points + 1) * (np.arange(n_points) + 0.5
+                                                     - n_points / 2)
+    return _lowest_levels(_potential_ghz(params, y), 2.0 * half_span, c_f, n_levels)
 
 
 def ground_pair_splitting(params: RfSquidParams, c_f: float,
@@ -489,9 +370,9 @@ def _well_energies(params: RfSquidParams, phi: float, n_points: int,
     """(E_L0 - E_R0, E_R1 - E_R0) in GHz at the main-loop bias ``phi``."""
     pot = effective_potential(dc_replace(params, phi_x_uphi0=float(phi)),
                               n_points, half_span)
-    u, m, dy = pot.u_ghz, pot.partition_index, pot.step
-    e_left = _lowest_levels(u[:m], dy, params.c_f, 1, "the left well block")
-    e_right = _lowest_levels(u[m:], dy, params.c_f, 2, "the right well block")
+    u, m = pot.u_ghz, pot.partition_index
+    e_left = _lowest_levels(u[:m], half_span, params.c_f, 1)
+    e_right = _lowest_levels(u[m:], half_span, params.c_f, 2)
     return e_left[0] - e_right[0], e_right[1] - e_right[0]
 
 
@@ -520,15 +401,15 @@ def bias_energies(params: RfSquidParams, phi: np.ndarray,
 
     The wells are solved at 9 Chebyshev-Lobatto nodes of the window, then
     at 17 and at 33, each set reusing the solves of the one before, until
-    the last three Chebyshev coefficients of both functions fall below one
-    rounding unit of the kinetic term's matrix norm,
-    eps 4 hbar^2 / (2 C Phi0^2 dy^2): 2.6e-10 GHz at 4096 grid points,
-    growing as the square of the grid size.  That is how closely the
-    certified levels agree with bisection (see ``_lowest_levels``); their
-    own noise, the trailing coefficients at 33 nodes, stays below 0.02 of
-    a unit from 1024 to 8192 points.  The barycentric formula evaluates the interpolant, and returns
-    the solved values exactly at biases that are nodes, the window ends
-    among them.  A single bias is solved directly.
+    the last three Chebyshev coefficients of both functions fall below the
+    rounding of a level difference: two units of a block's DVR kinetic
+    norm, eps hbar^2 / (2 C Phi0^2) pi^2 (m + 1)^2 / half_span^2 with m
+    points per block, one unit being 6.6e-13 GHz at 128 grid points and
+    growing as the square of the grid size.  The dense solves leave tails
+    of 0.2 to 1.3 units from 17 nodes on.  The barycentric formula
+    evaluates the interpolant, and returns the solved values exactly at
+    biases that are nodes, the window ends among them.  A single bias is
+    solved directly.
 
     Returns (eps, omega31, number of nodes, largest trailing coefficient
     in GHz).
@@ -543,8 +424,8 @@ def bias_energies(params: RfSquidParams, phi: np.ndarray,
         eps, om31 = solve([lo]).T
         return eps, om31, 1, 0.0
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    dy = 2.0 * half_span / n_points
-    tol = np.finfo(float).eps * 4.0 * _kinetic_coef_ghz(params.c_f) / dy**2
+    tol = (2.0 * np.finfo(float).eps * _kinetic_coef_ghz(params.c_f)
+           * (math.pi * (n_points // 2 + 1) / half_span) ** 2)
     n = _FIRST_INTERVALS
     nodes = mid + half * _lobatto(n, np.arange(n + 1))
     nodes[0], nodes[-1] = hi, lo
@@ -604,11 +485,8 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     "per_bias" additionally replaces the linear flux-to-energy map by the
     level differences eps = E_L0 - E_R0 and omega31 = E_R1 - E_R0 at every
     requested bias, interpolated from wells solved at 9, 17 or 33
-    Chebyshev-Lobatto nodes of the bias window (see ``bias_energies``).
-    At 4096 grid points the interpolant agrees with a certified solve at
-    every bias to 1.1e-11 GHz, and with bisection to 3e-10 GHz, the
-    rounding of bisection itself (six circuits, 60 biases each); its cost
-    does not depend on the number of biases.
+    Chebyshev-Lobatto nodes of the bias window (see ``bias_energies``);
+    its cost does not depend on the number of biases.
     """
     # the eigensolver alone (the ``squid`` subcommand) needs no rate model
     from .rate_model import (LineShapes, MrtParams, RateDataset, bias_grid,

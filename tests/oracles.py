@@ -2,16 +2,17 @@
 
 Everything here is built from the defining formulas with plain math and
 adaptive quadrature, deliberately sharing no code with the package's
-vectorized FFT pipeline.  Constants are hardcoded (CODATA 2018).  The
-exceptions are ``per_bias_rate``, which checks how the full model solves
-and interpolates the level energies in the bias: it takes the potential
-and the line shapes from the package, but solves every well block by
-LAPACK bisection; and ``intrawell_rate``, the package's relaxation width
-in 1/us, whose detailed balance the envelope tests check.
+vectorized FFT pipeline.  Constants are hardcoded (CODATA 2018).
+``well_levels`` solves the rf-SQUID by finite differences and bisection,
+an independent discretization of the package's sine DVR.  The exceptions
+are ``per_bias_rate``, which checks how the full model interpolates the
+level energies in the bias: it takes the line shapes from the package and
+the per-bias energies from its caller; and ``intrawell_rate``, the
+package's relaxation width in 1/us, whose detailed balance the envelope
+tests check.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -173,32 +174,36 @@ def convolve(f, g, grid):
     return full[iz: iz + n] * grid.step
 
 
-def well_levels(u, dy, c_f, k):
-    """Lowest k levels (GHz) of the finite-difference Hamiltonian of the
-    well block ``u`` on a grid of step ``dy`` (flux quanta), by bisection."""
-    t = HBAR**2 / (2.0 * c_f * PHI0**2) / H / 1e9 / dy**2
-    return eigh_tridiagonal(u + 2.0 * t, np.full(len(u) - 1, -t), eigvals_only=True,
-                            select="i", select_range=(0, k - 1))
+def well_levels(circuit, n_points, k, part, vectors=False, half_span=0.5):
+    """Lowest k levels (GHz) of the second-order finite-difference
+    Hamiltonian of the rf-SQUID, by bisection, on a uniform grid of n_points
+    staggered about the partition point and spanning ``half_span`` flux
+    quanta on each side: its ``part`` "left" or "right" well block (hard
+    walls half a step beyond the partition) or the "full" interval.  With
+    ``vectors`` also the eigenvectors as columns and the grid of y = Phi/Phi0."""
+    dy = 2.0 * half_span / n_points
+    yx = circuit.phi_x_uphi0 * 1e-6
+    y = yx - 0.5 + (np.arange(n_points) + 0.5 - n_points / 2) * dy
+    y = {"left": y[:n_points // 2], "right": y[n_points // 2:], "full": y}[part]
+    ej = (circuit.ic_a * PHI0 / (2 * math.pi)
+          * abs(math.cos(math.pi * circuit.phi_cjj_x)))
+    u = (PHI0**2 / (2 * circuit.l_h) * (y - yx + 0.5) ** 2
+         - ej * np.cos(2 * math.pi * y)) / H / 1e9
+    t = HBAR**2 / (2.0 * circuit.c_f * PHI0**2) / H / 1e9 / dy**2
+    out = eigh_tridiagonal(u + 2.0 * t, np.full(len(u) - 1, -t),
+                           eigvals_only=not vectors, select="i",
+                           select_range=(0, k - 1))
+    return (*out, y) if vectors else out
 
 
-def per_bias_rate(circuit, mrt, phi, n_points=4096):
-    """Total rate (1/us) of the per-bias full model with both wells solved
-    at every bias in ``phi``: eps = E_L0 - E_R0 and omega31 = E_R1 - E_R0
-    enter each peak's line shape at its exact energy, ``mrt`` supplying the
-    amplitudes, widths and the linear map."""
+def per_bias_rate(mrt, phi, eps, om31):
+    """Total rate (1/us) of the per-bias full model from the level
+    differences eps = E_L0 - E_R0 and omega31 = E_R1 - E_R0 (GHz) solved at
+    every bias in ``phi``: each peak's line shape at its exact energy,
+    ``mrt`` supplying the amplitudes, widths and the linear map."""
     from mrtfit.rate_model import LineShapes
-    from mrtfit.squid_full import effective_potential
     from mrtfit.units import energy_to_flux
 
-    eps = np.empty(len(phi))
-    om31 = np.empty(len(phi))
-    for i, p in enumerate(phi):
-        pot = effective_potential(replace(circuit, phi_x_uphi0=float(p)), n_points)
-        u, m, dy = pot.u_ghz, pot.partition_index, pot.step
-        e_left = well_levels(u[:m], dy, circuit.c_f, 1)
-        e_right = well_levels(u[m:], dy, circuit.c_f, 2)
-        eps[i] = e_left[0] - e_right[0]
-        om31[i] = e_right[1] - e_right[0]
     shapes = LineShapes(mrt, float(phi[0]), float(phi[-1]))
     r01, _ = shapes.rates(energy_to_flux(eps, mrt.ip_a))
     _, r03 = shapes.rates(energy_to_flux(eps - om31, mrt.ip_a) + mrt.phi31_uphi0)

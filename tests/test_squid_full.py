@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
 from mrtfit import (
     FullModelNoise,
@@ -22,7 +21,7 @@ from mrtfit.errors import (ConvergenceError, DomainError, SingleWellError,
 from mrtfit.rate_model import LineShapes
 import mrtfit.squid_full as squid_full
 from mrtfit.squid_full import excited_crossing_gap, full_spectrum
-from mrtfit.units import Phi0, energy_to_flux, flux_to_energy, hbar
+from mrtfit.units import Phi0, energy_to_flux, flux_to_energy
 
 import oracles
 
@@ -93,7 +92,6 @@ def test_degeneracy_of_ground_pair(basis):
 
 def test_wavefunctions_orthonormal_within_each_well(basis):
     psi = basis.wavefunctions
-    dy = basis.potential.step
     for pair_base in (0, 1):                     # left then right well
         for m in (0, 1):
             for n in (0, 1):
@@ -101,7 +99,6 @@ def test_wavefunctions_orthonormal_within_each_well(basis):
                                        * psi[2 * n + pair_base]))
                 assert overlap == pytest.approx(1.0 if m == n else 0.0,
                                                 abs=1e-10)
-    assert dy > 0
 
 
 def test_current_matrix_structure(basis):
@@ -128,22 +125,35 @@ def test_voltage_matrix_structure(basis):
     np.testing.assert_allclose(v, v.T, rtol=0, atol=1e-12 * v31)
 
 
+def sine_basis_kinetic(n, length):
+    """-d^2/dy^2 at the n sine-DVR points of an interval: the sine basis'
+    (k pi / length)^2 carried onto the points by the orthogonal sine
+    transform, not the closed form the package uses."""
+    k = np.arange(1, n + 1)
+    s = np.sin(np.pi * np.outer(k, k) / (n + 1))
+    return 2.0 / (n + 1) * (s * (np.pi * k / length) ** 2) @ s
+
+
 def test_matrix_elements_equal_the_loop_reference(basis, circuit):
-    # element by element as sums over the grid; the matrix products add in
-    # another order, so they agree to rounding of the largest element
+    # element by element as sums over the DVR points.  The voltage comes
+    # from the commutator itself, q/C = (i / hbar) [H, Phi], with H built from
+    # the sine transform, so it also checks the closed-form kinetic matrix
     psi, pot = basis.wavefunctions, basis.potential
-    i_diag = Phi0 * (pot.y - circuit.phi_x_uphi0 * 1e-6 + 0.5) / circuit.l_h
-    dpsi = np.zeros_like(psi)
-    dpsi[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * pot.step)
+    m, y = pot.partition_index, pot.y
+    i_diag = Phi0 * (y - circuit.phi_x_uphi0 * 1e-6 + 0.5) / circuit.l_h
     n = len(psi)
     cur, volt = np.zeros((n, n)), np.zeros((n, n))
     for p in range(n):
-        for q in range(n):
-            if (p - q) % 2 == 0:
-                cur[p, q] = np.sum(psi[p] * i_diag * psi[q])
-                if p != q:
-                    volt[p, q] = (hbar / (circuit.c_f * Phi0)
-                                  * abs(np.sum(psi[p] * dpsi[q])))
+        block = slice(m, None) if p % 2 else slice(None, m)
+        yb = y[block]
+        ham = (squid_full._kinetic_coef_ghz(circuit.c_f)
+               * sine_basis_kinetic(len(yb), pot.half_span)
+               + np.diag(pot.u_ghz[block]))
+        commutator = ham * np.subtract.outer(yb, yb)      # [H, y] in GHz
+        for q in range(p % 2, n, 2):
+            cur[p, q] = np.sum(psi[p] * i_diag * psi[q])
+            volt[p, q] = (2.0 * math.pi * 1e9 * Phi0
+                          * abs(psi[p][block] @ commutator @ psi[q][block]))
     np.testing.assert_allclose(basis.current_a, cur, rtol=0,
                                atol=1e-13 * np.abs(cur).max())
     np.testing.assert_allclose(basis.voltage_v, volt, rtol=0, atol=1e-13 * volt.max())
@@ -274,104 +284,59 @@ def test_degeneracy_wells_are_solved_once(circuit, monkeypatch, path, solves):
 
 
 # ---------------------------------------------------------------------------
-# the certified eigensolver against LAPACK bisection
+# the sine DVR against an independent finite-difference reference
 
-BENCH_CJJ = [-0.76, -0.755, -0.75, -0.745, -0.74, -0.735]
-
-
-@pytest.fixture(scope="module")
-def resonance_biases():
-    out = {}
-    for phi_cjj_x in BENCH_CJJ:
-        circuit = RfSquidParams(**dict(REF_CIRCUIT, phi_cjj_x=phi_cjj_x))
-        b = solve_wells(effective_potential(circuit), circuit.c_f,
-                        compute_amplitudes=False)
-        out[phi_cjj_x] = excited_crossing_gap(circuit, circuit.c_f, b.omega31_ghz,
-                                              b.ip_a)[1]
+def fd_quantities(circuit, n_points):
+    """Block levels, omega31, I_p and the three lowest levels of the full
+    interval, by finite differences and bisection (``oracles.well_levels``)."""
+    out, ground_current = {}, {}
+    for part in ("left", "right"):
+        e, v, y = oracles.well_levels(circuit, n_points, 2, part, vectors=True)
+        out[f"{part}_0"], out[f"{part}_1"] = e
+        ground_current[part] = np.sum(
+            v[:, 0] ** 2 * Phi0 * (y - circuit.phi_x_uphi0 * 1e-6 + 0.5) / circuit.l_h)
+    out["omega31"] = out["right_1"] - out["right_0"]
+    out["ip"] = (ground_current["right"] - ground_current["left"]) / 2.0
+    for j, e in enumerate(oracles.well_levels(circuit, n_points, 3, "full")):
+        out[f"full_{j}"] = e
     return out
 
 
-def rounding_unit(c_f, dy):
-    """One rounding unit of the kinetic matrix norm, eps 4a/dy^2, in GHz."""
-    return np.finfo(float).eps * 4.0 * squid_full._kinetic_coef_ghz(c_f) / dy**2
-
-
-def solver_blocks(circuit, phi, n_points):
-    """(name, block potential, levels asked) as the package solves them."""
-    pot = effective_potential(replace(circuit, phi_x_uphi0=float(phi)), n_points)
-    u, m = pot.u_ghz, pot.partition_index
-    return pot.step, [("left", u[:m], 1), ("left", u[:m], 2), ("right", u[m:], 2),
-                      ("full", u, 2), ("full", u, 3)]
-
-
-@pytest.mark.parametrize("n_points", [1024, 4096, 16384])
-@pytest.mark.parametrize("phi_cjj_x", BENCH_CJJ)
-def test_certified_levels_match_bisection_without_fallback(
-        phi_cjj_x, n_points, resonance_biases, monkeypatch):
-    circuit = RfSquidParams(**dict(REF_CIRCUIT, phi_cjj_x=phi_cjj_x))
-    fallbacks = counted(monkeypatch, "eigh_tridiagonal")
-    for phi in (-500.0, 0.0, resonance_biases[phi_cjj_x], 3000.0):
-        dy, blocks = solver_blocks(circuit, phi, n_points)
-        bound = 2.0 * rounding_unit(circuit.c_f, dy)
-        for name, u, k in blocks:
-            got = squid_full._lowest_levels(u, dy, circuit.c_f, k, name)
-            want = oracles.well_levels(u, dy, circuit.c_f, k)
-            assert np.max(np.abs(got - want)) <= bound, (phi, name, k)
-    assert fallbacks == []
-
-
-def test_certified_levels_match_the_dense_spectrum():
-    # an independent algorithm, Householder reduction and QR of the dense
-    # matrix, whose own rounding reaches 3.7 units on these blocks
-    circuit = RfSquidParams(**REF_CIRCUIT)
-    for phi in (-500.0, 0.0, 2212.0, 3000.0):
-        dy, blocks = solver_blocks(circuit, phi, 256)
-        t = squid_full._kinetic_coef_ghz(circuit.c_f) / dy**2
-        for name, u, k in blocks:
-            dense = (np.diag(u + 2.0 * t) - t * np.eye(len(u), k=1)
-                     - t * np.eye(len(u), k=-1))
-            want = np.linalg.eigvalsh(dense)[:k]
-            got = squid_full._lowest_levels(u, dy, circuit.c_f, k, name)
-            assert np.max(np.abs(got - want)) <= 8.0 * rounding_unit(circuit.c_f, dy)
-
-
-@pytest.mark.parametrize("skip", [0, 1], ids=["level_below", "level_between"])
-def test_uncertified_levels_fall_back_to_bisection(circuit, monkeypatch, skip):
-    # shifts and start vectors that skip one of the lowest k + 1 levels:
-    # inverse iteration converges to the others with small residuals, and
-    # the missed level fails the positive-definite test (level 0) or the
-    # Sturm count (level 1), so bisection answers
-    coarse = squid_full._coarse_levels
-
-    def skipping(u, a, dy, k):
-        shifts, x = coarse(u, a, dy, k + 1)
-        keep = np.arange(k + 1) != skip
-        return shifts[keep], x[keep]
-
-    monkeypatch.setattr(squid_full, "_coarse_levels", skipping)
-    fallbacks = counted(monkeypatch, "eigh_tridiagonal")
-    pot = effective_potential(circuit)
-    u, m, dy = pot.u_ghz, pot.partition_index, pot.step
-    t = squid_full._kinetic_coef_ghz(circuit.c_f) / dy**2
-    for block, k in ((u[m:], 2), (u, 3)):
-        got = squid_full._lowest_levels(block, dy, circuit.c_f, k, "", vectors=True)
-        want = eigh_tridiagonal(block + 2.0 * t, np.full(len(block) - 1, -t),
-                                select="i", select_range=(0, k - 1))
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert len(fallbacks) == 2
+@pytest.mark.parametrize("phi_x", [0.0, 1500.0, -1500.0])
+def test_dvr_matches_the_extrapolated_finite_difference_limit(circuit, phi_x):
+    # The staggered finite-difference blocks are first-order off: their
+    # walls sit half a step beyond the partition, where the well states
+    # still have weight (1.2e-4 relative in omega31 at 4096 points).
+    # 2 f(32768) - f(16384) removes that term.  Delta01, a full-interval
+    # quantity, is second-order there, so the formula leaves half its
+    # 32768-point error, 6e-8; bisection rounding at 32768 points is about
+    # 1e-7 of it.
+    biased = replace(circuit, phi_x_uphi0=phi_x)
+    coarse, fine = fd_quantities(biased, 16384), fd_quantities(biased, 32768)
+    limit = {key: 2.0 * fine[key] - coarse[key] for key in fine}
+    b = solve_wells(effective_potential(biased), circuit.c_f, compute_amplitudes=False)
+    full = full_spectrum(biased, circuit.c_f, 3)
+    dvr = {"left_0": b.energies_ghz[0], "right_0": b.energies_ghz[1],
+           "left_1": b.energies_ghz[2], "right_1": b.energies_ghz[3],
+           "omega31": b.omega31_ghz, "ip": b.ip_a,
+           "full_0": full[0], "full_1": full[1], "full_2": full[2]}
+    if phi_x == 0.0:
+        limit["delta01"] = limit["full_1"] - limit["full_0"]
+        dvr["delta01"] = ground_pair_splitting(circuit, circuit.c_f)
+    for key, value in dvr.items():
+        assert value == pytest.approx(limit[key], rel=1e-6), key
 
 
 def test_grid_convergence_energies_and_splitting(circuit):
     # energies: doubling the grid changes E_n below 1e-8 relative once the
-    # finite-difference error is in its asymptotic regime (documented
-    # convergence budget: n >= 32768)
-    e_coarse = full_spectrum(circuit, circuit.c_f, 2, n_points=32768)
-    e_fine = full_spectrum(circuit, circuit.c_f, 2, n_points=65536)
+    # DVR has converged, from 512 points up
+    e_coarse = full_spectrum(circuit, circuit.c_f, 2, n_points=512)
+    e_fine = full_spectrum(circuit, circuit.c_f, 2, n_points=1024)
     for a, b in zip(e_coarse, e_fine):
         assert abs(a - b) / abs(b) < 1e-8
     # splitting: doubling from the default grid moves it below one percent
-    d_coarse = ground_pair_splitting(circuit, circuit.c_f, n_points=4096)
-    d_fine = ground_pair_splitting(circuit, circuit.c_f, n_points=8192)
+    d_coarse = ground_pair_splitting(circuit, circuit.c_f, n_points=128)
+    d_fine = ground_pair_splitting(circuit, circuit.c_f, n_points=256)
     assert abs(d_coarse - d_fine) / d_fine < 0.01
 
 
@@ -459,16 +424,22 @@ def test_per_bias_mode_equals_the_solve_wells_reference(circuit):
 
 @pytest.mark.parametrize("phi_cjj_x", [-0.76, -0.755, -0.75, -0.745, -0.74, -0.735])
 def test_per_bias_interpolant_matches_the_exact_loop(phi_cjj_x):
-    # the interpolated level energies differ from a solve at every bias by
-    # the solver's rounding noise, about 1e-10 GHz at 4096 points
+    # the interpolated level energies differ from the same discretization
+    # solved at every bias by the solver's rounding noise, about 1e-12 GHz
+    # at 128 points
     circuit = RfSquidParams(**dict(REF_CIRCUIT, phi_cjj_x=phi_cjj_x))
     noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
                            tan_delta_c=2.07e-3, temperature_k=7.3e-3)
     phis = np.linspace(-500.0, 3000.0, 60)
     res = full_model_rate(circuit, noise, phis, bias_mode="per_bias")
     assert res.solver["bias_tail_ghz"] < 1e-10
+    energies = np.array([
+        solve_wells(effective_potential(replace(circuit, phi_x_uphi0=float(phi))),
+                    circuit.c_f, compute_amplitudes=False).energies_ghz
+        for phi in phis])
+    eps, om31 = energies[:, 0] - energies[:, 1], energies[:, 3] - energies[:, 1]
     np.testing.assert_allclose(res.curve.rate,
-                               oracles.per_bias_rate(circuit, res.params, phis),
+                               oracles.per_bias_rate(res.params, phis, eps, om31),
                                rtol=1e-8, atol=0.0)
 
 
@@ -504,7 +475,7 @@ def test_full_model_per_bias_mode_close_to_fixed(circuit):
     phis = np.linspace(-100.0, 300.0, 7)
     fixed = full_model_rate(circuit, noise, phis, bias_mode="fixed")
     per_bias = full_model_rate(circuit, noise, phis, bias_mode="per_bias",
-                               n_points=2048)
+                               n_points=256)
     # the linearized map is accurate near the zeroth peak; deviations grow
     # in the far wings where the level-spacing bias dependence enters,
     # which is exactly what this mode exists to quantify
