@@ -65,6 +65,16 @@ def fmt(value: float) -> str:
 _KNOWN_COLUMNS = ("phi_x_uPhi0", "rate_per_us", "rate_rel_err", "well")
 
 
+def _read_text(path: Path, error) -> str:
+    """The text of a UTF-8 file; a byte that does not decode raises ``error``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text: byte "
+                    f"0x{exc.object[exc.start]:02x} ({exc.reason})") from exc
+
+
 def load_dataset(path) -> RateDataset:
     """Parse and validate a dataset file.
 
@@ -77,34 +87,34 @@ def load_dataset(path) -> RateDataset:
     meta = {}
     header = None
     rows = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                unknown = [c for c in header if c not in _KNOWN_COLUMNS]
-                if "phi_x_uPhi0" not in header or "rate_per_us" not in header:
-                    raise DatasetFormatError(
-                        "header must contain phi_x_uPhi0 and rate_per_us",
-                        line=lineno)
-                if unknown:
-                    warnings.warn(f"{path.name}: ignoring unknown columns {unknown}",
-                                  stacklevel=2)
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if len(cells) != len(header):
+    text = _read_text(path, DatasetFormatError)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" in body:
+                key, _, val = body.partition("=")
+                meta[key.strip()] = val.strip()
+            continue
+        if header is None:
+            header = [c.strip() for c in line.split(",")]
+            unknown = [c for c in header if c not in _KNOWN_COLUMNS]
+            if "phi_x_uPhi0" not in header or "rate_per_us" not in header:
                 raise DatasetFormatError(
-                    f"expected {len(header)} fields, got {len(cells)}",
+                    "header must contain phi_x_uPhi0 and rate_per_us",
                     line=lineno)
-            rows.append((lineno, dict(zip(header, cells))))
+            if unknown:
+                warnings.warn(f"{path.name}: ignoring unknown columns {unknown}",
+                              stacklevel=2)
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise DatasetFormatError(
+                f"expected {len(header)} fields, got {len(cells)}",
+                line=lineno)
+        rows.append((lineno, dict(zip(header, cells))))
     if header is None or not rows:
         raise DatasetFormatError(f"{path}: no data rows found")
 
@@ -278,7 +288,7 @@ def default_config() -> RunConfig:
 def load_config(path) -> RunConfig:
     """Read an INI run configuration, fail-closed on unknown entries."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path, ConfigError)
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -333,7 +343,6 @@ def report_from_fit(result: FitResult, config: FitConfig,
         "status": result.status,
         "converged": result.converged,
         "n_eval": result.n_eval,
-        "n_starts": result.n_starts,
         "covariance": {"order": list(result.param_order),
                        "matrix": [[float(x) for x in row]
                                   for row in result.covariance]},

@@ -3,10 +3,9 @@
 Residuals are taken in log-rate space because measured curves span
 several decades; weights are inverse squared relative errors when the
 dataset carries them.  The minimizer is a damped (trust-region) least
-squares with an exact Jacobian, under one fixed policy: ftol, xtol and
-gtol of 1e-10, at most 2000 evaluations per start, and up to five starts,
-the later ones jittered by +-20 % from a generator seeded with 0, stopping
-at the first start that converges.  Positive scale-spanning parameters
+squares with an exact Jacobian, solved once from the initial guess under
+one fixed policy: ftol, xtol and gtol of 1e-10 and at most 2000
+evaluations.  Positive scale-spanning parameters
 (tunneling amplitudes, ohmic and charge broadenings) are optimized in log
 space; the peak separation, Gaussian width and temperature stay linear.
 The fluctuation-dissipation tie between the Gaussian width and its shift
@@ -49,9 +48,6 @@ _PARAM = {q.name: q for q in FIT_PARAMS}
 
 TOL = 1e-10
 MAX_NFEV = 2000
-MULTISTART = 5
-JITTER_REL = 0.2
-JITTER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ class InitialGuess:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Converged (or best-so-far) fit with linearized uncertainties."""
+    """Converged (or stopped) fit with linearized uncertainties."""
 
     params: MrtParams
     chi2: float
@@ -94,7 +90,6 @@ class FitResult:
     converged: bool
     n_eval: int
     cost_initial: float
-    n_starts: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +373,11 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
         guess: MrtParams | InitialGuess | None = None) -> FitResult:
     """Estimate the model parameters for one dataset.
 
-    Runs up to MULTISTART trust-region starts; the first uses the
-    supplied (or automatic) guess, later ones jitter it by JITTER_REL, and
-    the search stops early once a start converges.
+    Runs one trust-region solve from the supplied (or automatic) guess.
     An automatic guess (``None`` or an ``InitialGuess``) is clipped into
     the bounds; an explicit ``MrtParams`` guess outside them raises
-    ValidationError.  Raises ConvergenceError, carrying the best-so-far
-    result, only if no start converges at all.
+    ValidationError.  Raises ConvergenceError, carrying the result where
+    the solve stopped, if it does not converge within MAX_NFEV evaluations.
     """
     config = config or FitConfig()
     automatic = not isinstance(guess, MrtParams)
@@ -419,49 +412,32 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
     r0 = objective(x0)
     cost_initial = float(r0 @ r0)
 
-    rng = np.random.default_rng(JITTER_SEED)
-    best = None
-    n_starts = 0
-    for attempt in range(MULTISTART):
-        if attempt == 0:
-            x_start = x0
-        else:
-            jitter = rng.uniform(-JITTER_REL, JITTER_REL, len(free))
-            x_start = np.array([
-                xi + math.log1p(j) if _PARAM[name].log else xi * (1.0 + j)
-                for xi, j, name in zip(x0, jitter, free)])
-            x_start = np.clip(x_start, lo, hi)
-        n_starts += 1
-        res = least_squares(
-            objective, x_start, method="trf", jac=objective.jac, bounds=(lo, hi),
-            x_scale=_x_scale(free, x0), ftol=TOL, xtol=TOL, gtol=TOL,
-            max_nfev=MAX_NFEV)
-        if best is None or res.cost < best.cost:
-            best = res
-        if res.status > 0:
-            break
+    res = least_squares(
+        objective, x0, method="trf", jac=objective.jac, bounds=(lo, hi),
+        x_scale=_x_scale(free, x0), ftol=TOL, xtol=TOL, gtol=TOL,
+        max_nfev=MAX_NFEV)
 
-    chi2 = float(2.0 * best.cost)
+    chi2 = float(2.0 * res.cost)
     cov, sigma, rank, dof = _linearized_uncertainties(
-        best.jac, chi2, len(dataset), free, best.x)
-    values = _from_x(best.x, free, fixed)
+        res.jac, chi2, len(dataset), free, res.x)
+    values = _from_x(res.x, free, fixed)
     params = MrtParams.from_names(values, dataset.ip_a)
     uncertainties = {name: float(s) for name, s in zip(free, sigma)}
     derived = units.noise_summary(
         params.gamma_phi_uphi0, params.zeta_phi_uphi0, params.phi31_uphi0,
         params.ip_a, config.inductance_h, params.temperature_k)
-    status = best.message if rank == len(free) else (
-        best.message + f"; Jacobian rank {rank} < {len(free)}: "
+    status = res.message if rank == len(free) else (
+        res.message + f"; Jacobian rank {rank} < {len(free)}: "
         "unidentifiable parameter directions flagged with infinite uncertainty")
     result = FitResult(
         params=params, chi2=chi2, dof=dof, param_order=tuple(free),
         covariance=cov, uncertainties=uncertainties, derived=derived,
-        status=status, converged=best.status > 0, n_eval=objective.n_eval,
-        cost_initial=cost_initial, n_starts=n_starts)
+        status=status, converged=res.status > 0, n_eval=objective.n_eval,
+        cost_initial=cost_initial)
     if not result.converged:
         raise ConvergenceError(
-            f"no start converged within {MAX_NFEV} evaluations: "
-            f"{best.message}", best=result)
+            f"the fit did not converge within {MAX_NFEV} evaluations: "
+            f"{res.message}", best=result)
     return result
 
 

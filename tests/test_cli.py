@@ -216,6 +216,22 @@ def test_batch_fails_only_the_dataset_whose_file_does_not_load(tmp_path, capsys)
     assert (out_dir / "q0.report.json").exists()
 
 
+def test_batch_fails_only_the_dataset_that_is_not_utf8(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    sub = write_config(tmp_path, "[gen]\nn_points = 140\nqubit_id = q0\n")
+    assert run(["gen", "--config", sub, "--seed", "3", "--out", str(data_dir)]) == 0
+    (data_dir / "latin1.csv").write_bytes((MALFORMED / "non_utf8.csv").read_bytes())
+    out_dir = tmp_path / "out"
+    assert run(["batch", "--config", write_config(tmp_path, ""),
+                "--data-dir", str(data_dir), "--out", str(out_dir)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-WARN") == 1 and "latin1.csv" in err and "not UTF-8" in err
+    assert "MRTFIT-ERROR" not in err
+    rows = (out_dir / "batch_summary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["failed", "ok"]
+    assert (out_dir / "q0.report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # failure classes and exit codes
 
@@ -237,8 +253,10 @@ MALFORMED_CASES = {
     "nan_field.csv": ("fit", "--data", "parse", 2),
     "ragged_row.csv": ("fit", "--data", "parse", 2),
     "empty.csv": ("fit", "--data", "parse", 2),
+    "non_utf8.csv": ("fit", "--data", "parse", 2),
     "bad,stem.csv": ("fit", "--data", "validation", 3),
     "unknown_fit_key.ini": ("fit", "--config", "parse", 2),
+    "non_utf8.ini": ("simulate", "--config", "parse", 2),
     "grid_points_over_bound.ini": ("squid", "--config", "validation", 3),
     "grid_points_odd.ini": ("squid", "--config", "validation", 3),
 }
@@ -331,6 +349,24 @@ def test_exit_code_validation_error(tmp_path, capsys):
     code = run(["fit", "--config", good_cfg, "--data", str(small)])
     assert code == 3
     assert "class=validation" in capsys.readouterr().err
+
+
+def test_exit_code_non_convergence_writes_no_report(tmp_path, capsys, monkeypatch):
+    import mrtfit.fitter as fitter
+
+    cfg = write_config(tmp_path, "[gen]\nn_points = 140\nqubit_id = q0\n")
+    assert run(["gen", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+    least_squares = fitter.least_squares
+    monkeypatch.setattr(fitter, "least_squares", lambda fun, x0, **kwargs: least_squares(
+        fun, x0, **dict(kwargs, max_nfev=2)))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["fit", "--config", cfg, "--data", str(tmp_path / "data" / "q0.csv"),
+                "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1
+    assert err.startswith("MRTFIT-ERROR class=non-convergence message=")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_bad_fit_config_value_is_a_validation_error(tmp_path, capsys):
@@ -571,9 +607,10 @@ def test_cli_import_skips_unused_scipy_subpackages():
 @pytest.mark.parametrize("argv, unwanted", [
     (DERIVE_ARGS, ("scipy",)),
     (["simulate"], ("scipy.optimize", "scipy.integrate")),
+    (["gen"], ("scipy.optimize", "scipy.integrate")),
     # the sine DVR needs numpy.linalg alone
     (["squid", "--format", "json"], ("scipy",)),
-], ids=["derive", "simulate", "squid"])
+], ids=["derive", "simulate", "gen", "squid"])
 def test_subcommand_loads_only_the_scipy_it_runs(tmp_path, argv, unwanted):
     # derive writes nothing and takes no --out
     argv = argv if argv == DERIVE_ARGS else argv + ["--out", str(tmp_path)]
