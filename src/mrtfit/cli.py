@@ -2,10 +2,11 @@
 
 Subcommands: simulate, fit, derive, squid, gen, batch.  Failures exit
 with a class-specific status (usage errors on the command line 1, parse
-errors 2, validation errors 3, non-convergence 4, any other exception 5 as
-class ``internal``) and print one machine-parsable line on stderr of the
-form ``MRTFIT-ERROR class=<class> message="..."``, never a traceback or
-usage text.  ``--help`` prints its help and exits 0.
+errors 2, file-system errors on a given path included, validation errors
+3, non-convergence 4, any other exception 5 as class ``internal``) and
+print one machine-parsable line on stderr of the form ``MRTFIT-ERROR
+class=<class> message="..."``, never a traceback or usage text.
+``--help`` prints its help and exits 0.
 
 Each subcommand imports the parts of the package it runs, so ``derive``
 loads no scipy module and only ``fit`` and ``batch`` load
@@ -269,8 +270,7 @@ def cmd_squid(args) -> int:
     f = functools.partial(cfg.getfloat, "squid")
     params = RfSquidParams(ic_a=f("ic_ua") * 1e-6, l_h=f("l_ph") * 1e-12,
                            c_f=f("c_ff") * 1e-15, phi_cjj_x=f("phi_cjj_x"))
-    pot = effective_potential(params, n_points=cfg.getint("squid", "grid_points"),
-                              half_span=f("half_span"))
+    pot = effective_potential(params, n_points=cfg.getint("squid", "grid_points"))
     basis = solve_wells(pot, params.c_f)
     ip = persistent_current(basis)
     omega31 = basis.omega31_ghz
@@ -365,8 +365,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DatasetFormatError, ConfigError) as exc:
         return _fail("parse", str(exc), EXIT_PARSE)
-    except FileNotFoundError as exc:
-        return _fail("parse", f"file not found: {exc}", EXIT_PARSE)
+    except OSError as exc:
+        return _fail("parse", str(exc), EXIT_PARSE)
     except ConvergenceError as exc:
         return _fail("non-convergence", str(exc), EXIT_NONCONVERGENCE)
     except (ValidationError, MrtfitError) as exc:

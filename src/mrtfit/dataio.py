@@ -78,13 +78,14 @@ def _read_text(path: Path, error) -> str:
 def load_dataset(path) -> RateDataset:
     """Parse and validate a dataset file.
 
-    Raises DatasetFormatError with a line number for malformed rows or
-    invariant violations (for example a non-positive rate).
+    Raises DatasetFormatError with a line number for malformed rows,
+    metadata values or invariant violations (for example a non-positive
+    rate).
     """
     from .rate_model import RateDataset
 
     path = Path(path)
-    meta = {}
+    meta, meta_line = {}, {}
     header = None
     rows = []
     text = _read_text(path, DatasetFormatError)
@@ -97,6 +98,7 @@ def load_dataset(path) -> RateDataset:
             if "=" in body:
                 key, _, val = body.partition("=")
                 meta[key.strip()] = val.strip()
+                meta_line[key.strip()] = lineno
             continue
         if header is None:
             header = [c.strip() for c in line.split(",")]
@@ -125,9 +127,13 @@ def load_dataset(path) -> RateDataset:
     try:
         ip_a = float(meta["ip_uA"]) * 1e-6
     except ValueError as exc:
-        raise DatasetFormatError(f"bad ip_uA value {meta['ip_uA']!r}") from exc
+        raise DatasetFormatError(f"bad ip_uA value {meta['ip_uA']!r}",
+                                 line=meta_line["ip_uA"], path=path) from exc
 
     default_well = meta.get("well", "L")
+    if default_well not in ("L", "R"):
+        raise DatasetFormatError(f"well must be L or R, got {default_well!r}",
+                                 line=meta_line["well"], path=path)
     phi, rate, sig, well = [], [], [], []
     has_sigma = False
     for lineno, row in rows:
@@ -217,7 +223,6 @@ CONFIG_DEFAULTS = {
         "c_ff": "110",
         "phi_cjj_x": "-0.74",
         "grid_points": "128",
-        "half_span": "0.5",
     },
     "gen": {
         "n_points": "200",

@@ -16,10 +16,12 @@ class ValidationError(MrtfitError, ValueError):
 class DatasetFormatError(ValidationError):
     """A dataset file cannot be parsed or fails row-level validation."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

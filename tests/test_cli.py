@@ -232,6 +232,21 @@ def test_batch_fails_only_the_dataset_that_is_not_utf8(tmp_path, capsys):
     assert (out_dir / "q0.report.json").exists()
 
 
+def test_batch_in_which_no_fit_converges_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mrtfit.fitter.MAX_NFEV", 2)
+    data_dir = tmp_path / "data"
+    sub = write_config(tmp_path, "[gen]\nn_points = 140\nqubit_id = q0\n")
+    assert run(["gen", "--config", sub, "--seed", "3", "--out", str(data_dir)]) == 0
+    out_dir = tmp_path / "out"
+    assert run(["batch", "--config", write_config(tmp_path, ""), "--threads", "1",
+                "--data-dir", str(data_dir), "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-WARN") == 1 and "did not converge within 2" in err
+    assert "MRTFIT-ERROR" not in err
+    rows = (out_dir / "batch_summary.csv").read_text().splitlines()[1:]
+    assert rows == ["q0,failed,,,,,"]
+
+
 # ---------------------------------------------------------------------------
 # failure classes and exit codes
 
@@ -259,6 +274,21 @@ MALFORMED_CASES = {
     "non_utf8.ini": ("simulate", "--config", "parse", 2),
     "grid_points_over_bound.ini": ("squid", "--config", "validation", 3),
     "grid_points_odd.ini": ("squid", "--config", "validation", 3),
+    "well_metadata.csv": ("fit", "--data", "parse", 2),
+    "ip_not_a_number.csv": ("fit", "--data", "parse", 2),
+    "rel_err_not_a_number.csv": ("fit", "--data", "parse", 2),
+    "well_label_q.csv": ("fit", "--data", "parse", 2),
+    "rel_err_on_some_rows.csv": ("fit", "--data", "parse", 2),
+    "no_phi_column.csv": ("fit", "--data", "parse", 2),
+    "no_section_header.ini": ("simulate", "--config", "parse", 2),
+    "duplicate_key.ini": ("simulate", "--config", "parse", 2),
+    "half_span.ini": ("squid", "--config", "parse", 2),
+}
+# what the error line of a corpus file must say, where its place matters
+MALFORMED_SAYS = {
+    "well_metadata.csv": "well_metadata.csv: line 3: well must be L or R, got 'X'",
+    "ip_not_a_number.csv": "ip_not_a_number.csv: line 3: bad ip_uA value 'abc'",
+    "half_span.ini": "unknown key 'half_span' in [squid]",
 }
 
 
@@ -279,7 +309,23 @@ def test_malformed_input_gives_one_error_line(name, tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.count("MRTFIT-ERROR") == 1 and "Traceback" not in err
     assert err.startswith(f"MRTFIT-ERROR class={klass} message=")
+    assert MALFORMED_SAYS.get(name, "") in err
     assert solves == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "{dir}"],
+    ["simulate", "--config", "{dir}"],
+    ["simulate", "--out", "{file}"],
+], ids=["fit_data_is_a_directory", "simulate_config_is_a_directory",
+        "simulate_out_is_a_file"])
+def test_file_system_error_on_a_given_path_is_a_parse_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("MRTFIT-ERROR") == 1 and "Traceback" not in err
+    assert err.startswith("MRTFIT-ERROR class=parse message=") and str(tmp_path) in err
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -529,13 +575,11 @@ def test_exit_code_single_well(tmp_path, capsys):
 @pytest.mark.parametrize("body, says, code, cls", [
     ("ic_ua = nan", "ic_a", 3, "validation"), ("l_ph = inf", "l_h", 3, "validation"),
     ("c_ff = inf", "c_f", 3, "validation"), ("phi_cjj_x = nan", "phi_cjj_x", 3, "validation"),
-    # n_levels is no longer a key: an unknown key is a parse error
+    # n_levels and half_span are no longer keys: an unknown key is a parse error
     ("n_levels = 3000", "n_levels", 2, "parse"),
-    ("half_span = -0.5", "half_span", 3, "validation"),
-    ("half_span = inf", "half_span", 3, "validation"),
+    ("half_span = 0.5", "half_span", 2, "parse"),
     ("grid_points = 131072", "n_points", 3, "validation"),
-], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "n_levels", "half_span_negative",
-        "half_span_inf", "grid_points"])
+], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "n_levels", "half_span", "grid_points"])
 def test_squid_config_checked_before_any_solve(tmp_path, capsys, monkeypatch, body, says,
                                                code, cls):
     import mrtfit.squid_full as squid_full

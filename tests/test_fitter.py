@@ -530,6 +530,19 @@ def test_batch_isolates_failures(ref_params):
     assert "12 points" in batch.entries[1].error
 
 
+def test_batch_records_unconverged_fits(ref_params, monkeypatch):
+    # two evaluations cannot converge: the entry keeps the fit's message, and
+    # a batch in which nothing converges summarizes no metric
+    monkeypatch.setattr(fitter, "MAX_NFEV", 2)
+    batch = batch_fit([synth_dataset(ref_params, seed=12)], threads=1)
+    assert batch.n_ok == 0
+    assert "did not converge within 2 evaluations" in batch.entries[0].error
+    for name in fitter.DERIVED_METRICS:
+        stats = batch.summary[name]
+        assert stats["n"] == 0 and math.isnan(stats["mean"]) and math.isnan(stats["std"])
+        assert batch.histograms[name] == []
+
+
 def test_batch_ensemble_summary_tracks_generator(ref_params, rng):
     # an ensemble of jittered qubits; the summary means must sit within the
     # jitter band of the generator values

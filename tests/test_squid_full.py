@@ -73,6 +73,12 @@ def test_single_well_regimes_rejected():
     with pytest.raises(SingleWellError):
         effective_potential(replace(RfSquidParams(**REF_CIRCUIT),
                                     ic_a=1.0e-6))
+    # a per-bias window so wide that the tilt removes one well at its ends
+    noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
+                           tan_delta_c=2.07e-3, temperature_k=7.3e-3)
+    with pytest.raises(SingleWellError, match="exactly two potential minima.*found 1"):
+        full_model_rate(RfSquidParams(**REF_CIRCUIT), noise, [-20000.0, 20000.0],
+                        bias_mode="per_bias")
 
 
 def test_persistent_current_unreachable_below_threshold():
@@ -147,7 +153,7 @@ def test_matrix_elements_equal_the_loop_reference(basis, circuit):
         block = slice(m, None) if p % 2 else slice(None, m)
         yb = y[block]
         ham = (squid_full._kinetic_coef_ghz(circuit.c_f)
-               * sine_basis_kinetic(len(yb), pot.half_span)
+               * sine_basis_kinetic(len(yb), squid_full.HALF_SPAN)
                + np.diag(pot.u_ghz[block]))
         commutator = ham * np.subtract.outer(yb, yb)      # [H, y] in GHz
         for q in range(p % 2, n, 2):
@@ -261,13 +267,20 @@ def counted_solves(monkeypatch):
     return counted(monkeypatch, "_lowest_levels")
 
 
+# (first bias, last bias, number of biases) in uPhi0
+PER_BIAS_WINDOWS = {"per_bias_60": (-500.0, 3000.0, 60),
+                    "per_bias_1000": (-500.0, 3000.0, 1000),
+                    "per_bias_narrow": (-100.0, 300.0, 7)}
+
+
 @pytest.mark.parametrize("path, solves", [("fixed", 12), ("squid", 10),
                                           ("per_bias_60", 46),
-                                          ("per_bias_1000", 46)])
+                                          ("per_bias_1000", 46),
+                                          ("per_bias_narrow", 46)])
 def test_degeneracy_wells_are_solved_once(circuit, monkeypatch, path, solves):
     # wells at zero bias 2, ground pair 1, crossing 7, and for the rate
     # curve the wells at the resonance bias 2; per bias, both wells at 17
-    # interpolation nodes, whatever the number of biases
+    # interpolation nodes, whatever the number of biases and the window
     calls = counted_solves(monkeypatch)
     noise = FullModelNoise(w_phi_uphi0=37.2, gamma_phi_uphi0=0.54,
                            tan_delta_c=2.07e-3, temperature_k=7.3e-3)
@@ -276,8 +289,7 @@ def test_degeneracy_wells_are_solved_once(circuit, monkeypatch, path, solves):
     elif path == "squid":
         solve_wells(effective_potential(circuit), circuit.c_f)
     else:
-        n_biases = int(path.rsplit("_", 1)[1])
-        res = full_model_rate(circuit, noise, np.linspace(-500.0, 3000.0, n_biases),
+        res = full_model_rate(circuit, noise, np.linspace(*PER_BIAS_WINDOWS[path]),
                               bias_mode="per_bias")
         assert res.solver["bias_nodes"] == 17
     assert len(calls) == solves
