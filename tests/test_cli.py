@@ -577,9 +577,11 @@ def test_exit_code_single_well(tmp_path, capsys):
     ("c_ff = inf", "c_f", 3, "validation"), ("phi_cjj_x = nan", "phi_cjj_x", 3, "validation"),
     # n_levels and half_span are no longer keys: an unknown key is a parse error
     ("n_levels = 3000", "n_levels", 2, "parse"),
-    ("half_span = 0.5", "half_span", 2, "parse"),
+    ("half_span = -0.5", "half_span", 2, "parse"),
+    ("half_span = inf", "half_span", 2, "parse"),
     ("grid_points = 131072", "n_points", 3, "validation"),
-], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "n_levels", "half_span", "grid_points"])
+], ids=["ic_ua", "l_ph", "c_ff", "phi_cjj_x", "n_levels", "half_span_negative",
+        "half_span_inf", "grid_points"])
 def test_squid_config_checked_before_any_solve(tmp_path, capsys, monkeypatch, body, says,
                                                code, cls):
     import mrtfit.squid_full as squid_full
