@@ -79,8 +79,8 @@ def load_dataset(path) -> RateDataset:
     """Parse and validate a dataset file.
 
     Raises DatasetFormatError with a line number for malformed rows,
-    metadata values or invariant violations (for example a non-positive
-    rate).
+    metadata values, a repeated metadata key or invariant violations (for
+    example a non-positive rate).
     """
     from .rate_model import RateDataset
 
@@ -96,9 +96,11 @@ def load_dataset(path) -> RateDataset:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
-                meta_line[key.strip()] = lineno
+                key, _, val = (part.strip() for part in body.partition("="))
+                if key in meta:
+                    raise DatasetFormatError(f"metadata key {key!r} repeats the one on "
+                                             f"line {meta_line[key]}", line=lineno, path=path)
+                meta[key], meta_line[key] = val, lineno
             continue
         if header is None:
             header = [c.strip() for c in line.split(",")]

@@ -26,8 +26,8 @@ where L_gamma is the Lorentzian, D_gamma = x / pi (x^2 + gamma^2),
 A = (gamma/2T) cot(gamma/2T), B = gamma/2T, and
 s = (gamma/pi) (e(x/T) - e(i gamma/T)) / (x^2 + gamma^2).  The Gaussian
 convolved with the first two terms is (A Re w(z) + B Im w(z)) /
-(W sqrt(2 pi)) from the Faddeeva function w (``wofz`` near the peak,
-its asymptotic series beyond).  The numerator of s vanishes at the poles
+(W sqrt(2 pi)) from the Faddeeva function w (a trapezoid rule near the
+peak, its asymptotic series beyond).  The numerator of s vanishes at the poles
 +-i gamma, so s is smooth on the thermal scale and only s is convolved
 numerically.  G_01 obeys detailed balance, G_01(-nu) = exp(-nu/T) G_01(nu)
 (Amin & Averin, PRL 100, 197001, 2008), and is computed on nu >= 0 only.
@@ -68,8 +68,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft, rfftfreq
-from scipy.special import wofz
+from numpy.fft import irfft, rfft, rfftfreq
 
 from .envelopes import (balance_factor, balance_factor_slope, g_low, g_relax,
                         relax_width, thermal_excess)
@@ -88,10 +87,14 @@ _SQRT_PI = math.sqrt(math.pi)
 # reach of the Gaussian below its centre, in widths, that the ohmic
 # remainder is tabulated for below zero
 _GAUSS_REACH = 10.0
-# w(z) is wofz inside |z| < R and its asymptotic series beyond, to this
-# many terms: within 2.3e-15 of 40-digit values in both parts on |z| >= R
-_FADDEEVA_R = 10.0
-_FADDEEVA_TERMS = 12
+# w(z): inside |z| < R the trapezoid rule of step h on the node pairs +-t,
+# t = 0..18h (t = 0 one node, of half weight), or shifted by h/2 where Re z is
+# within h/4 of a node: 2.7e-14 from wofz in |w|, 1e-13 in Re w down to Im z =
+# 1e-9.  Beyond R, the asymptotic series to this many terms (2.3e-15 in each part)
+_FADDEEVA_R, _FADDEEVA_H, _FADDEEVA_TERMS = 10.0, 0.4, 12
+_FADDEEVA_T2 = (np.arange(19) * _FADDEEVA_H + np.array([[0.0], [0.5 * _FADDEEVA_H]])) ** 2
+_FADDEEVA_WEIGHTS = _FADDEEVA_H / math.pi * np.exp(-_FADDEEVA_T2)
+_FADDEEVA_WEIGHTS[0, 0] /= 2.0
 # largest exp(a |nu|) the first-peak tilt may reach over the grid, as a log
 _TILT_REACH = 14.0
 # nodes either side of zero over which a pinned core keeps its second moment
@@ -286,6 +289,19 @@ class FrequencyGrid:
         return len(self.values)
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n >= 1, as ``scipy.fft.next_fast_len(n, real=True)``."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            fit = p35 << (-(-n // p35) - 1).bit_length()
+            best = fit if fit < best else best
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class _Convolution:
     """Linear FFT convolution of two operands on a grid of n nodes onto it.
 
@@ -305,7 +321,7 @@ class _Convolution:
     def __init__(self, grid: FrequencyGrid, tilt: float = 0.0):
         n = len(grid)
         iz = grid.index_of_zero
-        self.n_fft = next_fast_len(max(2 * n - 1 - iz, n + iz), real=True)
+        self.n_fft = _next_fast_len(max(2 * n - 1 - iz, n + iz))
         self._kept = slice(iz, iz + n)
         self.step = grid.step
         self._weights = self._unweights = None
@@ -372,11 +388,25 @@ def _ohmic_remainder_slopes(x: np.ndarray, g: float, t: float, excess: tuple) ->
 
 
 def _faddeeva(z: np.ndarray) -> np.ndarray:
-    """The Faddeeva function w(z), Im z >= 0: ``wofz`` inside |z| < R, beyond
-    it the series i / (sqrt(pi) z) sum_k (2k-1)!! / (2z^2)^k."""
+    """The Faddeeva function w(z), Im z >= 0.  Inside |z| < R, the trapezoid
+    rule for w(x + iy) = (1/pi) int e^{-t^2} (y + i(x-t)) / ((x-t)^2 + y^2) dt
+    plus 2 e^{-z^2} / (1 -+ e^{-2 pi i z/h}) for its pole at t = z (Matta &
+    Reichel, Math. Comp. 25, 339, 1971), - on the nodes k h, + on those shifted
+    by h/2.  The nodes +-t sum to 2 (y (|z|^2 + t^2) + i x (|z|^2 - t^2)) /
+    |z^2 - t^2|^2: Re w keeps its accuracy near the real axis, Im w its factor
+    x.  Beyond R, the series i / (sqrt(pi) z) sum_k (2k-1)!! / (2z^2)^k."""
     out = np.empty_like(z)
     near = np.abs(z) < _FADDEEVA_R
-    out[near] = wofz(z[near])
+    zn, h = z[near], _FADDEEVA_H
+    x, y = zn.real, zn.imag
+    half = (np.abs(x / h - np.rint(x / h)) < 0.25).astype(np.intp)
+    t2 = _FADDEEVA_T2[half]
+    d = (x * x - y * y)[:, None] - t2
+    q = _FADDEEVA_WEIGHTS[half] / (d * d + ((2.0 * x * y) ** 2)[:, None])
+    q0, q2 = (x * x + y * y) * q.sum(1), np.einsum("mk,mk->m", q, t2)
+    out[near] = 2.0 * np.exp(-zn * zn) / (1.0 + (2 * half - 1) * np.exp((-2j * math.pi / h) * zn))
+    out.real[near] += 2.0 * y * (q0 + q2)
+    out.imag[near] += 2.0 * x * (q0 - q2)
     far = z[~near]
     v, acc = 0.5 / (far * far), 1.0
     for k in range(2 * _FADDEEVA_TERMS - 3, 0, -2):
@@ -502,6 +532,7 @@ class LineShapes:
         self._log01 = np.maximum(self._mirror(self._log_table(self._pos01), log=True), _LOG_TINY)
         self._log03 = self._log_table(self._table03)
         self._slope_tables = None
+        self._stencils = {}
 
     # ---- table assembly -------------------------------------------------
 
@@ -706,23 +737,30 @@ class LineShapes:
     # ---- evaluation ------------------------------------------------------
 
     def _stencil(self, eps: np.ndarray) -> tuple:
-        """Stencil nodes (6, len(eps)) of the local quintic at ``eps`` and
-        the offset s, in steps, from the third of them.
+        """Stencil nodes (6, len(eps)) of the local quintic at ``eps``, the
+        offset s, in steps, from the third of them, and the quintic weights.
 
         The stencil is the nodes i-2..i+3 around each bias, clamped at the
         grid ends.  The offset s from node i is taken from the nearest
         stored node, so a bias on a node returns that node's value exactly.
+        Kept for the last two bias arrays, a fit's eps and eps - nu31.
         """
-        grid = self.grid
-        near = np.rint(eps / grid.step + grid.index_of_zero).astype(np.intp)
-        s = (eps - grid.values[near]) / grid.step
-        i = np.minimum(np.maximum(near - (s < 0), 2), len(grid) - 4)
-        return i + _STENCIL[:, None], s + (near - i)
+        key = eps.tobytes()
+        if key not in self._stencils:
+            grid = self.grid
+            near = np.rint(eps / grid.step + grid.index_of_zero).astype(np.intp)
+            s = (eps - grid.values[near]) / grid.step
+            i = np.minimum(np.maximum(near - (s < 0), 2), len(grid) - 4)
+            s = s + (near - i)
+            if len(self._stencils) == 2:
+                del self._stencils[next(iter(self._stencils))]
+            self._stencils[key] = (i + _STENCIL[:, None], s, _quintic(s))
+        return self._stencils[key]
 
     def _local_quintic(self, log_table: np.ndarray, eps: np.ndarray) -> np.ndarray:
         """Six-point Lagrange quintic through ``log_table`` at ``eps`` (GHz)."""
-        nodes, s = self._stencil(eps)
-        return np.einsum("km,km->m", log_table[nodes], _quintic(s))
+        nodes, _, weights = self._stencil(eps)
+        return np.einsum("km,km->m", log_table[nodes], weights)
 
     def _check_span(self, eps: np.ndarray):
         # written so that a NaN bias fails the check too
@@ -760,7 +798,7 @@ class LineShapes:
         (G_01) holds nu >= 0; a node below zero takes its image's, plus d(nu/T)/dT.
         """
         self._check_span(x)
-        nodes, s = self._stencil(x)
+        nodes, s, weights = self._stencil(x)
         at_nodes = np.abs(nodes - self.grid.index_of_zero) if mirrored else nodes
         top = int(np.argmax(table))
         at = table[at_nodes]
@@ -771,7 +809,7 @@ class LineShapes:
             node_slopes[_T] -= np.minimum(self.grid.values[nodes], 0.0) / (self._t * self._t)
             node_slopes[:, log_table[nodes] <= _LOG_TINY] = 0.0
         slope_weights = _QUINTIC_SLOPE @ s ** np.arange(4, -1, -1)[:, None]
-        return (np.einsum("pkm,km->pm", node_slopes, _quintic(s)),
+        return (np.einsum("pkm,km->pm", node_slopes, weights),
                 np.einsum("km,km->m", log_table[nodes], slope_weights) / self.grid.step)
 
     def _zeroth_log_grads(self, x: np.ndarray) -> tuple:

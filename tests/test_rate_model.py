@@ -153,6 +153,40 @@ def test_split_faddeeva_matches_wofz_across_the_switch():
             assert np.all(np.abs(diff) <= 1e-14 * scale)
 
 
+def test_trapezoid_faddeeva_matches_wofz_inside_the_switch():
+    # 10^5 seeded points with |z| < R, Im z log-uniform on 1e-9..10, in
+    # chunks that keep the (points, nodes) work arrays small
+    from scipy.special import wofz
+
+    r = rate_model._FADDEEVA_R
+    rng = np.random.default_rng(25)
+    for _ in range(10):
+        y = 10.0 ** rng.uniform(-9.0, 1.0, 10**4)
+        z = rng.uniform(-1.0, 1.0, y.size) * np.sqrt(r * r - y * y) + 1j * y
+        z = z[np.abs(z) < r]
+        got, expect = rate_model._faddeeva(z), wofz(z)
+        assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
+        for ratio in (1e-3, 0.03, 0.15):
+            a, b, _ = rate_model._ohmic_core_weights(ratio, 1.0)
+            scale = np.abs(a * expect.real) + np.abs(b * expect.imag)
+            diff = a * (got.real - expect.real) + b * (got.imag - expect.imag)
+            assert np.all(np.abs(diff) <= 5e-13 * scale)
+
+
+def test_next_fast_len_matches_scipy():
+    # every length up to the grid clamp, and beyond it, up to the longest
+    # cyclic length a build can ask for, each 5-smooth length and its
+    # neighbours, where the result steps
+    from scipy.fft import next_fast_len
+
+    top = 2 * rate_model.GRID_MAX_POINTS
+    smooth = {2**a * 3**b * 5**c for a in range(20) for b in range(13) for c in range(9)}
+    lengths = [*range(1, rate_model.GRID_MAX_POINTS + 1),
+               *(m + d for m in smooth if m <= top for d in (-1, 0, 1) if m + d >= 1)]
+    for n in lengths:
+        assert rate_model._next_fast_len(n) == next_fast_len(n, real=True), n
+
+
 def test_zeroth_peak_far_tail_matches_quadrature_oracle(ref_params):
     # G_01 below zero is mirrored from its positive side by detailed
     # balance, so its far tail carries relative, not absolute, rounding
@@ -765,3 +799,19 @@ def test_log_shape_grads_match_central_differences_on_a_fixed_grid(
                 continue
             err = np.linalg.norm((grad[:, k] - fd)[live])
             assert err < 1e-3 * norm, name
+
+
+def test_kept_stencils_give_the_bits_of_a_fresh_build(ref_params):
+    # a build keeps the stencils of its last two bias arrays; whatever
+    # order the biases come in, every result equals a fresh build's
+    ip = ref_params.ip_a
+    grids = [np.linspace(-500.0, 3000.0, n) for n in (200, 37, 200)]
+    grids[2][5] += 1e-9
+    shapes = LineShapes(ref_params, -500.0, 3000.0)
+    for phi in grids + grids[::-1]:
+        fresh = LineShapes(ref_params, -500.0, 3000.0)
+        for got, want in zip((*shapes.rates(phi),
+                              *shapes.log_shape_grads(flux_to_energy(phi, ip))),
+                             (*fresh.rates(phi),
+                              *fresh.log_shape_grads(flux_to_energy(phi, ip)))):
+            np.testing.assert_array_equal(got, want)
