@@ -141,6 +141,9 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args)
     params = cfg.model_params()
     seed = args.seed if args.seed is not None else cfg.getint("gen", "seed")
+    if seed < 0:
+        where = "[gen] seed" if args.seed is None else "--seed"
+        raise ValidationError(f"{where} must be a non-negative integer, got {seed}")
     phi = _flux_grid(cfg, "gen")
     well, qubit_id = cfg.get("gen", "well"), cfg.get("gen", "qubit_id")
     curve = simulate_curve(phi, params, init_well=well)
@@ -204,7 +207,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    from .fitter import BatchEntry, batch_fit
+    from .fitter import DERIVED_METRICS, BatchEntry, batch_fit, metric_value
 
     cfg = _load_config(args)
     files = sorted(Path(args.data_dir).glob("*.csv"))
@@ -227,11 +230,10 @@ def cmd_batch(args) -> int:
     result = batch_fit(datasets, fit_cfg, threads=args.threads)
     fitted = iter(result.entries)
     entries = [failed.get(i) or next(fitted) for i in range(len(files))]
-    lines = ["qubit_id,status,chi2_per_dof,eta,r_shunt_ohm,tan_delta_c,"
-             "tan_delta_l_1ghz"]
+    lines = [",".join(["qubit_id,status,chi2_per_dof", *DERIVED_METRICS])]
     for entry, f in zip(entries, files):
         if entry.result is None:
-            lines.append(f"{entry.qubit_id},failed,,,,,")
+            lines.append(f"{entry.qubit_id},failed," + "," * len(DERIVED_METRICS))
             print(f"MRTFIT-WARN qubit={entry.qubit_id} error={entry.error}",
                   file=sys.stderr)
             continue
@@ -240,11 +242,9 @@ def cmd_batch(args) -> int:
                                         input_sha256=dataio.input_sha256(f),
                                         config_sha256=cfg.sha256())
         dataio.save_report(out_dir / f"{entry.qubit_id}.report.json", report)
-        d = r.derived
         lines.append(",".join([
             entry.qubit_id, "ok", dataio.fmt(r.chi2 / r.dof),
-            dataio.fmt(d.eta), dataio.fmt(d.r_shunt_ohm),
-            dataio.fmt(d.tan_delta_c), dataio.fmt(d.tan_delta_l_at[0][1])]))
+            *(dataio.fmt(metric_value(r.derived, m)) for m in DERIVED_METRICS)]))
     (out_dir / "batch_summary.csv").write_text("\n".join(lines) + "\n",
                                                encoding="utf-8")
     hist_lines = ["metric,bin_lo,bin_hi,count"]

@@ -5,13 +5,14 @@ several decades; weights are inverse squared relative errors when the
 dataset carries them.  The minimizer is a damped (trust-region) least
 squares with an exact Jacobian, solved once from the initial guess under
 one fixed policy: ftol, xtol and gtol of 1e-10 and at most 2000
-evaluations.  Positive scale-spanning parameters
-(tunneling amplitudes, ohmic and charge broadenings) are optimized in log
-space; the peak separation, Gaussian width and temperature stay linear.
-The fluctuation-dissipation tie between the Gaussian width and its shift
-holds at every iterate because the shift is recomputed from (W, T)
-inside the model.  Names, log flags, bounds and step-scale floors all
-come from ``units.FIT_PARAMS``.  The data is a
+evaluations.  It works on one parameter vector in natural units and
+``units.FIT_PARAMS`` order, whose table gives the names, log flags,
+bounds and step-scale floors; an index array picks the free entries, and
+bounds are checked in natural units.  Positive scale-spanning parameters
+(amplitudes, ohmic and charge broadenings) are optimized in log space,
+the rest linearly.  The fluctuation-dissipation tie between the Gaussian
+width and its shift holds at every iterate because the shift is
+recomputed from (W, T) inside the model.  The data is a
 ``rate_model.RateDataset``, measured or simulated alike.
 
 The line shapes do not depend on the tunneling amplitudes, which only
@@ -39,12 +40,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import units
 from .errors import ConvergenceError, ValidationError
-from .rate_model import (FIT_PARAMS, SHAPE_FIELDS, LineShapes, MrtParams,
-                         RateDataset, _rate_coef)
+from .rate_model import FIT_PARAMS, LineShapes, MrtParams, RateDataset, _rate_coef
 from .units import NoiseSummary, flux_to_energy, ghz_to_kelvin, kelvin_to_ghz
 
 PARAM_NAMES = tuple(q.name for q in FIT_PARAMS)
-_PARAM = {q.name: q for q in FIT_PARAMS}
+# log flags, bounds and step-scale floors of the parameter vector (FIT_PARAMS order)
+_LOG = np.array([q.log for q in FIT_PARAMS])
+_LO, _HI = np.array([q.bounds for q in FIT_PARAMS]).T
+_X_FLOOR = np.array([q.x_floor for q in FIT_PARAMS])
 
 TOL = 1e-10
 MAX_NFEV = 2000
@@ -250,45 +253,23 @@ def least_squares(*args, **kwargs):
     return _least_squares(*args, **kwargs)
 
 
-def _to_x(values: dict, free: Sequence[str]) -> np.ndarray:
-    return np.array([math.log(values[n]) if _PARAM[n].log else values[n]
-                     for n in free])
-
-
-def _from_x(x: np.ndarray, free: Sequence[str], fixed: dict) -> dict:
-    values = dict(fixed)
-    for xi, name in zip(x, free):
-        values[name] = math.exp(xi) if _PARAM[name].log else float(xi)
-    return values
-
-
-def _x_bounds(free: Sequence[str]) -> tuple:
-    lo, hi = [], []
-    for name in free:
-        q = _PARAM[name]
-        b_lo, b_hi = q.bounds
-        if q.log:
-            b_lo, b_hi = math.log(b_lo), math.log(b_hi)
-        lo.append(b_lo)
-        hi.append(b_hi)
-    return np.array(lo), np.array(hi)
-
-
-def _x_scale(free: Sequence[str], x0: np.ndarray) -> np.ndarray:
-    return np.array([1.0 if _PARAM[n].log else max(abs(xi), _PARAM[n].x_floor)
-                     for n, xi in zip(free, x0)])
+def _x_of(values: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Solver coordinates of the free entries, logs for log-space parameters."""
+    return np.array([math.log(v) if log else v
+                     for v, log in zip(values[free].tolist(), _LOG[free])])
 
 
 class _Objective:
     """Weighted log-rate residuals for one dataset, and their exact Jacobian.
 
-    Keeps the line shapes of its last build, keyed by the shape
-    parameters, so that an evaluation moving only delta01 and delta03
+    The solver moves the entries ``free`` of the parameter vector
+    ``values``.  Keeps the line shapes of its last build, keyed by
+    ``values[2:]``, so that an evaluation moving only delta01 and delta03
     rebuilds nothing, and ``jac`` at the point just evaluated takes its
     sensitivities from that build.
     """
 
-    def __init__(self, dataset: RateDataset, free, fixed):
+    def __init__(self, dataset: RateDataset, free, values):
         order = np.argsort(dataset.folded_phi())
         self.phi = dataset.folded_phi()[order]
         self.log_rate = np.log(dataset.rate[order])
@@ -297,60 +278,56 @@ class _Objective:
         else:
             self.inv_sigma = 1.0 / dataset.sigma_rel[order]
         self.ip = dataset.ip_a
-        self.free = tuple(free)
-        self.fixed = dict(fixed)
+        self.free = np.asarray(free)
+        self.values = np.array(values, dtype=float)
         self.n_eval = 0
         self.eps = flux_to_energy(self.phi, self.ip)
         self._shape_key = self._shapes = None
 
-    def _peak_rates(self, values: dict) -> tuple:
+    def values_at(self, x: np.ndarray) -> np.ndarray:
+        """The parameter vector with its free entries at solver coordinates x."""
+        values = self.values.copy()
+        values[self.free] = [math.exp(xi) if log else xi
+                             for xi, log in zip(x.tolist(), _LOG[self.free])]
+        return values
+
+    def _peak_rates(self, values: np.ndarray) -> tuple:
         """(r01, r03) at the data biases, from the last build if only the
         amplitudes moved."""
-        params = MrtParams.from_names(values, self.ip)
-        key = tuple(getattr(params, f) for f in SHAPE_FIELDS)
+        params = MrtParams.from_names(dict(zip(PARAM_NAMES, values.tolist())), self.ip)
+        key = values[2:].tolist()
         if key != self._shape_key:
             self._shapes = LineShapes(params, float(self.phi.min()), float(self.phi.max()))
             self._shape_key = key
         return self._shapes.rates(self.phi, params)
 
-    def model_log_rate(self, values: dict) -> np.ndarray:
-        r01, r03 = self._peak_rates(values)
-        return np.log(r01 + r03)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.n_eval += 1
-        values = _from_x(x, self.free, self.fixed)
-        return (self.model_log_rate(values) - self.log_rate) * self.inv_sigma
+        r01, r03 = self._peak_rates(self.values_at(x))
+        return (np.log(r01 + r03) - self.log_rate) * self.inv_sigma
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         """d residual / dx, from the line-shape sensitivities of the build
         at x (the amplitude columns are closed-form: d log r / d log
         delta01 = 2 r01 / (r01 + r03))."""
-        values = _from_x(x, self.free, self.fixed)
+        values = self.values_at(x)
         r01, r03 = self._peak_rates(values)
         d01, d03 = self._shapes.log_shape_grads(self.eps)
-        w01 = r01 / (r01 + r03)
-        w03 = r03 / (r01 + r03)
-        cols = []
-        for name in self.free:
-            if name == "delta01":
-                col = 2.0 * w01
-            elif name == "delta03":
-                col = 2.0 * w03
-            else:
-                k = SHAPE_FIELDS.index(_PARAM[name].field)
-                col = w01 * d01[:, k] + w03 * d03[:, k]
-                if _PARAM[name].log:
-                    col = col * values[name]
-            cols.append(col)
-        return np.column_stack(cols) * self.inv_sigma[:, None]
+        w01 = (r01 / (r01 + r03))[:, None]
+        w03 = (r03 / (r01 + r03))[:, None]
+        # d / d log v = v d / dv for the log-space shape parameters
+        shapes = (w01 * d01 + w03 * d03) * np.where(_LOG[2:], values[2:], 1.0)
+        full = np.hstack([2.0 * w01, 2.0 * w03, shapes])
+        # C order: trf's products round differently on the F-ordered full[:, free]
+        return np.ascontiguousarray(full[:, self.free]) * self.inv_sigma[:, None]
 
 
 def _linearized_uncertainties(jac: np.ndarray, chi2: float, n_pts: int,
-                              free, x_best) -> tuple:
+                              deriv: np.ndarray) -> tuple:
     """Covariance s^2 (J^T J)^-1 in natural parameter units via SVD, with
-    infinite uncertainty flagged along any numerically null direction."""
-    n_free = len(free)
+    infinite uncertainty flagged along any numerically null direction;
+    ``deriv`` is d value / dx, the chain-rule factor of each column."""
+    n_free = jac.shape[1]
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-12)) if len(s) else 0
     dof = max(n_pts - n_free, 1)
@@ -358,9 +335,6 @@ def _linearized_uncertainties(jac: np.ndarray, chi2: float, n_pts: int,
     inv_s2 = np.zeros_like(s)
     inv_s2[:rank] = 1.0 / s[:rank] ** 2
     cov_x = (vt.T * inv_s2) @ vt * s2
-    # chain rule to natural units: d(exp x)/dx = value for log parameters
-    deriv = np.array([math.exp(xi) if _PARAM[name].log else 1.0
-                      for name, xi in zip(free, x_best)])
     cov = cov_x * np.outer(deriv, deriv)
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
     if rank < n_free:
@@ -375,7 +349,8 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
 
     Runs one trust-region solve from the supplied (or automatic) guess.
     An automatic guess (``None`` or an ``InitialGuess``) is clipped into
-    the bounds; an explicit ``MrtParams`` guess outside them raises
+    the bounds; an explicit ``MrtParams`` guess outside them (a log-space
+    parameter at 0 is) or weighted residuals not finite at the start raise
     ValidationError.  Raises ConvergenceError, carrying the result where
     the solve stopped, if it does not converge within MAX_NFEV evaluations.
     """
@@ -391,38 +366,42 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
         raise ValidationError("a two-peak fit needs at least 12 points spanning "
                               f"both peaks, got {len(dataset)}")
 
-    free = list(config.free)
-    values0 = guess.by_name()
+    names = list(config.free)
+    values0 = np.array([getattr(guess, q.field) for q in FIT_PARAMS])
     if guess.delta03_ghz == 0.0:
         # degenerate single-peak start: the first peak carries no signal
-        free = [n for n in free if n not in ("delta03", "zeta_phi")]
-        values0["zeta_phi"] = 0.0
-        if not free:
+        names = [n for n in names if n not in ("delta03", "zeta_phi")]
+        values0[PARAM_NAMES.index("zeta_phi")] = 0.0
+        if not names:
             raise ValidationError("a single-peak start leaves none of the free parameters")
-    fixed = {n: v for n, v in values0.items() if n not in free}
+    free = np.array([PARAM_NAMES.index(n) for n in names])
 
-    lo, hi = _x_bounds(free)
-    x0 = _to_x(values0, free)
     if automatic:
-        x0 = np.clip(x0, lo, hi)
-    elif np.any(x0 < lo) or np.any(x0 > hi):
+        values0[free] = np.clip(values0[free], _LO[free], _HI[free])
+    elif np.any(values0[free] < _LO[free]) or np.any(values0[free] > _HI[free]):
         raise ValidationError("initial guess lies outside the fit-parameter bounds")
+    x0 = _x_of(values0, free)
 
-    objective = _Objective(dataset, free, fixed)
+    objective = _Objective(dataset, free, values0)
     r0 = objective(x0)
-    cost_initial = float(r0 @ r0)
+    with np.errstate(over="ignore"):
+        cost_initial = float(r0 @ r0)
+    if not math.isfinite(cost_initial):
+        raise ValidationError("the weighted residuals at the initial guess are not "
+                              "finite; is a rate_rel_err too small to invert?")
 
     res = least_squares(
-        objective, x0, method="trf", jac=objective.jac, bounds=(lo, hi),
-        x_scale=_x_scale(free, x0), ftol=TOL, xtol=TOL, gtol=TOL,
-        max_nfev=MAX_NFEV)
+        objective, x0, method="trf", jac=objective.jac,
+        bounds=(_x_of(_LO, free), _x_of(_HI, free)),
+        x_scale=np.where(_LOG[free], 1.0, np.maximum(np.abs(x0), _X_FLOOR[free])),
+        ftol=TOL, xtol=TOL, gtol=TOL, max_nfev=MAX_NFEV)
 
     chi2 = float(2.0 * res.cost)
+    values = objective.values_at(res.x)
     cov, sigma, rank, dof = _linearized_uncertainties(
-        res.jac, chi2, len(dataset), free, res.x)
-    values = _from_x(res.x, free, fixed)
-    params = MrtParams.from_names(values, dataset.ip_a)
-    uncertainties = {name: float(s) for name, s in zip(free, sigma)}
+        res.jac, chi2, len(dataset), np.where(_LOG, values, 1.0)[free])
+    params = MrtParams.from_names(dict(zip(PARAM_NAMES, values.tolist())), dataset.ip_a)
+    uncertainties = {name: float(s) for name, s in zip(names, sigma)}
     derived = units.noise_summary(
         params.gamma_phi_uphi0, params.zeta_phi_uphi0, params.phi31_uphi0,
         params.ip_a, config.inductance_h, params.temperature_k)
@@ -430,7 +409,7 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
         res.message + f"; Jacobian rank {rank} < {len(free)}: "
         "unidentifiable parameter directions flagged with infinite uncertainty")
     result = FitResult(
-        params=params, chi2=chi2, dof=dof, param_order=tuple(free),
+        params=params, chi2=chi2, dof=dof, param_order=tuple(names),
         covariance=cov, uncertainties=uncertainties, derived=derived,
         status=status, converged=res.status > 0, n_eval=objective.n_eval,
         cost_initial=cost_initial)
@@ -447,7 +426,8 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
 DERIVED_METRICS = ("eta", "r_shunt_ohm", "tan_delta_c", "tan_delta_l_1ghz")
 
 
-def _metric_value(summary: NoiseSummary, name: str) -> float:
+def metric_value(summary: NoiseSummary, name: str) -> float:
+    """The value of ``name``, one of DERIVED_METRICS, in ``summary``."""
     if name == "tan_delta_l_1ghz":
         return summary.tan_delta_l_at[0][1]
     return getattr(summary, name)
@@ -519,7 +499,7 @@ def batch_fit(datasets: Sequence[RateDataset], config: FitConfig | None = None,
     histograms = {}
     ok = [e.result for e in entries if e.result is not None]
     for name in DERIVED_METRICS:
-        vals = np.array([_metric_value(r.derived, name) for r in ok])
+        vals = np.array([metric_value(r.derived, name) for r in ok])
         vals = vals[np.isfinite(vals)]
         if len(vals) == 0:
             summary[name] = {"mean": math.nan, "std": math.nan, "n": 0}

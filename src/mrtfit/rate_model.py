@@ -174,12 +174,9 @@ class MrtParams:
         the fluctuation-dissipation relation W^2 = 2 k_B T eps_p."""
         return self.w_ghz() ** 2 / (2.0 * self.temperature_ghz())
 
-    # views by fit-parameter name (see FIT_PARAMS)
-    def by_name(self) -> dict:
-        return {q.name: getattr(self, q.field) for q in FIT_PARAMS}
-
     @classmethod
     def from_names(cls, values: dict, ip_a: float) -> MrtParams:
+        """The parameters from values keyed by fit-parameter name (see FIT_PARAMS)."""
         return cls(ip_a=ip_a, **{q.field: values[q.name] for q in FIT_PARAMS})
 
 

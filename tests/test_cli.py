@@ -61,6 +61,14 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert (out2 / "qt.csv").read_bytes() != f1
 
 
+def test_gen_negative_seed_flag_is_a_validation_error(tmp_path, capsys):
+    assert run(["gen", "--seed", "-1", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("MRTFIT-ERROR class=validation message=")
+    assert "--seed must be a non-negative integer, got -1" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_fit_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path, "[gen]\nn_points = 160\nqubit_id = rt\n")
     assert run(["gen", "--config", cfg, "--seed", "21",
@@ -284,6 +292,8 @@ MALFORMED_CASES = {
     "no_section_header.ini": ("simulate", "--config", "parse", 2),
     "duplicate_key.ini": ("simulate", "--config", "parse", 2),
     "half_span.ini": ("squid", "--config", "parse", 2),
+    "rel_err_overflow.csv": ("fit", "--data", "validation", 3),
+    "gen_seed_negative.ini": ("gen", "--config", "validation", 3),
 }
 # what the error line of a corpus file must say, where its place matters
 MALFORMED_SAYS = {
@@ -292,6 +302,7 @@ MALFORMED_SAYS = {
     "duplicate_meta_key.csv": ("duplicate_meta_key.csv: line 4: metadata key 'ip_uA' "
                                "repeats the one on line 3"),
     "half_span.ini": "unknown key 'half_span' in [squid]",
+    "gen_seed_negative.ini": "[gen] seed must be a non-negative integer, got -1",
 }
 
 

@@ -15,13 +15,14 @@ from mrtfit import (
     MrtParams,
     RateDataset,
     batch_fit,
+    dataio,
     fit,
     initial_guess,
     simulate_curve,
 )
 from mrtfit.errors import ConvergenceError, ValidationError
 import mrtfit.fitter as fitter
-from mrtfit.fitter import PARAM_NAMES, _Objective, _to_x
+from mrtfit.fitter import PARAM_NAMES, _Objective, _x_of
 from mrtfit.rate_model import FIT_PARAMS, SHAPE_FIELDS
 from mrtfit.units import noise_summary
 
@@ -29,6 +30,12 @@ from conftest import NARROW_CORE, REF
 
 IP = REF["ip_a"]
 FIELD = {q.name: q.field for q in FIT_PARAMS}
+ALL_FREE = np.arange(len(PARAM_NAMES))
+
+
+def vector(params: MrtParams) -> np.ndarray:
+    """The fit-parameter vector of ``params`` in FIT_PARAMS order."""
+    return np.array([getattr(params, q.field) for q in FIT_PARAMS])
 
 
 def synth_dataset(params: MrtParams, seed=None, noise_rel=0.05, n=200,
@@ -180,12 +187,12 @@ def test_noisy_fits_take_few_evaluations(ref_params):
 
 def test_objective_amplitude_only_step_matches_fresh_build(ref_params):
     ds = synth_dataset(ref_params, seed=9)
-    x = _to_x(ref_params.by_name(), PARAM_NAMES)
+    x = _x_of(vector(ref_params), ALL_FREE)
     moved = x.copy()
     moved[[PARAM_NAMES.index("delta01"), PARAM_NAMES.index("delta03")]] += (1e-4, -3e-4)
-    objective = _Objective(ds, PARAM_NAMES, {})
+    objective = _Objective(ds, ALL_FREE, vector(ref_params))
     objective(x)
-    fresh = _Objective(ds, PARAM_NAMES, {})
+    fresh = _Objective(ds, ALL_FREE, vector(ref_params))
     np.testing.assert_array_equal(objective(moved), fresh(moved))
     assert objective.n_eval == 2
 
@@ -199,14 +206,10 @@ def test_fit_builds_line_shapes_once_per_distinct_shape_key(ref_params, monkeypa
             built.append(tuple(getattr(params, f) for f in SHAPE_FIELDS))
             super().__init__(params, *args, **kwargs)
 
-    def shape_key(x):
-        values = fitter._from_x(x, PARAM_NAMES, {})
-        return tuple(values[q.name] for q in FIT_PARAMS if q.field in SHAPE_FIELDS)
-
     call = _Objective.__call__
 
     def recording_call(self, x):
-        evaluated.add(shape_key(x))
+        evaluated.add(tuple(self.values_at(x)[2:].tolist()))
         return call(self, x)
 
     monkeypatch.setattr(fitter, "LineShapes", CountingLineShapes)
@@ -244,14 +247,14 @@ def test_jacobian_matches_central_differences(ref_params, case):
         ds = synth_dataset(params, seed=3)
         if case == "mirrored":
             ds = ds.mirrored()
-    objective = _Objective(ds, PARAM_NAMES, {})
-    x = _to_x(params.by_name(), PARAM_NAMES)
+    objective = _Objective(ds, ALL_FREE, vector(params))
+    x = _x_of(vector(params), ALL_FREE)
     objective(x)
     jac = objective.jac(x)
-    model = np.exp(objective.model_log_rate(params.by_name()))
+    model = sum(objective._peak_rates(vector(params)))
     live = model > 1e-10 * model.max()
     for k, name in enumerate(PARAM_NAMES):
-        h = 1e-3 if fitter._PARAM[name].log else 1e-3 * abs(x[k])
+        h = 1e-3 if fitter._LOG[k] else 1e-3 * abs(x[k])
         up, down = x.copy(), x.copy()
         up[k] += h
         down[k] -= h
@@ -262,8 +265,8 @@ def test_jacobian_matches_central_differences(ref_params, case):
 
 def test_jacobian_at_the_evaluated_point_builds_nothing(ref_params, monkeypatch):
     ds = synth_dataset(ref_params, seed=9)
-    objective = _Objective(ds, PARAM_NAMES, {})
-    x = _to_x(ref_params.by_name(), PARAM_NAMES)
+    objective = _Objective(ds, ALL_FREE, vector(ref_params))
+    x = _x_of(vector(ref_params), ALL_FREE)
     objective(x)
     builds = []
     monkeypatch.setattr(fitter, "LineShapes",
@@ -272,6 +275,37 @@ def test_jacobian_at_the_evaluated_point_builds_nothing(ref_params, monkeypatch)
     assert builds == []
     assert jac.shape == (len(ds), len(PARAM_NAMES))
     assert objective.n_eval == 1
+
+
+FIXED = ("gamma_phi", "temperature")
+
+
+def test_jacobian_with_fixed_parameters_is_the_matching_all_free_columns(ref_params):
+    ds = synth_dataset(ref_params, seed=3)
+    free = np.array([k for k, name in enumerate(PARAM_NAMES) if name not in FIXED])
+    values = vector(ref_params)
+    part = _Objective(ds, free, values)
+    full = _Objective(ds, ALL_FREE, values)
+    np.testing.assert_array_equal(part.jac(_x_of(values, free)),
+                                  full.jac(_x_of(values, ALL_FREE))[:, free])
+
+
+def test_noiseless_fit_with_fixed_parameters_recovers_the_truth(ref_params):
+    config = FitConfig(free=tuple(n for n in PARAM_NAMES if n not in FIXED))
+    guess = replace(ref_params, delta01_ghz=1.2 * ref_params.delta01_ghz,
+                    delta03_ghz=0.8 * ref_params.delta03_ghz,
+                    phi31_uphi0=ref_params.phi31_uphi0 + 15.0,
+                    w_phi_uphi0=1.1 * ref_params.w_phi_uphi0,
+                    zeta_phi_uphi0=1.5 * ref_params.zeta_phi_uphi0)
+    result = fit(synth_dataset(ref_params), config, guess)
+    assert result.chi2 < 1e-10
+    best = dataio.report_from_fit(result, config)["best_fit"]
+    for q in FIT_PARAMS:
+        fixed = q.name in FIXED
+        assert best[q.label]["fitted"] is not fixed, q.name
+        assert (best[q.label]["sigma_1"] is None) is fixed, q.name
+        if fixed:
+            assert getattr(result.params, q.field) == getattr(ref_params, q.field)
 
 
 def test_fit_passes_the_exact_jacobian(ref_params, monkeypatch):
@@ -420,10 +454,13 @@ def test_narrow_core_curve_loads_no_integrator_or_optimizer():
 
 
 def test_fit_rejects_guess_outside_bounds(ref_params):
-    # w_phi is bounded below by 0.5 uPhi0
+    # w_phi is bounded below by 0.5 uPhi0; gamma_phi and zeta_phi move in log
+    # space and are bounded below by 1e-4 uPhi0, so 0 is outside too
     ds = synth_dataset(ref_params, seed=1)
-    with pytest.raises(ValidationError, match="outside the fit-parameter bounds"):
-        fit(ds, guess=replace(ref_params, w_phi_uphi0=0.4))
+    for outside in ({"w_phi_uphi0": 0.4}, {"gamma_phi_uphi0": 0.0},
+                    {"zeta_phi_uphi0": 0.0}):
+        with pytest.raises(ValidationError, match="outside the fit-parameter bounds"):
+            fit(ds, guess=replace(ref_params, **outside))
 
 
 def test_fit_clips_automatic_guess_into_bounds(ref_params):
@@ -431,7 +468,8 @@ def test_fit_clips_automatic_guess_into_bounds(ref_params):
     # for it and puts zeta_phi above its upper bound
     ds = synth_dataset(ref_params, seed=1, n=90, lo=-200.0, hi=1200.0)
     guess = initial_guess(ds)
-    lo, hi = fitter._PARAM["zeta_phi"].bounds
+    k = PARAM_NAMES.index("zeta_phi")
+    lo, hi = fitter._LO[k], fitter._HI[k]
     assert guess.params.zeta_phi_uphi0 > hi
     for automatic in (None, guess):
         result = fit(ds, guess=automatic)
