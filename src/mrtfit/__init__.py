@@ -9,9 +9,9 @@ cross-validates the simplified line-shape model against a full 1D
 rf-SQUID circuit eigenproblem.
 
 The public names below are resolved on first access (PEP 562), so that
-importing the package, or a light submodule such as ``units``, does not
-load scipy.  Each access looks the name up in its submodule again, so the
-package never holds a stale copy of a submodule's attribute.  Envelopes and
+importing the package, or a light submodule such as ``units``, loads no
+submodule it does not use.  Each access looks the name up in its submodule
+again, so no stale copy of a submodule's attribute is kept.  Envelopes and
 unit conversions are imported from ``mrtfit.envelopes`` and ``mrtfit.units``.
 """
 

@@ -8,9 +8,9 @@ print one machine-parsable line on stderr of the form ``MRTFIT-ERROR
 class=<class> message="..."``, never a traceback or usage text.
 ``--help`` prints its help and exits 0.
 
-Each subcommand imports the parts of the package it runs, so ``derive``,
-``simulate``, ``gen`` and ``squid`` load no scipy module and only ``fit``
-and ``batch`` load ``scipy.optimize``.
+Each subcommand imports the parts of the package it runs, and none loads
+scipy: the line shapes, the rf-SQUID solver and the fit run on numpy
+alone.
 """
 
 from __future__ import annotations

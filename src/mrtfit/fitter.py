@@ -2,18 +2,18 @@
 
 Residuals are taken in log-rate space because measured curves span
 several decades; weights are inverse squared relative errors when the
-dataset carries them.  The minimizer is a damped (trust-region) least
-squares with an exact Jacobian, solved once from the initial guess under
-one fixed policy: ftol, xtol and gtol of 1e-10 and at most 2000
-evaluations.  It works on one parameter vector in natural units and
-``units.FIT_PARAMS`` order, whose table gives the names, log flags,
-bounds and step-scale floors; an index array picks the free entries, and
-bounds are checked in natural units.  Positive scale-spanning parameters
-(amplitudes, ohmic and charge broadenings) are optimized in log space,
-the rest linearly.  The fluctuation-dissipation tie between the Gaussian
-width and its shift holds at every iterate because the shift is
-recomputed from (W, T) inside the model.  The data is a
-``rate_model.RateDataset``, measured or simulated alike.
+dataset carries them.  The minimizer, ``least_squares``, is Moré's bounded
+trust-region Levenberg-Marquardt method (Lecture Notes in Math. 630, 105,
+1978) in numpy alone, run once from the initial guess: ftol, xtol and gtol
+of 1e-10 and at most 2000 evaluations.  It works on one parameter vector
+in natural units and ``units.FIT_PARAMS`` order, whose table gives the
+names, log flags, bounds and step-scale floors; an index array picks the
+free entries, and bounds are checked in natural units.  Positive
+scale-spanning parameters (amplitudes, ohmic and charge broadenings) are
+optimized in log space, the rest linearly.  The fluctuation-dissipation
+tie between the Gaussian width and its shift holds at every iterate
+because the shift is recomputed from (W, T) inside the model.  The data
+is a ``rate_model.RateDataset``, measured or simulated alike.
 
 The line shapes do not depend on the tunneling amplitudes, which only
 scale the two peaks.  The objective keeps the line shapes of its last
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -246,11 +247,71 @@ def initial_guess(dataset: RateDataset) -> InitialGuess:
 # ---------------------------------------------------------------------------
 # fitting
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call so that
-    importing the package does not load ``scipy.optimize``."""
-    from scipy.optimize import least_squares as _least_squares
-    return _least_squares(*args, **kwargs)
+# where ``least_squares`` stopped; status > 0 means converged
+LsqResult = namedtuple("LsqResult", "x cost jac status message nfev")
+_STOPS = ("the evaluation budget is spent", "gtol is satisfied", "ftol is satisfied",
+          "xtol is satisfied", "both ftol and xtol are satisfied")
+
+
+def _tr_step(uf: np.ndarray, s: np.ndarray, vt: np.ndarray, delta: float) -> np.ndarray:
+    """Moré's step p for J = U diag(s) Vt, s > 0: Gauss-Newton if it fits in
+    the radius, else (J^T J + alpha) p = -J^T f with ||p|| = delta; Newton on
+    1/||p|| = 1/delta, concave and rising in alpha, climbs there from 0."""
+    alpha = 0.0
+    for _ in range(10):
+        q = s * uf / (s**2 + alpha)
+        p_norm = np.linalg.norm(q)
+        if p_norm <= 1.01 * delta:
+            break
+        alpha += (p_norm - delta) / delta * p_norm**2 / np.sum(q**2 / (s**2 + alpha))
+    return -vt.T @ q * min(1.0, delta / p_norm)
+
+
+def least_squares(fun, x0, *, jac, bounds, x_scale, ftol, xtol, gtol, max_nfev,
+                  f0) -> LsqResult:
+    """Minimize ||fun(x)||^2 / 2 on the box ``bounds`` in x / x_scale, from the
+    radius ||x0 / x_scale||.  Every trial tests gtol (the largest free scaled
+    gradient entry), ftol (a reduction below ftol * cost at a ratio above
+    1/4) and xtol (an unscaled step below xtol (xtol + ||x||)).  The caller
+    supplies ``f0 = fun(x0)``, the first of ``max_nfev`` evaluations."""
+    lb, ub = bounds
+    x, f = x0, f0
+    nfev, cost, J = 1, 0.5 * float(f @ f), jac(x)
+    delta, status = np.linalg.norm(x / x_scale) or 1.0, None
+    while True:
+        g = J.T @ f
+        # a variable at a bound whose descent direction leaves the box sits out
+        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
+        if np.max(np.abs(x_scale * g)[free], initial=0.0) < gtol:
+            status = 1
+        if status is not None or nfev >= max_nfev:
+            break
+        u, s, vt = np.linalg.svd(J * (x_scale * free), full_matrices=False)
+        keep = s > np.finfo(float).eps * len(f) * s[0]    # steps stay in J's range
+        uf, s, vt = u[:, keep].T @ f, s[keep], vt[keep] * free
+        reduction = -1.0
+        while reduction <= 0 and nfev < max_nfev:
+            trial = np.clip(x + x_scale * _tr_step(uf, s, vt, delta), lb, ub)
+            step = trial - x
+            step_norm = np.linalg.norm(step / x_scale)
+            predicted = -(g @ step + 0.5 * np.sum((J @ step) ** 2))
+            f_new = fun(trial)
+            nfev += 1
+            with np.errstate(over="ignore"):
+                cost_new = 0.5 * float(f_new @ f_new)
+            # a non-finite trial is rejected like one that raises the cost
+            reduction = cost - cost_new if math.isfinite(cost_new) else -math.inf
+            ratio = reduction / predicted if predicted > 0 else 0.0
+            ftol_met = reduction < ftol * cost and ratio > 0.25
+            xtol_met = np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            delta = (0.25 * step_norm if ratio < 0.25 else 2.0 * delta
+                     if ratio > 0.75 and step_norm > 0.95 * delta else delta)
+        if reduction > 0:
+            x, f, cost, J = trial, f_new, cost_new, jac(trial)
+    return LsqResult(x, cost, J, status or 0, _STOPS[status or 0], nfev)
 
 
 def _x_of(values: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -318,8 +379,7 @@ class _Objective:
         # d / d log v = v d / dv for the log-space shape parameters
         shapes = (w01 * d01 + w03 * d03) * np.where(_LOG[2:], values[2:], 1.0)
         full = np.hstack([2.0 * w01, 2.0 * w03, shapes])
-        # C order: trf's products round differently on the F-ordered full[:, free]
-        return np.ascontiguousarray(full[:, self.free]) * self.inv_sigma[:, None]
+        return full[:, self.free] * self.inv_sigma[:, None]
 
 
 def _linearized_uncertainties(jac: np.ndarray, chi2: float, n_pts: int,
@@ -391,10 +451,10 @@ def fit(dataset: RateDataset, config: FitConfig | None = None,
                               "finite; is a rate_rel_err too small to invert?")
 
     res = least_squares(
-        objective, x0, method="trf", jac=objective.jac,
+        objective, x0, jac=objective.jac,
         bounds=(_x_of(_LO, free), _x_of(_HI, free)),
         x_scale=np.where(_LOG[free], 1.0, np.maximum(np.abs(x0), _X_FLOOR[free])),
-        ftol=TOL, xtol=TOL, gtol=TOL, max_nfev=MAX_NFEV)
+        ftol=TOL, xtol=TOL, gtol=TOL, max_nfev=MAX_NFEV, f0=r0)
 
     chi2 = float(2.0 * res.cost)
     values = objective.values_at(res.x)

@@ -671,10 +671,16 @@ def test_cli_import_skips_unused_scipy_subpackages():
     (["gen"], ("scipy",)),
     # the sine DVR needs numpy.linalg alone
     (["squid", "--format", "json"], ("scipy",)),
-], ids=["derive", "simulate", "gen", "squid"])
+    # the fit is a numpy trust-region solve
+    (["fit", "--data", "{data}"], ("scipy",)),
+    (["batch", "--data-dir", "{data_dir}"], ("scipy",)),
+], ids=["derive", "simulate", "gen", "squid", "fit", "batch"])
 def test_subcommand_loads_only_the_scipy_it_runs(tmp_path, argv, unwanted):
     # derive writes nothing and takes no --out
     argv = argv if argv == DERIVE_ARGS else argv + ["--out", str(tmp_path)]
+    if argv[0] in ("fit", "batch"):
+        data = _gen_dataset(tmp_path)
+        argv = [a.format(data=data, data_dir=data.parent) for a in argv]
     code = (
         "import contextlib, io, sys\n"
         "from mrtfit.cli import main\n"

@@ -362,6 +362,89 @@ def test_hard_curves_converge_on_their_one_solve(family, seed):
     assert fit(synth_dataset(MrtParams(**truth), seed=seed, **options)).converged
 
 
+def _scipy_trf(fun, x0, *, f0, **kwargs):
+    from scipy.optimize import least_squares
+
+    return least_squares(fun, x0, method="trf", **kwargs)
+
+
+def _record_objective_calls(monkeypatch) -> list:
+    """Patch ``_Objective.__call__`` to log (x, free) of every evaluation."""
+    seen = []
+    call = _Objective.__call__
+
+    def recording_call(self, x):
+        seen.append((x.copy(), self.free))
+        return call(self, x)
+
+    monkeypatch.setattr(_Objective, "__call__", recording_call)
+    return seen
+
+
+@pytest.mark.filterwarnings("ignore::mrtfit.errors.ModelValidityWarning")
+@pytest.mark.parametrize("truth, options", [
+    *[(REF, {"seed": 42_000 + k}) for k in range(8)],
+    *[(HARD_CURVES[f][0], {"seed": 0, **HARD_CURVES[f][1]})
+      for f in ("12_points", "single_peak")],
+], ids=[*(f"c2_{42_000 + k}" for k in range(8)), "12_points", "single_peak"])
+def test_solve_matches_scipy_trf_inside_the_box(truth, options, monkeypatch):
+    ds = synth_dataset(MrtParams(**truth), **options)
+    seen = _record_objective_calls(monkeypatch)
+    ours = fit(ds)
+    for x, free in seen:
+        assert np.all(_x_of(fitter._LO, free) <= x) and np.all(x <= _x_of(fitter._HI, free))
+    monkeypatch.setattr(fitter, "least_squares", _scipy_trf)
+    trf = fit(ds)
+    assert ours.converged and trf.converged
+    assert ours.chi2 <= trf.chi2 * (1.0 + 1e-7)
+    # a direction the data do not determine (infinite uncertainty, as the
+    # second peak of a single-peak fit) has no optimum to agree on
+    for name, sigma in trf.uncertainties.items():
+        if math.isfinite(sigma):
+            a, b = getattr(ours.params, FIELD[name]), getattr(trf.params, FIELD[name])
+            assert abs(a - b) <= 1e-4 * abs(b), name
+
+
+def test_fit_evaluates_the_start_once(ref_params, monkeypatch):
+    # the solve takes the residuals at x0 from fit instead of evaluating again
+    seen = _record_objective_calls(monkeypatch)
+    fit(synth_dataset(ref_params, seed=5))
+    x0 = seen[0][0]
+    assert sum(np.array_equal(x, x0) for x, _ in seen) == 1
+
+
+def test_trust_region_step_solves_its_subproblem():
+    # against the root of ||p(alpha)|| = delta found by bisection, on
+    # singular values that spread over many decades
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        s = np.sort(np.exp(4.0 * rng.standard_normal(n)))[::-1]
+        uf = rng.standard_normal(n) * np.exp(2.0 * rng.standard_normal(n))
+        vt = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        delta = math.exp(3.0 * rng.standard_normal())
+        p = fitter._tr_step(uf, s, vt, delta)
+
+        def step(alpha):
+            return -vt.T @ (s * uf / (s**2 + alpha))
+
+        lo, hi = 0.0, 1.0
+        if np.linalg.norm(step(0.0)) > delta:
+            while np.linalg.norm(step(hi)) > delta:
+                hi *= 10.0
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if np.linalg.norm(step(mid)) > delta:
+                    lo = mid
+                else:
+                    hi = mid
+            exact = step(hi)
+        else:
+            exact = step(0.0)
+        assert np.linalg.norm(p) <= delta * (1.0 + 1e-12)
+        np.testing.assert_allclose(p, exact, rtol=0, atol=0.02 * np.linalg.norm(exact))
+
+
 def test_median5_equals_scipy_medfilt():
     from scipy.signal import medfilt
 
