@@ -161,13 +161,22 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _start(dataset, fit_cfg, model):
+    """The automatic guess for ``dataset`` with each parameter that
+    ``fit_cfg`` holds at its value in ``model``, the ``[model]`` section."""
+    from .fitter import InitialGuess, initial_guess
+
+    held = {q.field: getattr(model, q.field)
+            for q in units.FIT_PARAMS if q.name not in fit_cfg.free}
+    return InitialGuess(dataclasses.replace(initial_guess(dataset).params, **held))
+
+
 def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
-    from .fitter import fit, initial_guess
+    from .fitter import fit
     from .rate_model import peak_rates
 
     fit_cfg = cfg.fit_config()
-    guess = initial_guess(dataset)
-    result = fit(dataset, fit_cfg, guess)
+    result = fit(dataset, fit_cfg, _start(dataset, fit_cfg, cfg.model_params()))
     report = dataio.report_from_fit(
         result, fit_cfg,
         input_sha256=dataio.input_sha256(data_path),
@@ -227,7 +236,8 @@ def cmd_batch(args) -> int:
         raise last   # nothing to fit: fail as a lone dataset does, writing nothing
     out_dir = _out_dir(args)
     fit_cfg = cfg.fit_config()
-    result = batch_fit(datasets, fit_cfg, threads=args.threads)
+    start = functools.partial(_start, fit_cfg=fit_cfg, model=cfg.model_params())
+    result = batch_fit(datasets, fit_cfg, threads=args.threads, start=start)
     fitted = iter(result.entries)
     entries = [failed.get(i) or next(fitted) for i in range(len(files))]
     lines = [",".join(["qubit_id,status,chi2_per_dof", *DERIVED_METRICS])]

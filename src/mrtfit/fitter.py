@@ -5,7 +5,8 @@ several decades; weights are inverse squared relative errors when the
 dataset carries them.  The minimizer, ``least_squares``, is Moré's bounded
 trust-region Levenberg-Marquardt method (Lecture Notes in Math. 630, 105,
 1978) in numpy alone, run once from the initial guess: ftol, xtol and gtol
-of 1e-10 and at most 2000 evaluations.  It works on one parameter vector
+of 1e-10 and at most 2000 evaluations, and a stop where the Gauss-Newton
+decrement falls below ftol times the cost.  It works on one parameter vector
 in natural units and ``units.FIT_PARAMS`` order, whose table gives the
 names, log flags, bounds and step-scale floors; an index array picks the
 free entries, and bounds are checked in natural units.  Positive
@@ -19,10 +20,10 @@ The line shapes do not depend on the tunneling amplitudes, which only
 scale the two peaks.  The objective keeps the line shapes of its last
 build and reuses them whenever only delta01 and delta03 moved: it takes
 its rates from ``LineShapes.rates`` with the current amplitudes, so such
-an evaluation rebuilds nothing.  The Jacobian at an evaluated point takes
-the shape columns from that build's sensitivity tables
-(``LineShapes.log_shape_grads``: the exact derivatives of the tabulated
-model on its grid) and the amplitude columns in closed form,
+an evaluation rebuilds nothing.  The Jacobian at the point just evaluated
+reuses its rates and takes the shape columns from that build's
+sensitivity tables (``LineShapes.log_shape_grads``: the exact derivatives
+of the tabulated model on its grid) and the amplitude columns in closed form,
 d log r / d log delta01 = 2 r01 / (r01 + r03); no finite differences are
 taken.
 """
@@ -250,7 +251,8 @@ def initial_guess(dataset: RateDataset) -> InitialGuess:
 # where ``least_squares`` stopped; status > 0 means converged
 LsqResult = namedtuple("LsqResult", "x cost jac status message nfev")
 _STOPS = ("the evaluation budget is spent", "gtol is satisfied", "ftol is satisfied",
-          "xtol is satisfied", "both ftol and xtol are satisfied")
+          "xtol is satisfied", "both ftol and xtol are satisfied",
+          "the Gauss-Newton decrement is below ftol")
 
 
 def _tr_step(uf: np.ndarray, s: np.ndarray, vt: np.ndarray, delta: float) -> np.ndarray:
@@ -272,8 +274,11 @@ def least_squares(fun, x0, *, jac, bounds, x_scale, ftol, xtol, gtol, max_nfev,
     """Minimize ||fun(x)||^2 / 2 on the box ``bounds`` in x / x_scale, from the
     radius ||x0 / x_scale||.  Every trial tests gtol (the largest free scaled
     gradient entry), ftol (a reduction below ftol * cost at a ratio above
-    1/4) and xtol (an unscaled step below xtol (xtol + ||x||)).  The caller
-    supplies ``f0 = fun(x0)``, the first of ``max_nfev`` evaluations."""
+    1/4) and xtol (an unscaled step below xtol (xtol + ||x||)).  Each
+    accepted point also stops the solve if its Gauss-Newton decrement
+    ||U^T f||^2 / 2, the most any step on the free directions can lower the
+    cost in the linear model, is at most ftol * cost.  The caller supplies
+    ``f0 = fun(x0)``, the first of ``max_nfev`` evaluations."""
     lb, ub = bounds
     x, f = x0, f0
     nfev, cost, J = 1, 0.5 * float(f @ f), jac(x)
@@ -289,6 +294,10 @@ def least_squares(fun, x0, *, jac, bounds, x_scale, ftol, xtol, gtol, max_nfev,
         u, s, vt = np.linalg.svd(J * (x_scale * free), full_matrices=False)
         keep = s > np.finfo(float).eps * len(f) * s[0]    # steps stay in J's range
         uf, s, vt = u[:, keep].T @ f, s[keep], vt[keep] * free
+        # no step on the free directions can lower the cost by ftol * cost
+        if 0.5 * float(uf @ uf) <= ftol * cost:
+            status = 5
+            break
         reduction = -1.0
         while reduction <= 0 and nfev < max_nfev:
             trial = np.clip(x + x_scale * _tr_step(uf, s, vt, delta), lb, ub)
@@ -327,7 +336,7 @@ class _Objective:
     ``values``.  Keeps the line shapes of its last build, keyed by
     ``values[2:]``, so that an evaluation moving only delta01 and delta03
     rebuilds nothing, and ``jac`` at the point just evaluated takes its
-    sensitivities from that build.
+    sensitivities from that build and the rates kept with that point.
     """
 
     def __init__(self, dataset: RateDataset, free, values):
@@ -344,6 +353,7 @@ class _Objective:
         self.n_eval = 0
         self.eps = flux_to_energy(self.phi, self.ip)
         self._shape_key = self._shapes = None
+        self._last = (None, None, None)     # the last x evaluated and its (r01, r03)
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
         """The parameter vector with its free entries at solver coordinates x."""
@@ -365,14 +375,18 @@ class _Objective:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.n_eval += 1
         r01, r03 = self._peak_rates(self.values_at(x))
+        self._last = (x.copy(), r01, r03)
         return (np.log(r01 + r03) - self.log_rate) * self.inv_sigma
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         """d residual / dx, from the line-shape sensitivities of the build
-        at x (the amplitude columns are closed-form: d log r / d log
-        delta01 = 2 r01 / (r01 + r03))."""
+        at x and the rates there, kept from the evaluation if x is the last
+        point evaluated (the amplitude columns are closed-form: d log r /
+        d log delta01 = 2 r01 / (r01 + r03))."""
         values = self.values_at(x)
-        r01, r03 = self._peak_rates(values)
+        last_x, r01, r03 = self._last
+        if not np.array_equal(x, last_x):
+            r01, r03 = self._peak_rates(values)
         d01, d03 = self._shapes.log_shape_grads(self.eps)
         w01 = (r01 / (r01 + r03))[:, None]
         w03 = (r03 / (r01 + r03))[:, None]
@@ -512,9 +526,9 @@ class BatchResult:
 
 
 def _fit_one(args):
-    dataset, config = args
+    dataset, config, start = args
     try:
-        return fit(dataset, config)
+        return fit(dataset, config, start(dataset) if start else None)
     except Exception as exc:   # noqa: BLE001  - isolate any per-qubit failure
         return exc
 
@@ -528,16 +542,18 @@ def _worker_count(threads: int, n_jobs: int) -> int:
 
 
 def batch_fit(datasets: Sequence[RateDataset], config: FitConfig | None = None,
-              threads: int = 1) -> BatchResult:
+              threads: int = 1, start=None) -> BatchResult:
     """Fit every dataset independently and summarize the derived metrics.
 
-    Per-dataset failures are isolated into their entries and never abort
-    the batch.  With ``threads`` > 1 the fits fan out over at most
-    ``threads`` processes, no more than there are datasets or CPUs;
-    results are collected in input order either way.
+    Each fit starts from ``start(dataset)``, a picklable callable, or from
+    the automatic guess if ``start`` is None.  Per-dataset failures, in
+    ``start`` too, are isolated into their entries and never abort the
+    batch.  With ``threads`` > 1 the fits fan out over at most ``threads``
+    processes, no more than there are datasets or CPUs; results are
+    collected in input order either way.
     """
     config = config or FitConfig()
-    jobs = [(d, config) for d in datasets]
+    jobs = [(d, config, start) for d in datasets]
     workers = _worker_count(threads, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -88,6 +88,26 @@ def test_gen_fit_round_trip(tmp_path, capsys):
     assert (tmp_path / "rt.report.txt").exists()
 
 
+def test_held_parameters_take_their_model_values(tmp_path, capsys):
+    # a parameter left out of [fit] free is held at its [model] value, not
+    # at the automatic guess, by fit and batch alike; the dataset was made
+    # at the [model] temperature, 7.3 mK
+    cfg = write_config(tmp_path, "[gen]\nqubit_id = q0\n[fit]\n"
+                       "free = delta01,delta03,phi31,w_phi,gamma_phi,zeta_phi\n")
+    data_dir = tmp_path / "data"
+    assert run(["gen", "--config", cfg, "--out", str(data_dir)]) == 0
+    assert run(["fit", "--config", cfg, "--data", str(data_dir / "q0.csv"),
+                "--out", str(tmp_path / "fit")]) == 0
+    assert run(["batch", "--config", cfg, "--data-dir", str(data_dir),
+                "--out", str(tmp_path / "batch")]) == 0
+    for out in ("fit", "batch"):
+        report = json.loads((tmp_path / out / "q0.report.json").read_text())
+        held = report["best_fit"]["temperature_mk"]
+        assert held["value"] == pytest.approx(7.3, rel=1e-12) and held["fitted"] is False
+        assert report["best_fit"]["w_phi_uphi0"]["fitted"] is True
+        assert report["chi2_per_dof"] < 1.5, out
+
+
 def test_simulate_writes_decomposed_table(tmp_path):
     cfg = write_config(tmp_path, "[simulate]\nn_points = 50\n")
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -173,6 +173,26 @@ def test_trapezoid_faddeeva_matches_wofz_inside_the_switch():
             assert np.all(np.abs(diff) <= 5e-13 * scale)
 
 
+def test_series_faddeeva_matches_wofz_far_out():
+    # 2 x 10^4 seeded points with |z| log-uniform on R..1000 R and Im z / |z|
+    # log-uniform on 1e-6..1, on both sides of the imaginary axis; beyond
+    # |z| = 40 wofz's own rounding sets the spread
+    from scipy.special import wofz
+
+    rng = np.random.default_rng(28)
+    r = rate_model._FADDEEVA_R * 1e3 ** rng.uniform(0.0, 1.0, 20000)
+    y = r * 10.0 ** rng.uniform(-6.0, 0.0, r.size)
+    z = np.sqrt(r * r - y * y) * rng.choice([-1.0, 1.0], r.size) + 1j * y
+    got, expect = rate_model._faddeeva(z), wofz(z)
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(expect)) <= 3e-14 * np.abs(part(expect)))
+    for ratio in (1e-3, 0.03, 0.15):
+        a, b, _ = rate_model._ohmic_core_weights(ratio, 1.0)
+        scale = np.abs(a * expect.real) + np.abs(b * expect.imag)
+        diff = a * (got.real - expect.real) + b * (got.imag - expect.imag)
+        assert np.all(np.abs(diff) <= 3e-14 * scale)
+
+
 def test_next_fast_len_matches_scipy():
     # every length up to the grid clamp, and beyond it, up to the longest
     # cyclic length a build can ask for, each 5-smooth length and its
