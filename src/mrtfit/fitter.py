@@ -16,16 +16,13 @@ tie between the Gaussian width and its shift holds at every iterate
 because the shift is recomputed from (W, T) inside the model.  The data
 is a ``rate_model.RateDataset``, measured or simulated alike.
 
-The line shapes do not depend on the tunneling amplitudes, which only
-scale the two peaks.  The objective keeps the line shapes of its last
-build and reuses them whenever only delta01 and delta03 moved: it takes
-its rates from ``LineShapes.rates`` with the current amplitudes, so such
-an evaluation rebuilds nothing.  The Jacobian at the point just evaluated
-reuses its rates and takes the shape columns from that build's
-sensitivity tables (``LineShapes.log_shape_grads``: the exact derivatives
-of the tabulated model on its grid) and the amplitude columns in closed form,
-d log r / d log delta01 = 2 r01 / (r01 + r03); no finite differences are
-taken.
+Each evaluation builds the line shapes of its parameter set once.  The
+Jacobian at the point just evaluated reuses that build and its rates: it
+takes the shape columns from the build's sensitivity tables
+(``LineShapes.log_shape_grads``: the exact derivatives of the tabulated
+model on its grid) and the amplitude columns, which only scale the two
+peaks, in closed form, d log r / d log delta01 = 2 r01 / (r01 + r03); no
+finite differences are taken.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -112,8 +108,9 @@ def _delta_from_peak(rate_peak: float, w_ghz: float) -> float:
 
 
 def _median5(x: np.ndarray) -> np.ndarray:
-    """Five-point running median, zero-padded at the ends."""
-    return np.median(sliding_window_view(np.pad(x, 2), 5), axis=1)
+    """Five-point running median, zero-padded at the ends: the middle of
+    each sorted window (np.median would import numpy.ma)."""
+    return np.sort(sliding_window_view(np.pad(x, 2), 5), axis=1)[:, 2]
 
 
 def initial_guess(dataset: RateDataset) -> InitialGuess:
@@ -333,10 +330,9 @@ class _Objective:
     """Weighted log-rate residuals for one dataset, and their exact Jacobian.
 
     The solver moves the entries ``free`` of the parameter vector
-    ``values``.  Keeps the line shapes of its last build, keyed by
-    ``values[2:]``, so that an evaluation moving only delta01 and delta03
-    rebuilds nothing, and ``jac`` at the point just evaluated takes its
-    sensitivities from that build and the rates kept with that point.
+    ``values``.  Keeps its last build with the point it was made at and
+    the rates there, so that ``jac`` at the point just evaluated takes its
+    sensitivities and rates from them and builds nothing.
     """
 
     def __init__(self, dataset: RateDataset, free, values):
@@ -352,8 +348,8 @@ class _Objective:
         self.values = np.array(values, dtype=float)
         self.n_eval = 0
         self.eps = flux_to_energy(self.phi, self.ip)
-        self._shape_key = self._shapes = None
-        self._last = (None, None, None)     # the last x evaluated and its (r01, r03)
+        self._shapes = None
+        self._last = (None, None, None)     # the x of the last build and its (r01, r03)
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
         """The parameter vector with its free entries at solver coordinates x."""
@@ -362,20 +358,17 @@ class _Objective:
                              for xi, log in zip(x.tolist(), _LOG[self.free])]
         return values
 
-    def _peak_rates(self, values: np.ndarray) -> tuple:
-        """(r01, r03) at the data biases, from the last build if only the
-        amplitudes moved."""
-        params = MrtParams.from_names(dict(zip(PARAM_NAMES, values.tolist())), self.ip)
-        key = values[2:].tolist()
-        if key != self._shape_key:
-            self._shapes = LineShapes(params, float(self.phi.min()), float(self.phi.max()))
-            self._shape_key = key
-        return self._shapes.rates(self.phi, params)
+    def _peak_rates(self, x: np.ndarray) -> tuple:
+        """(r01, r03) at the data biases from a build at x, kept with x for ``jac``."""
+        params = MrtParams.from_names(dict(zip(PARAM_NAMES, self.values_at(x).tolist())), self.ip)
+        self._shapes = LineShapes(params, float(self.phi.min()), float(self.phi.max()))
+        r01, r03 = self._shapes.rates(self.phi)
+        self._last = (x.copy(), r01, r03)
+        return r01, r03
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.n_eval += 1
-        r01, r03 = self._peak_rates(self.values_at(x))
-        self._last = (x.copy(), r01, r03)
+        r01, r03 = self._peak_rates(x)
         return (np.log(r01 + r03) - self.log_rate) * self.inv_sigma
 
     def jac(self, x: np.ndarray) -> np.ndarray:
@@ -383,15 +376,14 @@ class _Objective:
         at x and the rates there, kept from the evaluation if x is the last
         point evaluated (the amplitude columns are closed-form: d log r /
         d log delta01 = 2 r01 / (r01 + r03))."""
-        values = self.values_at(x)
         last_x, r01, r03 = self._last
         if not np.array_equal(x, last_x):
-            r01, r03 = self._peak_rates(values)
+            r01, r03 = self._peak_rates(x)
         d01, d03 = self._shapes.log_shape_grads(self.eps)
         w01 = (r01 / (r01 + r03))[:, None]
         w03 = (r03 / (r01 + r03))[:, None]
         # d / d log v = v d / dv for the log-space shape parameters
-        shapes = (w01 * d01 + w03 * d03) * np.where(_LOG[2:], values[2:], 1.0)
+        shapes = (w01 * d01 + w03 * d03) * np.where(_LOG[2:], self.values_at(x)[2:], 1.0)
         full = np.hstack([2.0 * w01, 2.0 * w03, shapes])
         return full[:, self.free] * self.inv_sigma[:, None]
 
@@ -556,6 +548,8 @@ def batch_fit(datasets: Sequence[RateDataset], config: FitConfig | None = None,
     jobs = [(d, config, start) for d in datasets]
     workers = _worker_count(threads, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # a serial batch never loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fit_one, jobs))
     else:

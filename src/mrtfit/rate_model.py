@@ -95,7 +95,7 @@ _FADDEEVA_R, _FADDEEVA_H, _FADDEEVA_TERMS = 10.0, 0.4, 12
 _FADDEEVA_T2 = (np.arange(19) * _FADDEEVA_H + np.array([[0.0], [0.5 * _FADDEEVA_H]])) ** 2
 _FADDEEVA_WEIGHTS = _FADDEEVA_H / math.pi * np.exp(-_FADDEEVA_T2)
 _FADDEEVA_WEIGHTS[0, 0] /= 2.0
-# largest exp(a |nu|) the first-peak tilt may reach over the grid, as a log
+# largest exp(a nu) the first-peak tilt may reach on the nodes a bias reads, as a log
 _TILT_REACH = 14.0
 # nodes either side of zero over which a pinned core keeps its second moment
 _CORE_MOMENT_NODES = 64
@@ -498,7 +498,7 @@ class LineShapes:
 
         eps_lo = flux_to_energy(phi_lo, params.ip_a)
         eps_hi = flux_to_energy(phi_hi, params.ip_a)
-        pad = 8.0 * w + 40.0 * t + 40.0 * gam + 4.0 * zet
+        pad = self._pad = 8.0 * w + 40.0 * t + 40.0 * gam + 4.0 * zet
         # both peaks' windows and zero: whatever the window, G_03 draws on
         # the relaxation wing down to -nu31
         lo = min(eps_lo, 0.0) - nu31 - pad
@@ -610,14 +610,17 @@ class LineShapes:
         The operands' negative tails fall at least as exp(nu / T), so a
         stays below 1 / 2T.  The relaxation envelope's algebraic wing,
         zeta / pi nu^2 down to nu = -nu31, may grow under the tilt only up
-        to its core height.  exp(a |nu|) stays below e^14 over the grid,
-        where on the positive side it amplifies the rounding.
+        to its core height.  On the positive side exp(a nu) amplifies the
+        rounding; it stays below e^14 up to the highest node the table is
+        read at, eps - nu31 at the top of the window plus the padding, not
+        over the padding above the window that no bias reaches.  On the
+        negative side the weights exp(-a nu) stay normal doubles.
         """
         nu31 = self._nu31
-        reach = max(-self.grid.lo, self.grid.hi)
+        reach = max(self.grid.hi - nu31, self._pad)
         return min(0.5 / self._t,
                    2.0 * math.log(max(nu31 / self._width0, 1.0)) / nu31,
-                   _TILT_REACH / reach)
+                   _TILT_REACH / reach, _LOG_TINY / self.grid.lo)
 
     @staticmethod
     def _log_table(table):
@@ -851,18 +854,12 @@ class LineShapes:
         scale = np.array([per_uphi0] * 4 + [kelvin_to_ghz(1.0)])[:, None]
         return (d01 * scale).T, (d03 * scale).T
 
-    def rates(self, folded_phi, params: MrtParams | None = None) -> tuple:
+    def rates(self, folded_phi) -> tuple:
         """Peak rates (r01, r03) in 1/us at flux biases ``folded_phi``
-        (uPhi0), taken in the left-initialization orientation.
-
-        The tunneling amplitudes come from ``params`` (by default the
-        build's own); the line shapes do not depend on them, so one build
-        serves every amplitude, provided the other fields are the build's.
-        r03 is zero where there is no first peak (delta03 = 0).
-        """
-        p = self.params if params is None else params
-        eps = flux_to_energy(np.atleast_1d(np.asarray(folded_phi, dtype=float)),
-                             self.params.ip_a)
+        (uPhi0), taken in the left-initialization orientation; r03 is zero
+        where there is no first peak (delta03 = 0)."""
+        p = self.params
+        eps = flux_to_energy(np.atleast_1d(np.asarray(folded_phi, dtype=float)), p.ip_a)
         r01 = _rate_coef(p.delta01_ghz) * self.shape01(eps)
         if not p.delta03_ghz > 0:
             return r01, np.zeros_like(r01)

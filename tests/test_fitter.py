@@ -23,7 +23,7 @@ from mrtfit import (
 from mrtfit.errors import ConvergenceError, ValidationError
 import mrtfit.fitter as fitter
 from mrtfit.fitter import PARAM_NAMES, _Objective, _x_of
-from mrtfit.rate_model import FIT_PARAMS, SHAPE_FIELDS
+from mrtfit.rate_model import FIT_PARAMS
 from mrtfit.units import noise_summary
 
 from conftest import NARROW_CORE, REF
@@ -179,9 +179,9 @@ def test_fit_from_automatic_guess_with_noise(ref_params):
 def test_noisy_fits_take_few_evaluations(ref_params):
     # the solve stops once the Gauss-Newton decrement is below ftol * cost,
     # before it rejects trials whose cost changes are the objective's
-    # rounding noise; on these 24 criterion-2 datasets the mean is 5.79,
-    # against 8.96 when those trials ran on until xtol, and the bound
-    # leaves 1.2 evaluations of margin
+    # rounding noise; on these 24 criterion-2 datasets the mean is 4.83
+    # (5.79 before the first-peak tilt spanned only the nodes a bias
+    # reads), against 8.96 when those trials ran on until xtol
     n_eval = [fit(synth_dataset(ref_params, seed=42_000 + k)).n_eval for k in range(24)]
     assert np.mean(n_eval) < 7
 
@@ -209,29 +209,44 @@ def test_objective_amplitude_only_step_matches_fresh_build(ref_params):
     assert objective.n_eval == 2
 
 
-def test_fit_builds_line_shapes_once_per_distinct_shape_key(ref_params, monkeypatch):
+def test_fit_builds_line_shapes_once_per_evaluation(ref_params, monkeypatch):
     built = []
-    evaluated = set()
+    in_jac = []
 
     class CountingLineShapes(fitter.LineShapes):
         def __init__(self, params, *args, **kwargs):
-            built.append(tuple(getattr(params, f) for f in SHAPE_FIELDS))
+            built.append(params)
             super().__init__(params, *args, **kwargs)
 
-    call = _Objective.__call__
+    jac = _Objective.jac
 
-    def recording_call(self, x):
-        evaluated.add(tuple(self.values_at(x)[2:].tolist()))
-        return call(self, x)
+    def recording_jac(self, x):
+        before = len(built)
+        out = jac(self, x)
+        in_jac.append(len(built) - before)
+        return out
 
     monkeypatch.setattr(fitter, "LineShapes", CountingLineShapes)
-    monkeypatch.setattr(_Objective, "__call__", recording_call)
+    monkeypatch.setattr(_Objective, "jac", recording_jac)
     ds = synth_dataset(ref_params, seed=5)
-    fit(ds, guess=initial_guess(ds))
-    # every shape key the fit evaluated is built exactly once: neither the
-    # amplitude-only steps nor the Jacobians rebuild anything
-    assert len(built) == len(set(built))
-    assert set(built) == evaluated
+    result = fit(ds, guess=initial_guess(ds))
+    # each evaluation builds once, and every Jacobian is taken at the point
+    # just evaluated, from that build
+    assert len(built) == result.n_eval
+    assert in_jac and not any(in_jac)
+
+
+def test_jacobian_elsewhere_leaves_the_objective_consistent(ref_params):
+    # a Jacobian at another point rebuilds there; a Jacobian back at the
+    # evaluated point must then not pair its rates with that other build
+    ds = synth_dataset(ref_params, seed=9)
+    x = _x_of(vector(ref_params), ALL_FREE)
+    objective = _Objective(ds, ALL_FREE, vector(ref_params))
+    objective(x)
+    objective.jac(x + 0.01)
+    fresh = _Objective(ds, ALL_FREE, vector(ref_params))
+    fresh(x)
+    np.testing.assert_array_equal(objective.jac(x), fresh.jac(x))
 
 
 def _criterion4_draw() -> MrtParams:
@@ -263,7 +278,7 @@ def test_jacobian_matches_central_differences(ref_params, case):
     x = _x_of(vector(params), ALL_FREE)
     objective(x)
     jac = objective.jac(x)
-    model = sum(objective._peak_rates(vector(params)))
+    model = sum(objective._peak_rates(x))
     live = model > 1e-10 * model.max()
     for k, name in enumerate(PARAM_NAMES):
         h = 1e-3 if fitter._LOG[k] else 1e-3 * abs(x[k])

@@ -675,6 +675,9 @@ def test_lower_tail_matches_quadrature_oracle(ref_params):
     c2_tail = np.linspace(-500.0, 3000.0, 200)[7:11]
     cases = [(phi, 1e-5) for phi in (-300.0, -250.0, -200.0)]
     cases += [(phi, 2e-6) for phi in c2_tail]
+    # at -341.7 uPhi0 r03 sits within the FFT's absolute rounding: a tilt
+    # capped over the nodes a bias reads, not the whole grid, pushes it down
+    cases += [(c2_tail[2], 1e-9)]
     for phi, rel in cases:
         expect = oracles.quad_total_rate(
             phi, delta01=p.delta01_ghz, delta03=p.delta03_ghz,
@@ -682,6 +685,16 @@ def test_lower_tail_matches_quadrature_oracle(ref_params):
             gamma_phi=p.gamma_phi_uphi0, zeta_phi=p.zeta_phi_uphi0,
             t_k=p.temperature_k, ip_a=p.ip_a)
         assert total(shapes, phi)[0] == pytest.approx(expect, rel=rel, abs=0.0), phi
+
+
+def test_window_far_below_zero_keeps_the_first_peak_finite(ref_params):
+    # a tilt set by the top of the window does not shrink with the window's
+    # depth below zero; its weights exp(-a nu) there stay normal doubles
+    with pytest.warns(ModelValidityWarning, match="clamped"):
+        shapes = LineShapes(ref_params, -1e7, 3000.0)
+    assert np.all(np.isfinite(shapes._table03))
+    r01, r03 = shapes.rates(np.linspace(-1e7, 3000.0, 41))
+    assert np.all(np.isfinite(r03)) and r03[-1] > 0
 
 
 def test_rates_independent_of_window_lower_edge(ref_params):
