@@ -33,8 +33,7 @@ _EXPORTS = {
     "squid_full": (
         "EffectivePotential", "FullModelNoise", "FullModelResult",
         "RfSquidParams", "WellBasis", "effective_potential", "full_model_rate",
-        "ground_pair_splitting", "harmonic_v31", "persistent_current",
-        "solve_wells"),
+        "ground_pair_splitting", "harmonic_v31", "solve_wells"),
     "units": ("NoiseSummary",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

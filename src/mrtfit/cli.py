@@ -10,7 +10,7 @@ class=<class> message="..."``, never a traceback or usage text.
 
 Each subcommand imports the parts of the package it runs, and none loads
 scipy: the line shapes, the rf-SQUID solver and the fit run on numpy
-alone.
+alone, and ``derive`` loads no numpy either.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, dataio, units
 from .errors import (
@@ -105,9 +103,11 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _flux_grid(cfg: dataio.RunConfig, section: str) -> np.ndarray:
-    """The flux biases (uPhi0) ``[section]`` asks for, at most
+def _flux_grid(cfg: dataio.RunConfig, section: str):
+    """The flux biases (uPhi0) ``[section]`` asks for, an array of at most
     MAX_FLUX_POINTS of them."""
+    import numpy as np
+
     n = cfg.getint(section, "n_points")
     lo = cfg.getfloat(section, "phi_min_uphi0")
     hi = cfg.getfloat(section, "phi_max_uphi0")
@@ -136,6 +136,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    import numpy as np
+
     from .rate_model import simulate_curve
 
     cfg = _load_config(args)
@@ -172,6 +174,8 @@ def _start(dataset, fit_cfg, model):
 
 
 def _fit_and_report(dataset, cfg, data_path, out_dir) -> dict:
+    import numpy as np
+
     from .fitter import fit
     from .rate_model import peak_rates
 
@@ -273,8 +277,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_squid(args) -> int:
-    from .squid_full import (RfSquidParams, effective_potential, harmonic_v31,
-                             persistent_current, solve_wells)
+    from .squid_full import RfSquidParams, effective_potential, harmonic_v31, solve_wells
 
     cfg = _load_config(args)
     f = functools.partial(cfg.getfloat, "squid")
@@ -282,12 +285,11 @@ def cmd_squid(args) -> int:
                            c_f=f("c_ff") * 1e-15, phi_cjj_x=f("phi_cjj_x"))
     pot = effective_potential(params, n_points=cfg.getint("squid", "grid_points"))
     basis = solve_wells(pot, params.c_f)
-    ip = persistent_current(basis)
     omega31 = basis.omega31_ghz
     v31 = basis.voltage_v[1, 3]
     rows = {
         "beta_eff": f"{params.beta_eff:.6f}",
-        "ip_ua": dataio.fmt(ip * 1e6),
+        "ip_ua": dataio.fmt(basis.ip_a * 1e6),
         "delta01_mhz": dataio.fmt(basis.delta_ghz[(0, 1)] * 1e3),
         "delta03_mhz": dataio.fmt(basis.delta_ghz[(0, 3)] * 1e3),
         "omega31_ghz": dataio.fmt(omega31),

@@ -39,8 +39,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, DatasetFormatError, ReportError, ValidationError
 from .units import FIT_PARAMS, noise_summary
@@ -82,6 +80,8 @@ def load_dataset(path) -> RateDataset:
     metadata values, a repeated metadata key or invariant violations (for
     example a non-positive rate).
     """
+    import numpy as np
+
     from .rate_model import RateDataset
 
     path = Path(path)
@@ -440,6 +440,8 @@ def write_curve_table(path, curves: dict, dataset: Optional[RateDataset] = None)
     strictly positive by construction so the table is safe to plot on a
     log axis.
     """
+    import numpy as np
+
     labels = list(curves)
     if not labels:
         raise ValidationError("need at least one curve")

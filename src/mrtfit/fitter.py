@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import units
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .rate_model import FIT_PARAMS, LineShapes, MrtParams, RateDataset, _rate_coef
 from .units import NoiseSummary, flux_to_energy, ghz_to_kelvin, kelvin_to_ghz
 
@@ -275,7 +275,8 @@ def least_squares(fun, x0, *, jac, bounds, x_scale, ftol, xtol, gtol, max_nfev,
     accepted point also stops the solve if its Gauss-Newton decrement
     ||U^T f||^2 / 2, the most any step on the free directions can lower the
     cost in the linear model, is at most ftol * cost.  The caller supplies
-    ``f0 = fun(x0)``, the first of ``max_nfev`` evaluations."""
+    ``f0 = fun(x0)``, the first of ``max_nfev`` evaluations; a trial at which
+    ``fun`` raises DomainError counts as one and is rejected."""
     lb, ub = bounds
     x, f = x0, f0
     nfev, cost, J = 1, 0.5 * float(f @ f), jac(x)
@@ -301,8 +302,11 @@ def least_squares(fun, x0, *, jac, bounds, x_scale, ftol, xtol, gtol, max_nfev,
             step = trial - x
             step_norm = np.linalg.norm(step / x_scale)
             predicted = -(g @ step + 0.5 * np.sum((J @ step) ** 2))
-            f_new = fun(trial)
             nfev += 1
+            try:
+                f_new = fun(trial)
+            except DomainError:     # a trial the model cannot build
+                f_new = np.full_like(f, math.inf)
             with np.errstate(over="ignore"):
                 cost_new = 0.5 * float(f_new @ f_new)
             # a non-finite trial is rejected like one that raises the cost

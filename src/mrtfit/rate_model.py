@@ -39,7 +39,10 @@ resonance.  A relaxation core narrower than three steps is pinned, not
 resolved: g_relax is a Lorentzian L_h of half-width h = width0 plus a
 remainder smooth on the grid, and three nodes at zero give the sampled
 L_h its closed-form mass and second moment.  Only a tiny W or a wide
-window reaches the GRID_MAX_POINTS clamp, which warns.
+window reaches the GRID_MAX_POINTS clamp, which warns.  The zeroth peak's
+remainder grid, the nodes nu >= 0 plus the Gaussian's reach W^2/2T + 10 W
+below zero, is not clamped: past GRID_MAX_POINTS nodes a build raises
+DomainError before making it.
 ``LineShapes.diagnostics`` records what applied, the term of the rule
 that set the step included.
 
@@ -545,15 +548,16 @@ class LineShapes:
         if g == 0:
             raw = self._gauss = g_low(pos, w, sh)
         else:
-            # Voigt core (A Re w(z) + B Im w(z)) / (W sqrt(2 pi)) from the
-            # Faddeeva function: the Gaussian convolved with A L_gamma + B D_gamma
-            a, b, _ = _ohmic_core_weights(g, t)
-            self._faddeeva = _faddeeva((pos - sh + 1j * g) / (math.sqrt(2.0) * w))
-            core = (a * self._faddeeva.real + b * self._faddeeva.imag) / (_SQRT_2PI * w)
             self.diagnostics["gaussian_as_delta"] = w < 1.5 * step
             if not self.diagnostics["gaussian_as_delta"]:
-                # the operands start the Gaussian's reach below zero
-                reach = int(math.ceil((sh + _GAUSS_REACH * w) / step))
+                # the operands start the Gaussian's reach below zero, sized
+                # before any array is made (a NaN size fails the check too)
+                n_half = np.ceil((sh + _GAUSS_REACH * w) / step) + len(pos)
+                if not n_half <= GRID_MAX_POINTS:
+                    raise DomainError(
+                        f"the zeroth-peak remainder, down to W^2/2T + 10 W below zero, needs "
+                        f"{n_half:.0f} nodes, more than GRID_MAX_POINTS = {GRID_MAX_POINTS}")
+                reach = int(n_half) - len(pos)
                 self._half = FrequencyGrid(values=np.arange(-reach, len(pos)) * step,
                                            step=step, index_of_zero=reach)
                 conv = self._conv01 = _Convolution(self._half)
@@ -568,6 +572,11 @@ class LineShapes:
                 # reorganization shift (its width already lives in the Voigt term)
                 self._excess = thermal_excess((pos - sh) / t)
                 corr = _ohmic_remainder(pos - sh, g, t, self._excess)
+            # Voigt core (A Re w(z) + B Im w(z)) / (W sqrt(2 pi)) from the
+            # Faddeeva function: the Gaussian convolved with A L_gamma + B D_gamma
+            a, b, _ = _ohmic_core_weights(g, t)
+            self._faddeeva = _faddeeva((pos - sh + 1j * g) / (math.sqrt(2.0) * w))
+            core = (a * self._faddeeva.real + b * self._faddeeva.imag) / (_SQRT_2PI * w)
             raw = core + corr
         self._clipped01 = raw < 0.0
         self._pos01 = np.maximum(raw, 0.0)

@@ -218,7 +218,8 @@ class WellBasis:
     construction), ``voltage_v`` the magnitude of the junction-voltage
     matrix element in volt (the operator is antihermitian in the real
     position basis, so only the magnitude is physical here), ``delta_ghz``
-    the tunneling amplitudes for the pairs used by the two-peak model.
+    the tunneling amplitudes for the pairs used by the two-peak model, and
+    ``ip_a`` the persistent current (I_11 - I_00) / 2 of the lowest states.
     """
 
     potential: EffectivePotential
@@ -235,7 +236,7 @@ class WellBasis:
 
     @property
     def ip_a(self) -> float:
-        return persistent_current(self)
+        return float((self.current_a[1, 1] - self.current_a[0, 0]) / 2.0)
 
 
 def solve_wells(pot: EffectivePotential, c_f: float,
@@ -245,9 +246,9 @@ def solve_wells(pot: EffectivePotential, c_f: float,
     Returns the lowest two states per well with energies, current and
     voltage matrix elements, and (optionally) the tunneling amplitudes for
     the (0,1) and (0,3) pairs from avoided-crossing gaps of the
-    untruncated spectrum.  The (0,3) crossing is sought from this
-    basis's level spacing and persistent current, the degeneracy values
-    when ``pot`` is at zero bias.
+    untruncated spectrum, all at the capacitance ``c_f``.  The (0,3)
+    crossing is sought from this basis's level spacing and persistent
+    current, the degeneracy values when ``pot`` is at zero bias.
     """
     y, u, m = pot.y, pot.u_ghz, pot.partition_index
     n = len(y)
@@ -278,33 +279,33 @@ def solve_wells(pot: EffectivePotential, c_f: float,
                       wavefunctions=psi, current_a=current, voltage_v=voltage,
                       delta_ghz={})
     if compute_amplitudes:
-        basis.delta_ghz[(0, 1)] = ground_pair_splitting(pot.params, c_f, n)
-        basis.delta_ghz[(0, 3)], _ = excited_crossing_gap(
-            pot.params, c_f, basis.omega31_ghz, basis.ip_a, n)
+        circuit = dc_replace(pot.params, c_f=c_f)
+        basis.delta_ghz[(0, 1)] = ground_pair_splitting(circuit, n)
+        basis.delta_ghz[(0, 3)], _ = excited_crossing_gap(circuit, basis.omega31_ghz,
+                                                          basis.ip_a, n)
     return basis
 
 
-def full_spectrum(params: RfSquidParams, c_f: float, n_levels: int,
+def full_spectrum(params: RfSquidParams, n_levels: int,
                   n_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Lowest levels of the untruncated 1D Hamiltonian, in GHz, at its own
-    ``n_points`` sine-DVR points across both blocks."""
+    """Lowest levels (GHz) of the untruncated 1D Hamiltonian of ``params``,
+    at its own ``n_points`` sine-DVR points across both blocks."""
     y_part = _partition_point(params, n_points)
     y = y_part + 2.0 * HALF_SPAN / (n_points + 1) * (np.arange(n_points) + 0.5
                                                      - n_points / 2)
-    return _lowest_levels(_potential_ghz(params, y), 2.0 * HALF_SPAN, c_f, n_levels)
+    return _lowest_levels(_potential_ghz(params, y), 2.0 * HALF_SPAN, params.c_f, n_levels)
 
 
-def ground_pair_splitting(params: RfSquidParams, c_f: float,
+def ground_pair_splitting(params: RfSquidParams,
                           n_points: int = DEFAULT_GRID_POINTS) -> FreqGHz:
     """Tunneling amplitude of the ground pair: the symmetric-antisymmetric
     splitting of the untruncated spectrum at the degeneracy bias."""
     at_zero = dc_replace(params, phi_x_uphi0=0.0)
-    ev = full_spectrum(at_zero, c_f, 2, n_points)
+    ev = full_spectrum(at_zero, 2, n_points)
     return FreqGHz(ev[1] - ev[0])
 
 
-def excited_crossing_gap(params: RfSquidParams, c_f: float,
-                         omega31_ghz: float, ip_a: float,
+def excited_crossing_gap(params: RfSquidParams, omega31_ghz: float, ip_a: float,
                          n_points: int = DEFAULT_GRID_POINTS) -> tuple:
     """Tunneling amplitude into the excited target state and the resonance
     bias: minimal avoided-crossing gap of levels 1 and 2 near the bias
@@ -315,7 +316,7 @@ def excited_crossing_gap(params: RfSquidParams, c_f: float,
     omega31 / 2 I_p and at +-5 % of it is refined once through three solves
     at 1/20 of that spacing, and the gap is solved at the final vertex:
     seven solves.  ``ip_a`` is the persistent current of the caller's well
-    basis.
+    basis (``WellBasis.ip_a``).
 
     Returns (delta03_ghz, phi31_uphi0).
     """
@@ -323,8 +324,7 @@ def excited_crossing_gap(params: RfSquidParams, c_f: float,
     lo, hi = 0.7 * phi_guess, 1.3 * phi_guess
 
     def gap(phi):
-        ev = full_spectrum(dc_replace(params, phi_x_uphi0=float(phi)), c_f, 3,
-                           n_points)
+        ev = full_spectrum(dc_replace(params, phi_x_uphi0=float(phi)), 3, n_points)
         return float(ev[2] - ev[1])
 
     phi31, spacing = phi_guess, 0.05 * phi_guess
@@ -340,11 +340,6 @@ def excited_crossing_gap(params: RfSquidParams, c_f: float,
                 f"uPhi0, outside [{lo:.1f}, {hi:.1f}]")
         phi31, spacing = vertex, spacing / 20.0
     return FreqGHz(gap(phi31)), FluxUPhi0(phi31)
-
-
-def persistent_current(basis: WellBasis) -> float:
-    """I_p = (I_11 - I_00) / 2 from the lowest state of each well."""
-    return float((basis.current_a[1, 1] - basis.current_a[0, 0]) / 2.0)
 
 
 def harmonic_v31(omega31_rad_s: float, c_f: float) -> float:
@@ -466,11 +461,10 @@ def full_model_rate(params: RfSquidParams, noise: FullModelNoise, phi_grid,
     phi = bias_grid(phi_grid)
     pot0 = effective_potential(dc_replace(params, phi_x_uphi0=0.0), n_points)
     basis0 = solve_wells(pot0, params.c_f, compute_amplitudes=False)
-    ip = persistent_current(basis0)
-    delta01 = ground_pair_splitting(params, params.c_f, n_points)
+    ip = basis0.ip_a
+    delta01 = ground_pair_splitting(params, n_points)
     omega31_0 = basis0.omega31_ghz
-    delta03, phi31 = excited_crossing_gap(params, params.c_f, omega31_0, ip,
-                                          n_points)
+    delta03, phi31 = excited_crossing_gap(params, omega31_0, ip, n_points)
 
     # resonance-bias basis for the intrawell quantities
     pot_res = effective_potential(dc_replace(params, phi_x_uphi0=phi31), n_points)

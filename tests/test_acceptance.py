@@ -31,7 +31,6 @@ from mrtfit import (
     harmonic_v31,
     initial_guess,
     peak_rates,
-    persistent_current,
     simulate_curve,
     solve_wells,
 )
@@ -289,7 +288,7 @@ def test_criterion_6_solver_quantities(capsys):
     circuit = RfSquidParams(**REF_CIRCUIT)
     pot = effective_potential(circuit)
     basis = solve_wells(pot, circuit.c_f)
-    ip = persistent_current(basis)
+    ip = basis.ip_a
     omega31 = float(basis.omega31_ghz)
     d01 = basis.delta_ghz[(0, 1)]
     pot_res = effective_potential(replace(circuit, phi_x_uphi0=2153.6))

@@ -20,7 +20,7 @@ from mrtfit import (
     initial_guess,
     simulate_curve,
 )
-from mrtfit.errors import ConvergenceError, ValidationError
+from mrtfit.errors import ConvergenceError, DomainError, ValidationError
 import mrtfit.fitter as fitter
 from mrtfit.fitter import PARAM_NAMES, _Objective, _x_of
 from mrtfit.rate_model import FIT_PARAMS
@@ -234,6 +234,36 @@ def test_fit_builds_line_shapes_once_per_evaluation(ref_params, monkeypatch):
     # just evaluated, from that build
     assert len(built) == result.n_eval
     assert in_jac and not any(in_jac)
+
+
+def test_fit_rejects_a_trial_whose_build_raises(ref_params, monkeypatch):
+    # a trial step can land where the model refuses to build, for example a
+    # zeroth peak whose remainder grid would be too large; the solve rejects
+    # it as it rejects a non-finite trial and goes on with a shorter step
+    ds = synth_dataset(ref_params, seed=5)
+    guess = initial_guess(ds)
+    unrefused = fit(ds, guess=guess)
+    built = []
+
+    def refusing(refuse):
+        class RefusingLineShapes(fitter.LineShapes):
+            def __init__(self, params, *args, **kwargs):
+                built.append(params)
+                if len(built) == refuse:
+                    raise DomainError("this build is refused")
+                super().__init__(params, *args, **kwargs)
+        return RefusingLineShapes
+
+    # the second build is the first trial; the first is the start
+    monkeypatch.setattr(fitter, "LineShapes", refusing(2))
+    result = fit(ds, guess=guess)
+    assert result.converged and len(built) == result.n_eval
+    assert result.chi2 == pytest.approx(unrefused.chi2, rel=1e-8)
+    # a refused start is no trial: the fit raises
+    built.clear()
+    monkeypatch.setattr(fitter, "LineShapes", refusing(1))
+    with pytest.raises(DomainError, match="refused"):
+        fit(ds, guess=guess)
 
 
 def test_jacobian_elsewhere_leaves_the_objective_consistent(ref_params):

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import time
 import warnings
 from dataclasses import replace
 
@@ -546,6 +547,26 @@ def test_zeroth_peak_centre_far_above_the_grid_rejected(ref_params, func):
     p = replace(ref_params, w_phi_uphi0=600.0, temperature_k=5e-3)
     with pytest.raises(DomainError, match=r"W\^2/2T = 14773.6 uPhi0 \(W = 600 uPhi0"):
         func(np.linspace(-500.0, 3000.0, 5), p)
+
+
+@pytest.mark.filterwarnings("ignore::mrtfit.errors.ModelValidityWarning")
+@pytest.mark.parametrize("w_phi, t_k, nodes", [(2650.0, 0.66e-3, 2083659),
+                                               (4520.0, 0.533e-3, 9180959)])
+def test_oversized_zeroth_peak_remainder_is_refused_before_it_is_built(
+        ref_params, w_phi, t_k, nodes):
+    # inside the fit bounds, the remainder's grid reaches W^2/2T + 10 W
+    # below zero, millions of nodes here; its size is checked before any of
+    # its arrays (or the Voigt core's) exists.  Best of three, so that the
+    # bound times the work, not the scheduler
+    p = replace(ref_params, w_phi_uphi0=w_phi, temperature_k=t_k)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"needs {nodes} nodes, more than "
+                           f"GRID_MAX_POINTS = {rate_model.GRID_MAX_POINTS}"):
+            peak_rates(np.linspace(-500.0, 3000.0, 5), p)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.01
 
 
 def test_eval_outside_tabulated_span_raises(ref_params):

@@ -12,7 +12,6 @@ from mrtfit import (
     full_model_rate,
     ground_pair_splitting,
     harmonic_v31,
-    persistent_current,
     simulate_curve,
     solve_wells,
 )
@@ -108,7 +107,7 @@ def test_wavefunctions_orthonormal_within_each_well(basis):
 
 
 def test_current_matrix_structure(basis):
-    ip = persistent_current(basis)
+    ip = basis.ip_a
     cur = basis.current_a
     # opposite-well elements vanish by construction
     for m in range(4):
@@ -178,7 +177,7 @@ def test_same_well_tunneling_amplitudes_are_zero_by_construction(basis):
 # reference-circuit quantities (frozen from converged runs)
 
 def test_persistent_current_reference(basis):
-    ip = persistent_current(basis)
+    ip = basis.ip_a
     assert ip * 1e6 == pytest.approx(1.2624, abs=2e-3)
     # within ten percent of the measured 1.37 uA
     assert abs(ip - 1.37e-6) / 1.37e-6 < 0.10
@@ -192,9 +191,8 @@ def test_level_spacing_reference(basis):
     anchor = flux_to_energy(2153.6, 1.37e-6)
     assert abs(omega31 - anchor) / anchor < 0.15
     # and with the solver's own persistent current and resonance bias
-    ip = persistent_current(basis)
-    d03, phi31 = excited_crossing_gap(RfSquidParams(**REF_CIRCUIT),
-                                      REF_CIRCUIT["c_f"], omega31, ip)
+    ip = basis.ip_a
+    d03, phi31 = excited_crossing_gap(RfSquidParams(**REF_CIRCUIT), omega31, ip)
     self_anchor = flux_to_energy(phi31, ip)
     assert abs(omega31 - self_anchor) / self_anchor < 0.10
     assert phi31 == pytest.approx(2212.0, abs=2.0)
@@ -221,7 +219,7 @@ def test_crossing_vertex_matches_a_tight_bounded_search(phi_cjj_x, monkeypatch):
                          compute_amplitudes=False)
 
     def gap(phi):
-        ev = full_spectrum(replace(circuit, phi_x_uphi0=float(phi)), circuit.c_f, 3)
+        ev = full_spectrum(replace(circuit, phi_x_uphi0=float(phi)), 3)
         return float(ev[2] - ev[1])
 
     guess = energy_to_flux(basis0.omega31_ghz, basis0.ip_a)
@@ -234,8 +232,7 @@ def test_crossing_vertex_matches_a_tight_bounded_search(phi_cjj_x, monkeypatch):
         return full_spectrum(*args, **kwargs)
 
     monkeypatch.setattr(squid_full, "full_spectrum", counted)
-    d03, phi31 = excited_crossing_gap(circuit, circuit.c_f, basis0.omega31_ghz,
-                                      basis0.ip_a)
+    d03, phi31 = excited_crossing_gap(circuit, basis0.omega31_ghz, basis0.ip_a)
     assert abs(phi31 - ref.x) <= 1e-3
     assert abs(d03 / ref.fun - 1.0) <= 1e-7
     assert len(calls) <= 7
@@ -246,8 +243,7 @@ def test_crossing_search_outside_its_bracket_raises(circuit, basis, factor):
     # at half the spacing the vertex lies above 1.3 times the guess; at ten
     # times it, far from any crossing, gap^2 curves downward
     with pytest.raises(ConvergenceError, match="avoided-crossing"):
-        excited_crossing_gap(circuit, circuit.c_f, factor * basis.omega31_ghz,
-                             basis.ip_a)
+        excited_crossing_gap(circuit, factor * basis.omega31_ghz, basis.ip_a)
 
 
 def counted(monkeypatch, name):
@@ -327,14 +323,14 @@ def test_dvr_matches_the_extrapolated_finite_difference_limit(circuit, phi_x):
     coarse, fine = fd_quantities(biased, 16384), fd_quantities(biased, 32768)
     limit = {key: 2.0 * fine[key] - coarse[key] for key in fine}
     b = solve_wells(effective_potential(biased), circuit.c_f, compute_amplitudes=False)
-    full = full_spectrum(biased, circuit.c_f, 3)
+    full = full_spectrum(biased, 3)
     dvr = {"left_0": b.energies_ghz[0], "right_0": b.energies_ghz[1],
            "left_1": b.energies_ghz[2], "right_1": b.energies_ghz[3],
            "omega31": b.omega31_ghz, "ip": b.ip_a,
            "full_0": full[0], "full_1": full[1], "full_2": full[2]}
     if phi_x == 0.0:
         limit["delta01"] = limit["full_1"] - limit["full_0"]
-        dvr["delta01"] = ground_pair_splitting(circuit, circuit.c_f)
+        dvr["delta01"] = ground_pair_splitting(circuit)
     for key, value in dvr.items():
         assert value == pytest.approx(limit[key], rel=1e-6), key
 
@@ -342,13 +338,13 @@ def test_dvr_matches_the_extrapolated_finite_difference_limit(circuit, phi_x):
 def test_grid_convergence_energies_and_splitting(circuit):
     # energies: doubling the grid changes E_n below 1e-8 relative once the
     # DVR has converged, from 512 points up
-    e_coarse = full_spectrum(circuit, circuit.c_f, 2, n_points=512)
-    e_fine = full_spectrum(circuit, circuit.c_f, 2, n_points=1024)
+    e_coarse = full_spectrum(circuit, 2, n_points=512)
+    e_fine = full_spectrum(circuit, 2, n_points=1024)
     for a, b in zip(e_coarse, e_fine):
         assert abs(a - b) / abs(b) < 1e-8
     # splitting: doubling from the default grid moves it below one percent
-    d_coarse = ground_pair_splitting(circuit, circuit.c_f, n_points=128)
-    d_fine = ground_pair_splitting(circuit, circuit.c_f, n_points=256)
+    d_coarse = ground_pair_splitting(circuit, n_points=128)
+    d_fine = ground_pair_splitting(circuit, n_points=256)
     assert abs(d_coarse - d_fine) / d_fine < 0.01
 
 
@@ -364,7 +360,7 @@ def test_harmonic_v31_arithmetic():
 
 
 def test_harmonic_v31_matches_numerical_matrix_element(circuit, basis):
-    d03, phi31 = excited_crossing_gap(circuit, circuit.c_f, 16.354, basis.ip_a)
+    d03, phi31 = excited_crossing_gap(circuit, 16.354, basis.ip_a)
     pot = effective_potential(replace(circuit, phi_x_uphi0=phi31))
     b = solve_wells(pot, circuit.c_f, compute_amplitudes=False)
     v_num = b.voltage_v[1, 3]
